@@ -2,8 +2,7 @@
 
 Subcommands: sample, split-tiles, pretrain-toy, grad-check, eval-retrieval,
 flops. Exit codes: 0 success, 1 usage error, 2 data/format error. A single
---seed funnels every random stream; CSMOE_THREADS (or --threads) governs
-inner parallelism and defaults to 1 for reproducibility.
+--seed funnels every random stream.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -140,7 +138,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--baseline", action="store_true",
                    help="also report an equal-size random selection per stratum")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", help="JSON run configuration file")
 
     p = sub.add_parser("split-tiles", help="cut TNSR1 tiles into training patches")
@@ -195,12 +192,6 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("CSMOE_THREADS", "1"))
-
-
 def _cmd_sample(args) -> int:
     run = load_run_config(args.config)
     ga = run.ga
@@ -216,9 +207,7 @@ def _cmd_sample(args) -> int:
     archive = load_archive(args.archive)
     climate = load_grid(args.climate)
     thematic = load_grid(args.thematic)
-    selection, report = sample_archive(
-        archive, climate, thematic, ga, baseline=args.baseline, threads=_threads(args)
-    )
+    selection, report = sample_archive(archive, climate, thematic, ga, baseline=args.baseline)
     write_selection(args.out, selection)
     if args.report:
         with open(args.report, "w") as fh:

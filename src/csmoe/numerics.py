@@ -2,10 +2,13 @@
 
 Everything is 64-bit and row-major. The operation graph built during a
 forward pass doubles as the differentiation tape: each op links its output
-to its parents together with a backward closure, and ``backward`` replays
-the closures in reverse topological order, visiting every node exactly
-once. A graph is confined to the thread that built it; independent graphs
-may run concurrently.
+to its parents together with a backward closure, and ``backward`` calls the
+closures in reverse topological order, visiting every node exactly once and
+passing each closure its output's gradient. A closure holds its parents and
+the arrays it saved, never its own output, so a graph has no reference
+cycles and is freed by reference counting as soon as it is dropped. A graph
+is confined to the thread that built it; independent graphs may run
+concurrently.
 
 Every op reports a deterministic operation count to the innermost active
 ``FlopCounter`` (2 ops per multiply-accumulate, 5 per softmax/norm element,
@@ -14,6 +17,7 @@ Every op reports a deterministic operation count to the innermost active
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -213,7 +217,7 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grads(params):
@@ -233,11 +237,11 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
     _count(elementwise_flops(out.size))
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.shape))
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad, b.shape))
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _attach(out, (a, b), back)
 
@@ -247,11 +251,11 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
     _count(elementwise_flops(out.size))
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.shape))
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad, b.shape))
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _attach(out, (a, b), back)
 
@@ -261,11 +265,11 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
     _count(elementwise_flops(out.size))
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _attach(out, (a, b), back)
 
@@ -275,11 +279,11 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data)
     _count(elementwise_flops(out.size))
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad / b.data, a.shape))
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _attach(out, (a, b), back)
 
@@ -288,33 +292,40 @@ def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
     _count(elementwise_flops(out.size))
 
-    def back():
-        _accumulate(a, -out.grad)
+    def back(g):
+        _accumulate(a, -g)
 
     return _attach(out, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[..., m, k] @ [..., k, n] with equal leading batch axes."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
-    _count(matmul_flops(a.shape[0], a.shape[1], b.shape[1]))
+    m, k = a.shape[-2:]
+    _count(math.prod(a.shape[:-2]) * matmul_flops(m, k, b.shape[-1]))
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            _accumulate(a, out.grad @ b.data.T)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ out.grad)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _attach(out, (a, b), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T)
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; the default swaps the last two."""
+    if axes is None:
+        axes = (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2)
+    out = Tensor(a.data.transpose(axes))
+    inverse = np.argsort(axes)
 
-    def back():
-        _accumulate(a, out.grad.T)
+    def back(g):
+        _accumulate(a, g.transpose(inverse))
 
     return _attach(out, (a,), back)
 
@@ -322,8 +333,8 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
-    def back():
-        _accumulate(a, out.grad.reshape(a.shape))
+    def back(g):
+        _accumulate(a, g.reshape(a.shape))
 
     return _attach(out, (a,), back)
 
@@ -332,8 +343,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     _count(reduction_flops(a.size))
 
-    def back():
-        g = out.grad
+    def back(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
@@ -346,8 +356,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     _count(reduction_flops(a.size) + 1)
 
-    def back():
-        g = out.grad
+    def back(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape) / n)
@@ -356,11 +365,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
+    y = np.exp(a.data)
+    out = Tensor(y)
     _count(elementwise_flops(out.size))
 
-    def back():
-        _accumulate(a, out.grad * out.data)
+    def back(g):
+        _accumulate(a, g * y)
 
     return _attach(out, (a,), back)
 
@@ -369,18 +379,19 @@ def tlog(a: Tensor) -> Tensor:
     out = Tensor(np.log(a.data))
     _count(elementwise_flops(out.size))
 
-    def back():
-        _accumulate(a, out.grad / a.data)
+    def back(g):
+        _accumulate(a, g / a.data)
 
     return _attach(out, (a,), back)
 
 
 def tsqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
+    r = np.sqrt(a.data)
+    out = Tensor(r)
     _count(elementwise_flops(out.size))
 
-    def back():
-        _accumulate(a, out.grad * 0.5 / out.data)
+    def back(g):
+        _accumulate(a, g * 0.5 / r)
 
     return _attach(out, (a,), back)
 
@@ -392,9 +403,9 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(0.5 * x * (1.0 + e))
     _count(gelu_flops(out.size))
 
-    def back():
+    def back(g):
         d = 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accumulate(a, out.grad * d)
+        _accumulate(a, g * d)
 
     return _attach(out, (a,), back)
 
@@ -412,10 +423,10 @@ def xlog_shifted(a: Tensor, shift: float) -> Tensor:
     out = Tensor(vals)
     _count(2 * out.size)
 
-    def back():
+    def back(g):
         d = np.zeros_like(x)
         d[nz] = np.log(x[nz] + shift) + x[nz] / (x[nz] + shift)
-        _accumulate(a, out.grad * d)
+        _accumulate(a, g * d)
 
     return _attach(out, (a,), back)
 
@@ -431,8 +442,7 @@ def softmax(x: Tensor, axis: int, temperature: float = 1.0) -> Tensor:
     out = Tensor(y)
     _count(softmax_flops(out.size))
 
-    def back():
-        g = out.grad
+    def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot) / temperature)
 
@@ -457,8 +467,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     out = Tensor(xhat * gain.data + bias.data)
     _count(layer_norm_flops(out.size))
 
-    def back():
-        g = out.grad
+    def back(g):
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -481,10 +490,10 @@ def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[idx])
 
-    def back():
-        g = np.zeros_like(a.data)
-        np.add.at(g, idx, out.grad)
-        _accumulate(a, g)
+    def back(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        _accumulate(a, full)
 
     return _attach(out, (a,), back)
 
@@ -494,34 +503,10 @@ def concat_rows(parts) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
-    def back():
+    def back(g):
         for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, out.grad[s:e])
-
-    return _attach(out, tuple(parts), back)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[:, start:stop])
-
-    def back():
-        g = np.zeros_like(a.data)
-        g[:, start:stop] = out.grad
-        _accumulate(a, g)
-
-    return _attach(out, (a,), back)
-
-
-def concat_cols(parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def back():
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, out.grad[:, s:e])
+                _accumulate(p, g[s:e])
 
     return _attach(out, tuple(parts), back)
 
@@ -539,11 +524,11 @@ def scatter_rows(rows: Tensor, idx, fill: Tensor, total: int) -> Tensor:
     hole = np.ones(total, dtype=bool)
     hole[idx] = False
 
-    def back():
+    def back(g):
         if rows.requires_grad:
-            _accumulate(rows, out.grad[idx])
+            _accumulate(rows, g[idx])
         if fill.requires_grad:
-            _accumulate(fill, out.grad[hole].sum(axis=0).reshape(fill.shape))
+            _accumulate(fill, g[hole].sum(axis=0).reshape(fill.shape))
 
     return _attach(out, (rows, fill), back)
 

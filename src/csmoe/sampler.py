@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,8 +224,7 @@ def _mutate(bits: np.ndarray, rate: float, rng: np.random.Generator):
     return bits
 
 
-def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None,
-                   distances: np.ndarray = None):
+def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
     """Select a spatially dispersed subset of one stratum.
 
     Strata no larger than the target are fully retained. Returns
@@ -237,10 +235,9 @@ def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None,
         return list(stratum), float("nan"), []
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if distances is None:
-        lons = np.array([d.entry.center[0] for d in stratum])
-        lats = np.array([d.entry.center[1] for d in stratum])
-        distances = pairwise_haversine(lons, lats)
+    lons = np.array([d.entry.center[0] for d in stratum])
+    lats = np.array([d.entry.center[1] for d in stratum])
+    distances = pairwise_haversine(lons, lats)
     rate = mutation_rate(cfg.target_size, n)
 
     def fresh() -> Chromosome:
@@ -346,17 +343,17 @@ def _evolve_one(key, entries, cfg: GaConfig, baseline: bool):
         else:
             random_subset = list(entries)
         info["baseline_mean_pairwise_km"] = _mean_pairwise(random_subset)
-    return key, selected, info
+    return selected, info
 
 
 def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: GaConfig,
-                   baseline: bool = False, threads: int = 1):
+                   baseline: bool = False):
     """Descriptor generation, stratification, per-stratum evolution, union.
 
     Returns (selection, SamplingReport) where the selection is a list of
-    (DescribedEntry, stratum fitness) in stratum order. Per-stratum RNG
-    streams derive from (seed, climate, thematic), so results do not depend
-    on execution order or thread count.
+    (DescribedEntry, stratum fitness) in sorted stratum order. Per-stratum
+    RNG streams derive from (seed, climate, thematic), so results do not
+    depend on how the archive interleaves its strata.
     """
     described = generate_descriptors(archive, climate, thematic)
     strata = stratify(described)
@@ -369,14 +366,9 @@ def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: Ga
         seed=cfg.seed,
         total_described=len(described),
     )
-    items = list(strata.items())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda kv: _evolve_one(kv[0], kv[1], cfg, baseline), items))
-    else:
-        results = [_evolve_one(key, entries, cfg, baseline) for key, entries in items]
     selection = []
-    for key, selected, info in results:
+    for key, entries in strata.items():
+        selected, info = _evolve_one(key, entries, cfg, baseline)
         report.strata.append(info)
         for d in selected:
             selection.append((d, info["fitness"]))
@@ -430,10 +422,20 @@ def load_grid(path) -> ClassRaster:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: unreadable GRID1 header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: GRID1 header is not a JSON object")
         missing = _GRID_KEYS - set(header)
         if missing:
             raise FormatError(f"{path}: GRID1 header missing keys {sorted(missing)}")
-        rows, cols = int(header["rows"]), int(header["cols"])
+        for key in ("rows", "cols", "nodata"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise FormatError(f"{path}: GRID1 header {key} must be a non-negative int, "
+                                  f"got {header[key]!r}")
+        for key in ("lat_max", "lon_min", "dlat", "dlon"):
+            if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
+                raise FormatError(f"{path}: GRID1 header {key} must be a finite number, "
+                                  f"got {header[key]!r}")
+        rows, cols = header["rows"], header["cols"]
         payload = fh.read(2 * rows * cols)
         if len(payload) < 2 * rows * cols:
             raise FormatError(f"{path}: truncated GRID1 payload")
@@ -441,7 +443,7 @@ def load_grid(path) -> ClassRaster:
     return ClassRaster(
         lat_max=float(header["lat_max"]), lon_min=float(header["lon_min"]),
         dlat=float(header["dlat"]), dlon=float(header["dlon"]),
-        grid=grid, nodata=int(header["nodata"]),
+        grid=grid, nodata=header["nodata"],
     )
 
 

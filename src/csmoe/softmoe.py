@@ -18,14 +18,13 @@ import numpy as np
 from .errors import DimensionError
 from .numerics import (
     Tensor,
-    concat_cols,
     concat_rows,
     gelu,
     layer_norm,
     matmul,
     mul,
     parameter,
-    slice_cols,
+    reshape,
     softmax,
     take_rows,
     transpose,
@@ -176,23 +175,26 @@ def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None
 
 
 def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
-    """Standard multi-head scaled dot-product self-attention over all tokens."""
-    dim = z.shape[1]
-    if dim % params.heads:
-        raise DimensionError(f"width {dim} not divisible by {params.heads} heads")
-    head_dim = dim // params.heads
-    q = matmul(z, params.wq) + params.bq
-    k = matmul(z, params.wk)
-    v = matmul(z, params.wv) + params.bv
-    scale = 1.0 / np.sqrt(head_dim)
-    heads = []
-    for h in range(params.heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        scores = mul(matmul(qh, transpose(kh)), scale)
-        weights = softmax(scores, axis=1)
-        heads.append(matmul(weights, vh))
-    merged = concat_cols(heads)
+    """Standard multi-head scaled dot-product self-attention over all tokens.
+
+    Head ``h`` owns columns ``[h * d/H, (h + 1) * d/H)`` of q, k and v; all
+    heads run as one batch along a leading head axis.
+    """
+    tokens, dim = z.shape
+    heads = params.heads
+    if dim % heads:
+        raise DimensionError(f"width {dim} not divisible by {heads} heads")
+    head_dim = dim // heads
+
+    def split(x):  # [T, d] -> [H, T, d/H]
+        return transpose(reshape(x, (tokens, heads, head_dim)), (1, 0, 2))
+
+    q = split(matmul(z, params.wq) + params.bq)
+    k = split(matmul(z, params.wk))
+    v = split(matmul(z, params.wv) + params.bv)
+    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))  # [H, T, T]
+    weights = softmax(scores, axis=-1)
+    merged = reshape(transpose(matmul(weights, v), (1, 0, 2)), (tokens, dim))
     return matmul(merged, params.wo) + params.bo
 
 

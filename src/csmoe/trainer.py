@@ -118,16 +118,31 @@ def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: unreadable optimizer header: {exc}") from exc
-        if header.get("format") != OPT_FORMAT or header.get("version") != OPT_VERSION:
+        if (not isinstance(header, dict) or header.get("format") != OPT_FORMAT
+                or header.get("version") != OPT_VERSION):
             raise FormatError(f"{path}: not an optimizer state file")
-        expected = [name for name, _, _ in parameter_manifest(model.cfg)]
-        if header["names"] != expected:
+        step, epoch = header.get("step"), header.get("epoch")
+        if type(step) is not int or type(epoch) is not int or min(step, epoch) < 0:
+            raise FormatError(f"{path}: optimizer header needs non-negative int step and epoch")
+        manifest = parameter_manifest(model.cfg)
+        if header.get("names") != [name for name, _, _ in manifest]:
             raise FormatError(f"{path}: optimizer state does not match the model config")
-        for name in expected:
-            optimizer.m[name] = read_tnsr(fh)
-            optimizer.v[name] = read_tnsr(fh)
-    optimizer.step_count = int(header["step"])
-    return int(header["epoch"])
+        m, v = {}, {}
+        for name, shape, _ in manifest:
+            for moments in (m, v):
+                try:
+                    arr = read_tnsr(fh)
+                except FormatError as exc:
+                    raise FormatError(f"{path}: moment of {name}: {exc}") from exc
+                if arr.shape != shape:
+                    raise FormatError(f"{path}: moment of {name} has shape {arr.shape}, expected {shape}")
+                moments[name] = arr
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the moments of {name}")
+    optimizer.m.update(m)
+    optimizer.v.update(v)
+    optimizer.step_count = step
+    return epoch
 
 
 # ---------------------------------------------------------------------------

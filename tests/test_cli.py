@@ -1,11 +1,13 @@
+import io
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from csmoe.cli import main
 from csmoe.model import load_checkpoint
-from csmoe.numerics import load_tnsr, save_tnsr
+from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
 from csmoe.sampler import ClassRaster, save_grid
 
 from util import mini_config
@@ -150,6 +152,22 @@ def test_sample_baseline_flag(tmp_path):
     assert all("baseline_mean_pairwise_km" in s for s in report["strata"])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rows", -2), ("rows", "x"), ("cols", 1.5), ("nodata", -1), ("dlat", float("nan")),
+])
+def test_sample_rejects_bad_grid_header(tmp_path, capsys, key, value):
+    archive, climate, thematic = write_sampling_inputs(tmp_path, n_entries=4)
+    header, payload = climate.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields[key] = value
+    climate.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + payload)
+    code = main(["sample", "--archive", str(archive), "--climate", str(climate),
+                 "--thematic", str(thematic), "--out", str(tmp_path / "sel.csv"), "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(climate) in err and f"GRID1 header {key} " in err
+
+
 # ---------------------------------------------------------------------------
 # split-tiles
 # ---------------------------------------------------------------------------
@@ -248,6 +266,43 @@ def test_pretrain_resume_bit_exact(tmp_path):
           "--checkpoint", str(ckpt_resumed), "--log", str(tmp_path / "resumed.jsonl"),
           "--resume", str(ckpt_half), "--seed", "0"])
     assert ckpt_resumed.read_bytes() == ckpt_full.read_bytes()
+
+
+@pytest.mark.parametrize("corruption", ["moment_shape", "trailing_bytes", "truncated", "no_step"])
+def test_pretrain_resume_rejects_corrupt_optimizer_state(tmp_path, capsys, corruption):
+    cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=1)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.jsonl"),
+                 "--synthesize", "4", "--seed", "0"]) == 0
+    opt = Path(str(ckpt) + ".opt")
+    with open(opt, "rb") as fh:
+        header = json.loads(fh.readline())
+        names = header["names"]
+        blocks = [read_tnsr(fh) for _ in range(2 * len(names))]
+    culprit = names[-1]
+    if corruption == "moment_shape":  # a [1, d] moment for a [d] parameter
+        i = next(i for i, b in enumerate(blocks) if b.ndim == 1)
+        blocks[i] = blocks[i].reshape(1, -1)
+        culprit = names[i // 2]
+    elif corruption == "no_step":
+        del header["step"]
+        culprit = "step"
+    body = io.BytesIO()
+    for b in blocks:
+        write_tnsr(body, b)
+    payload = body.getvalue()
+    if corruption == "trailing_bytes":
+        payload += b"\0"
+    elif corruption == "truncated":
+        payload = payload[:-8]
+    opt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    code = main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(tmp_path / "r.ckpt"), "--log", str(tmp_path / "r.jsonl"),
+                 "--resume", str(ckpt), "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(opt) in err and culprit in err
 
 
 def test_pretrain_unpaired_files_error(tmp_path, capsys):

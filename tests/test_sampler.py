@@ -313,12 +313,15 @@ def test_sample_archive_union_and_report():
     assert len(set(ids)) == len(ids)
 
 
-def test_sample_archive_deterministic_and_thread_invariant():
+def test_sample_archive_deterministic_and_order_invariant():
     entries, climate, thematic = two_strata_setup()
     cfg = GaConfig(target_size=100, generations=25, seed=9)
     sel1, _ = sample_archive(entries, climate, thematic, cfg)
     sel2, _ = sample_archive(entries, climate, thematic, cfg)
-    sel3, _ = sample_archive(entries, climate, thematic, cfg, threads=4)
+    # the b stratum first, the a stratum woven into it; each keeps its order
+    a, b = entries[:30], entries[30:]
+    interleaved = b[:100] + [e for pair in zip(a, b[100:]) for e in pair] + b[130:]
+    sel3, _ = sample_archive(interleaved, climate, thematic, cfg)
     as_ids = lambda sel: [d.entry.id for d, _ in sel]
     assert as_ids(sel1) == as_ids(sel2) == as_ids(sel3)
 

@@ -7,7 +7,9 @@ from csmoe.numerics import Tensor, backward, mul, parameter, tsum
 from csmoe.softmoe import (
     ExpertParams,
     SoftMoELayerParams,
+    attention_forward,
     block_forward,
+    init_attention,
     init_moe_block,
     init_plain_block,
     init_soft_moe_layer,
@@ -188,6 +190,34 @@ def test_block_with_zeroed_output_branches_is_identity():
     z = rng.uniform(-1, 1, (5, 4))
     out = block_forward(Tensor(z), block)
     assert np.array_equal(out.data, z)
+
+
+def reference_attention(z, p):
+    """Plain numpy, one head at a time; head h owns column block h of q, k, v."""
+    q = z @ p.wq.data + p.bq.data
+    k = z @ p.wk.data
+    v = z @ p.wv.data + p.bv.data
+    hd = z.shape[1] // p.heads
+    outs = []
+    for h in range(p.heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(hd)
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(outs, axis=1) @ p.wo.data + p.bo.data
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("tokens", [1, 2, 7])
+def test_attention_matches_per_head_reference(heads, tokens):
+    rng = np.random.default_rng(11)
+    params = init_attention(rng, 8, heads)
+    # weights large enough that every head attends sharply and differently
+    for t in (params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo):
+        t.data = rng.standard_normal(t.shape)
+    z = rng.standard_normal((tokens, 8))
+    out = attention_forward(Tensor(z), params)
+    assert rel_err(out.data, reference_attention(z, params)) <= 1e-12
 
 
 def test_block_single_token_is_finite():
