@@ -68,13 +68,7 @@ class RunConfig:
     paths: PathSettings = field(default_factory=PathSettings)
 
     def to_dict(self) -> dict:
-        return {
-            "model": asdict(self.model),
-            "loss": asdict(self.loss),
-            "trainer": asdict(self.trainer),
-            "ga": asdict(self.ga),
-            "paths": asdict(self.paths),
-        }
+        return asdict(self)
 
 
 def _section(cls, data: dict, where: str):
@@ -341,6 +335,8 @@ def _load_labels(path) -> dict:
             parts = [s for s in row["labels"].split(";") if s]
             if not parts:
                 raise DataError(f"{path}: empty label set for id {row['id']}")
+            if row["id"] in labels:
+                raise DataError(f"{path}: repeated id {row['id']}")
             labels[row["id"]] = set(parts)
     return labels
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,14 +55,12 @@ def retrieve(query_emb: np.ndarray, gallery_emb: np.ndarray, k: int,
         raise ParameterError(f"retrieval depth must be >= 1, got {k}")
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-300)
     gn = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    sims = qn @ gn.T
-    results = []
-    for i in range(q.shape[0]):
-        order = np.argsort(-sims[i], kind="stable")
-        if query_ids is not None and gallery_ids is not None:
-            order = np.array([j for j in order if gallery_ids[j] != query_ids[i]], dtype=np.int64)
-        results.append(order[:k].tolist())
-    return results
+    order = np.argsort(-(qn @ gn.T), axis=1, kind="stable")
+    if query_ids is None or gallery_ids is None:
+        return order[:, :k].tolist()
+    # object arrays compare ids with Python's !=, as a per-item check would
+    keep = np.asarray(gallery_ids, dtype=object)[order] != np.asarray(query_ids, dtype=object)[:, None]
+    return [row[mask][:k].tolist() for row, mask in zip(order, keep)]
 
 
 def pairwise_label_f1(a, b) -> float:
@@ -195,13 +193,7 @@ class ComputeProfile:
     breakdown: list = field(default_factory=list)  # {"component", "params", "flops"}
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "flops": self.flops,
-            "c2c": self.c2c,
-            "convention": self.convention,
-            "breakdown": self.breakdown,
-        }
+        return asdict(self)
 
 
 def c2c_ratio(params: int, flops: int) -> float:
@@ -222,15 +214,19 @@ def _attention_flops(t: int, d: int, heads: int) -> int:
     return f
 
 
+def _ffn_flops(t: int, d: int, hidden: int) -> int:
+    return (
+        matmul_flops(t, d, hidden) + elementwise_flops(t * hidden)
+        + gelu_flops(t * hidden)
+        + matmul_flops(t, hidden, d) + elementwise_flops(t * d)
+    )
+
+
 def _moe_layer_flops(t: int, d: int, num_slots: int, hidden: int) -> int:
     f = matmul_flops(num_slots, d, t)  # slot/token logits
     f += 2 * softmax_flops(num_slots * t)  # dispatch + combine
     f += matmul_flops(num_slots, t, d)  # slots
-    f += num_slots * (
-        matmul_flops(1, d, hidden) + elementwise_flops(hidden)
-        + gelu_flops(hidden)
-        + matmul_flops(1, hidden, d) + elementwise_flops(d)
-    )
+    f += num_slots * _ffn_flops(1, d, hidden)  # one expert call per slot
     f += matmul_flops(t, num_slots, d)  # combine mix
     return f
 
@@ -248,16 +244,14 @@ def _moe_block_flops(t: int, cfg: CsmoeConfig) -> int:
 
 
 def _plain_block_flops(t: int, cfg: CsmoeConfig) -> int:
-    d, h = cfg.dec_dim, cfg.dec_hidden
+    d = cfg.dec_dim
     return (
         layer_norm_flops(t * d)
         + _attention_flops(t, d, cfg.dec_heads)
-        + elementwise_flops(t * d)
+        + elementwise_flops(t * d)  # residual
         + layer_norm_flops(t * d)
-        + matmul_flops(t, d, h) + elementwise_flops(t * h)
-        + gelu_flops(t * h)
-        + matmul_flops(t, h, d) + elementwise_flops(t * d)
-        + elementwise_flops(t * d)
+        + _ffn_flops(t, d, cfg.dec_hidden)
+        + elementwise_flops(t * d)  # residual
     )
 
 

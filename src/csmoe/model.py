@@ -32,7 +32,6 @@ from .numerics import (
 from .softmoe import (
     INIT_STD,
     AttentionParams,
-    ExpertParams,
     FeedForwardParams,
     LayerNormParams,
     MoeBlockParams,
@@ -153,9 +152,6 @@ class CsmoeModel:
     enc_pos: np.ndarray = field(repr=False, default=None)
     dec_pos: np.ndarray = field(repr=False, default=None)
 
-    def named_parameters(self) -> dict:
-        return self.params
-
     def moe_layers(self):
         """Every Soft MoE layer in the model; the shared stack appears once."""
         for modality in MODALITIES:
@@ -194,26 +190,27 @@ def _norm_entries(prefix: str, dim: int):
     yield f"{prefix}.bias", (dim,), "zero"
 
 
+def _ffn_entries(prefix: str, dim: int, hidden: int):
+    yield f"{prefix}.w1", (dim, hidden), "weight"
+    yield f"{prefix}.b1", (hidden,), "zero"
+    yield f"{prefix}.w2", (hidden, dim), "weight"
+    yield f"{prefix}.b2", (dim,), "zero"
+
+
 def _moe_block_entries(prefix: str, cfg: CsmoeConfig):
     yield from _attention_entries(f"{prefix}.attn", cfg.enc_dim)
     yield from _norm_entries(f"{prefix}.norm1", cfg.enc_dim)
     yield from _norm_entries(f"{prefix}.norm2", cfg.enc_dim)
     yield f"{prefix}.moe.slots", (cfg.num_slots, cfg.enc_dim), "weight"
     for e in range(cfg.num_experts):
-        yield f"{prefix}.moe.expert{e}.w1", (cfg.enc_dim, cfg.expert_hidden), "weight"
-        yield f"{prefix}.moe.expert{e}.b1", (cfg.expert_hidden,), "zero"
-        yield f"{prefix}.moe.expert{e}.w2", (cfg.expert_hidden, cfg.enc_dim), "weight"
-        yield f"{prefix}.moe.expert{e}.b2", (cfg.enc_dim,), "zero"
+        yield from _ffn_entries(f"{prefix}.moe.expert{e}", cfg.enc_dim, cfg.expert_hidden)
 
 
 def _plain_block_entries(prefix: str, cfg: CsmoeConfig):
     yield from _attention_entries(f"{prefix}.attn", cfg.dec_dim)
     yield from _norm_entries(f"{prefix}.norm1", cfg.dec_dim)
     yield from _norm_entries(f"{prefix}.norm2", cfg.dec_dim)
-    yield f"{prefix}.ffn.w1", (cfg.dec_dim, cfg.dec_hidden), "weight"
-    yield f"{prefix}.ffn.b1", (cfg.dec_hidden,), "zero"
-    yield f"{prefix}.ffn.w2", (cfg.dec_hidden, cfg.dec_dim), "weight"
-    yield f"{prefix}.ffn.b2", (cfg.dec_dim,), "zero"
+    yield from _ffn_entries(f"{prefix}.ffn", cfg.dec_dim, cfg.dec_hidden)
 
 
 def parameter_manifest(cfg: CsmoeConfig):
@@ -266,26 +263,21 @@ def _build_norm(t, prefix: str) -> LayerNormParams:
     return LayerNormParams(gain=t[f"{prefix}.gain"], bias=t[f"{prefix}.bias"])
 
 
+def _build_ffn(t, prefix: str) -> FeedForwardParams:
+    return FeedForwardParams(
+        w1=t[f"{prefix}.w1"], b1=t[f"{prefix}.b1"], w2=t[f"{prefix}.w2"], b2=t[f"{prefix}.b2"],
+    )
+
+
 def _build_moe_block(t, prefix: str, cfg: CsmoeConfig) -> MoeBlockParams:
-    experts = [
-        ExpertParams(
-            w1=t[f"{prefix}.moe.expert{e}.w1"], b1=t[f"{prefix}.moe.expert{e}.b1"],
-            w2=t[f"{prefix}.moe.expert{e}.w2"], b2=t[f"{prefix}.moe.expert{e}.b2"],
-        )
-        for e in range(cfg.num_experts)
-    ]
-    slot_map = None
-    if cfg.num_slots != cfg.num_experts:
-        slot_map = [s % cfg.num_experts for s in range(cfg.num_slots)]
     return MoeBlockParams(
         attention=_build_attention(t, f"{prefix}.attn", cfg.heads),
         norm1=_build_norm(t, f"{prefix}.norm1"),
         norm2=_build_norm(t, f"{prefix}.norm2"),
         moe=SoftMoELayerParams(
             slot_embeddings=t[f"{prefix}.moe.slots"],
-            experts=experts,
+            experts=[_build_ffn(t, f"{prefix}.moe.expert{e}") for e in range(cfg.num_experts)],
             temperature=cfg.route_temperature,
-            slot_to_expert=slot_map,
         ),
     )
 
@@ -295,10 +287,7 @@ def _build_plain_block(t, prefix: str, cfg: CsmoeConfig) -> PlainBlockParams:
         attention=_build_attention(t, f"{prefix}.attn", cfg.dec_heads),
         norm1=_build_norm(t, f"{prefix}.norm1"),
         norm2=_build_norm(t, f"{prefix}.norm2"),
-        ffn=FeedForwardParams(
-            w1=t[f"{prefix}.ffn.w1"], b1=t[f"{prefix}.ffn.b1"],
-            w2=t[f"{prefix}.ffn.w2"], b2=t[f"{prefix}.ffn.b2"],
-        ),
+        ffn=_build_ffn(t, f"{prefix}.ffn"),
     )
 
 

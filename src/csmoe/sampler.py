@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -164,10 +164,6 @@ class Chromosome:
     bits: np.ndarray  # bool mask over the stratum's entries
     fitness: float = float("-inf")
 
-    @property
-    def size(self) -> int:
-        return int(self.bits.sum())
-
 
 def selection_fitness(distances: np.ndarray, selected: np.ndarray) -> float:
     """Entropy of the normalized pairwise-distance distribution plus the log
@@ -294,17 +290,7 @@ class SamplingReport:
     total_described: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "operators": self.operators,
-            "target_size": self.target_size,
-            "generations": self.generations,
-            "population_size": self.population_size,
-            "crossover_rate": self.crossover_rate,
-            "seed": self.seed,
-            "total_described": self.total_described,
-            "total_selected": self.total_selected,
-            "strata": self.strata,
-        }
+        return asdict(self)
 
 
 def _mean_pairwise(entries) -> float:
@@ -383,22 +369,45 @@ def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: Ga
 ARCHIVE_HEADER = ["id", "lon_min", "lat_min", "lon_max", "lat_max"]
 
 
+def _entry_problems(e: ArchiveEntry, seen_ids) -> str:
+    lons, lats = (e.lon_min, e.lon_max), (e.lat_min, e.lat_max)
+    checks = [
+        (all(math.isfinite(v) for v in lons + lats), "coordinates must be finite"),
+        (all(-180.0 <= v <= 180.0 for v in lons), f"lon {lons} outside [-180, 180]"),
+        (all(-90.0 <= v <= 90.0 for v in lats), f"lat {lats} outside [-90, 90]"),
+        (e.lon_min <= e.lon_max, f"lon_min {e.lon_min} > lon_max {e.lon_max}"),
+        (e.lat_min <= e.lat_max, f"lat_min {e.lat_min} > lat_max {e.lat_max}"),
+        (e.id not in seen_ids, f"repeated id {e.id!r}"),
+    ]
+    return "; ".join(msg for ok, msg in checks if not ok)
+
+
 def load_archive(path):
-    """CSV with header id,lon_min,lat_min,lon_max,lat_max."""
-    entries = []
+    """CSV with header id,lon_min,lat_min,lon_max,lat_max.
+
+    Every row needs a unique id and a box of finite degrees with
+    -180 <= lon_min <= lon_max <= 180 and -90 <= lat_min <= lat_max <= 90.
+    """
+    entries, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ARCHIVE_HEADER:
             raise DataError(f"{path}: expected header {','.join(ARCHIVE_HEADER)}")
         for i, row in enumerate(reader):
             try:
-                entries.append(ArchiveEntry(
+                entry = ArchiveEntry(
                     id=row["id"],
                     lon_min=float(row["lon_min"]), lat_min=float(row["lat_min"]),
                     lon_max=float(row["lon_max"]), lat_max=float(row["lat_max"]),
-                ))
+                )
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: bad row {i + 2}: {exc}") from exc
+            # every comparison with NaN is False, so this also rejects non-finite values
+            if not (-180.0 <= entry.lon_min <= entry.lon_max <= 180.0
+                    and -90.0 <= entry.lat_min <= entry.lat_max <= 90.0) or entry.id in seen:
+                raise DataError(f"{path}: bad row {i + 2}: {_entry_problems(entry, seen)}")
+            seen.add(entry.id)
+            entries.append(entry)
     return entries
 
 

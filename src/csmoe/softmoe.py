@@ -4,9 +4,10 @@ The routing stage turns slot/token similarities into two softmax weight
 tables: dispatch weights (a distribution over tokens per slot, temperature
 scaled) that form each slot as a weighted token average, and combine
 weights (a distribution over slots per token, temperature 1) that mix the
-expert outputs back into token space. Each slot is processed by exactly
-one expert, so a layer performs ``num_slots`` expert calls no matter how
-many tokens arrive.
+expert outputs back into token space. Slot ``s`` is processed by expert
+``s % num_experts`` alone, so a layer performs ``num_slots`` expert calls
+no matter how many tokens arrive. An expert is the same two-layer GELU
+``feed_forward`` that the plain decoder blocks use.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ LN_EPS = 1e-6
 
 
 @dataclass
-class ExpertParams:
-    """One two-layer feed-forward expert."""
+class FeedForwardParams:
+    """Two-layer GELU feed-forward: a Soft MoE expert or a decoder FFN."""
 
     w1: Tensor  # [dim, hidden]
     b1: Tensor  # [hidden]
@@ -47,28 +48,8 @@ class ExpertParams:
 @dataclass
 class SoftMoELayerParams:
     slot_embeddings: Tensor  # [num_slots, dim]
-    experts: list  # of ExpertParams
+    experts: list  # of FeedForwardParams; slot s uses experts[s % len(experts)]
     temperature: float = 1.0
-    slot_to_expert: list = None  # slot index -> expert index
-    activation: str = "gelu"  # "linear" is a test mode
-    expert_calls: int = 0  # instrumentation, not a parameter
-
-    def __post_init__(self):
-        num_slots = self.slot_embeddings.shape[0]
-        if self.slot_to_expert is None:
-            if num_slots != len(self.experts):
-                raise DimensionError(
-                    f"{num_slots} slots need an explicit map onto {len(self.experts)} experts"
-                )
-            self.slot_to_expert = list(range(num_slots))
-        if len(self.slot_to_expert) != num_slots:
-            raise DimensionError("slot_to_expert must assign every slot")
-        if any(not 0 <= e < len(self.experts) for e in self.slot_to_expert):
-            raise DimensionError("slot_to_expert references a missing expert")
-
-    @property
-    def num_slots(self) -> int:
-        return self.slot_embeddings.shape[0]
 
 
 @dataclass
@@ -111,14 +92,6 @@ class MoeBlockParams:
 
 
 @dataclass
-class FeedForwardParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class PlainBlockParams:
     """Pre-norm residual block: self-attention then a dense feed-forward."""
 
@@ -148,29 +121,25 @@ def route(z: Tensor, params: SoftMoELayerParams) -> RoutingTensors:
     return RoutingTensors(dispatch=dispatch, combine=combine, slots=slots)
 
 
-def _apply_expert(slot_row: Tensor, expert: ExpertParams, activation: str) -> Tensor:
-    h = matmul(slot_row, expert.w1) + expert.b1
-    if activation == "gelu":
-        h = gelu(h)
-    return matmul(h, expert.w2) + expert.b2
+def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
+    """GELU(x W1 + b1) W2 + b2, applied to each row of x."""
+    return matmul(gelu(matmul(x, params.w1) + params.b1), params.w2) + params.b2
 
 
 def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None) -> Tensor:
     """One Soft MoE layer: route, run each slot through its expert, combine.
 
-    Exactly ``num_slots`` expert invocations happen regardless of the token
-    count; ``params.expert_calls`` counts them.
+    Exactly ``num_slots`` ``feed_forward`` calls happen regardless of the
+    token count; slot ``s`` goes to ``experts[s % len(experts)]``.
     """
     routing = route(z, params)
     if routing_sink is not None:
         routing_sink.append(routing)
-    outs = []
-    for slot_idx in range(params.num_slots):
-        expert = params.experts[params.slot_to_expert[slot_idx]]
-        slot_row = take_rows(routing.slots, [slot_idx])
-        outs.append(_apply_expert(slot_row, expert, params.activation))
-        params.expert_calls += 1
-    expert_out = concat_rows(outs)  # [S, dim]
+    experts = params.experts
+    expert_out = concat_rows([
+        feed_forward(take_rows(routing.slots, [s]), experts[s % len(experts)])
+        for s in range(routing.slots.shape[0])
+    ])  # [S, dim]
     return matmul(transpose(routing.combine), expert_out)  # [P, dim]
 
 
@@ -210,10 +179,7 @@ def plain_block_forward(z: Tensor, params: PlainBlockParams) -> Tensor:
     """z + Attn(LN(z)), then + FFN(LN(.)); no expert machinery."""
     attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias, LN_EPS), params.attention)
     z = z + attn
-    h = layer_norm(z, params.norm2.gain, params.norm2.bias, LN_EPS)
-    h = gelu(matmul(h, params.ffn.w1) + params.ffn.b1)
-    h = matmul(h, params.ffn.w2) + params.ffn.b2
-    return z + h
+    return z + feed_forward(layer_norm(z, params.norm2.gain, params.norm2.bias, LN_EPS), params.ffn)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +203,8 @@ def init_layer_norm(dim: int) -> LayerNormParams:
     return LayerNormParams(gain=parameter(np.ones(dim)), bias=parameter(np.zeros(dim)))
 
 
-def init_expert(rng, dim: int, hidden: int) -> ExpertParams:
-    return ExpertParams(
+def init_feed_forward(rng, dim: int, hidden: int) -> FeedForwardParams:
+    return FeedForwardParams(
         w1=parameter(truncated_normal(rng, (dim, hidden), INIT_STD)),
         b1=parameter(np.zeros(hidden)),
         w2=parameter(truncated_normal(rng, (hidden, dim), INIT_STD)),
@@ -256,12 +222,10 @@ def init_soft_moe_layer(
 ) -> SoftMoELayerParams:
     if num_experts is None:
         num_experts = num_slots
-    slot_map = None if num_slots == num_experts else [s % num_experts for s in range(num_slots)]
     return SoftMoELayerParams(
         slot_embeddings=parameter(truncated_normal(rng, (num_slots, dim), INIT_STD)),
-        experts=[init_expert(rng, dim, hidden) for _ in range(num_experts)],
+        experts=[init_feed_forward(rng, dim, hidden) for _ in range(num_experts)],
         temperature=temperature,
-        slot_to_expert=slot_map,
     )
 
 
@@ -279,10 +243,5 @@ def init_plain_block(rng, dim, heads, hidden) -> PlainBlockParams:
         attention=init_attention(rng, dim, heads),
         norm1=init_layer_norm(dim),
         norm2=init_layer_norm(dim),
-        ffn=FeedForwardParams(
-            w1=parameter(truncated_normal(rng, (dim, hidden), INIT_STD)),
-            b1=parameter(np.zeros(hidden)),
-            w2=parameter(truncated_normal(rng, (hidden, dim), INIT_STD)),
-            b2=parameter(np.zeros(dim)),
-        ),
+        ffn=init_feed_forward(rng, dim, hidden),
     )

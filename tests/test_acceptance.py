@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import csmoe.softmoe as softmoe
 from csmoe.cli import main
 from csmoe.evaluation import c2c_ratio, forward_flops, profile, retrieval_f1, retrieve
 from csmoe.losses import loss_ent, loss_mi, loss_rep, loss_total, rec_loss
@@ -61,14 +62,23 @@ def test_criterion_01_routing_simplex():
            f"dispatch rows / combine columns sum to 1 (worst dev {worst:.1e}, {elapsed:.2f}s)")
 
 
-def test_criterion_02_expert_call_economy():
+def test_criterion_02_expert_call_economy(monkeypatch):
     start = time.time()
     rng = np.random.default_rng(1)
+    calls = []
+    real_feed_forward = softmoe.feed_forward
+
+    def counting_feed_forward(x, params):
+        calls.append(x.shape[0])
+        return real_feed_forward(x, params)
+
+    monkeypatch.setattr(softmoe, "feed_forward", counting_feed_forward)
     counts = {}
     for num_tokens in (16, 49, 196):
         layer = init_soft_moe_layer(rng, dim=8, hidden=8, num_slots=4)
+        calls.clear()
         moe_forward(Tensor(rng.uniform(-1, 1, (num_tokens, 8))), layer)
-        counts[num_tokens] = layer.expert_calls
+        counts[num_tokens] = len(calls)
     elapsed = time.time() - start
     ok = all(v == 4 for v in counts.values()) and elapsed < 1.0
     report(2, ok, f"expert invocations per forward {counts} == num_slots for all token counts "

@@ -168,6 +168,26 @@ def test_sample_rejects_bad_grid_header(tmp_path, capsys, key, value):
     assert str(climate) in err and f"GRID1 header {key} " in err
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("t900,nan,1.0,2.0,2.0", "coordinates must be finite"),
+    ("t900,1.0,1.0,inf,2.0", "coordinates must be finite"),
+    ("t900,-181.0,1.0,2.0,2.0", "outside [-180, 180]"),
+    ("t900,1.0,1.0,2.0,90.5", "outside [-90, 90]"),
+    ("t900,5.0,1.0,2.0,2.0", "lon_min 5.0 > lon_max 2.0"),
+    ("t900,1.0,3.0,2.0,2.0", "lat_min 3.0 > lat_max 2.0"),
+    ("t001,1.0,1.0,1.0,1.0", "repeated id 't001'"),
+], ids=["nan", "inf", "lon-range", "lat-range", "lon-inverted", "lat-inverted", "repeated-id"])
+def test_sample_rejects_bad_archive_row(tmp_path, capsys, row, problem):
+    archive, climate, thematic = write_sampling_inputs(tmp_path, n_entries=4)
+    archive.write_text(archive.read_text() + row + "\n")  # header is row 1, so this is row 6
+    code = main(["sample", "--archive", str(archive), "--climate", str(climate),
+                 "--thematic", str(thematic), "--out", str(tmp_path / "sel.csv"), "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{archive}: bad row 6: " in err and problem in err and "Traceback" not in err
+    assert not (tmp_path / "sel.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # split-tiles
 # ---------------------------------------------------------------------------
@@ -379,6 +399,17 @@ def test_eval_retrieval_missing_labels(tmp_path, capsys):
     assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
                  "--gallery", str(tmp_path / "g"), "--labels", str(labels),
                  "--task", "S1>S1"]) == 2
+
+
+def test_eval_retrieval_rejects_repeated_label_id(tmp_path, capsys):
+    write_embedding_dir(tmp_path / "q", {"q1": [1.0, 0.0]})
+    write_embedding_dir(tmp_path / "g", {"g1": [1.0, 0.0]})
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\nq1,A\ng1,B\nq1,C\n")
+    assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
+                 "--gallery", str(tmp_path / "g"), "--labels", str(labels),
+                 "--task", "S1>S1"]) == 2
+    assert f"{labels}: repeated id q1" in capsys.readouterr().err
 
 
 def test_sample_with_no_covered_entries(tmp_path):

@@ -65,6 +65,33 @@ def test_retrieve_self_exclusion_by_id():
     assert ranked[0] == [1] and ranked[1] == [0]
 
 
+def brute_force_retrieve(q, g, k, query_ids, gallery_ids):
+    """Sort every allowed gallery index by (-similarity, index), per query."""
+    sims = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+    ranked = []
+    for i in range(len(q)):
+        allowed = [j for j in range(len(g)) if query_ids is None or gallery_ids[j] != query_ids[i]]
+        ranked.append(sorted(allowed, key=lambda j: (-sims[i, j], j))[:k])
+    return ranked
+
+
+@pytest.mark.parametrize("with_ids", [False, True])
+@pytest.mark.parametrize("k", [1, 5, 11, 12, 20])
+def test_retrieve_matches_brute_force_reference(k, with_ids):
+    rng = np.random.default_rng(3)
+    base = rng.integers(-2, 3, (6, 4)).astype(float) + 0.5
+    gallery = np.concatenate([base, base])  # rows 6..11 repeat rows 0..5: exact ties
+    queries = np.concatenate([base[[3, 0]], rng.standard_normal((2, 4))])
+    gallery_ids = [f"g{j}" for j in range(12)]
+    gallery_ids[9] = "g3"  # a query id present twice in the gallery
+    query_ids = ["g3", "g0", "absent", "also-absent"]  # the last two exclude nothing
+    qids, gids = (query_ids, gallery_ids) if with_ids else (None, None)
+    ranked = retrieve(queries, gallery, k, query_ids=qids, gallery_ids=gids)
+    assert ranked == brute_force_retrieve(queries, gallery, k, qids, gids)
+    if with_ids and k >= 12:  # exclusions leave the first two queries fewer than k items
+        assert [len(r) for r in ranked] == [10, 11, 12, 12]
+
+
 def test_retrieve_validation():
     with pytest.raises(DimensionError):
         retrieve(np.zeros((1, 3)), np.zeros((2, 4)), k=1)

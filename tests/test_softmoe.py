@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import csmoe.softmoe as softmoe
 from csmoe.errors import DimensionError
 from csmoe.numerics import Tensor, backward, mul, parameter, tsum
 from csmoe.softmoe import (
-    ExpertParams,
+    FeedForwardParams,
     SoftMoELayerParams,
     attention_forward,
     block_forward,
@@ -21,10 +22,42 @@ from csmoe.softmoe import (
 from util import finite_difference, rel_err
 
 
-def make_layer(rng, dim=4, hidden=4, num_slots=2, temperature=1.0, activation="gelu"):
-    layer = init_soft_moe_layer(rng, dim, hidden, num_slots, temperature=temperature)
-    layer.activation = activation
-    return layer
+def make_layer(rng, dim=4, hidden=4, num_slots=2, temperature=1.0):
+    return init_soft_moe_layer(rng, dim, hidden, num_slots, temperature=temperature)
+
+
+def np_softmax(v, axis):
+    e = np.exp(v - v.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def np_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def reference_moe(z, slot_embeddings, slot_experts, temperature=1.0):
+    """Plain numpy Soft MoE; ``slot_experts[s]`` is the expert of slot s."""
+    logits = slot_embeddings @ z.T
+    dispatch = np_softmax(logits / temperature, axis=1)
+    combine = np_softmax(logits, axis=0)
+    slot_vals = dispatch @ z
+    expert_out = np.stack([
+        np_gelu(slot_vals[s] @ e.w1.data + e.b1.data) @ e.w2.data + e.b2.data
+        for s, e in enumerate(slot_experts)
+    ])
+    return combine.T @ expert_out
+
+
+def count_feed_forward_calls(monkeypatch):
+    calls = []
+    real = softmoe.feed_forward
+
+    def counting(x, params):
+        calls.append(x.shape[0])
+        return real(x, params)
+
+    monkeypatch.setattr(softmoe, "feed_forward", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +83,7 @@ def test_route_single_slot_combine_all_ones():
 def test_route_matches_direct_softmax_evaluation():
     # hand-chosen integer logits: slots are unit axes, tokens one-hot scaled
     slots = parameter(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    layer = SoftMoELayerParams(slot_embeddings=slots, experts=[None, None],
-                               temperature=1.0, slot_to_expert=[0, 1])
+    layer = SoftMoELayerParams(slot_embeddings=slots, experts=[None, None], temperature=1.0)
     z = Tensor(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     routing = route(z, layer)
     logits = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 2.0]])  # slots @ z.T
@@ -103,7 +135,7 @@ def test_low_temperature_sharpens_dispatch():
 def test_identity_experts_reduce_to_combine_weighted_slots():
     rng = np.random.default_rng(5)
     dim = 4
-    layer = make_layer(rng, dim=dim, hidden=dim, num_slots=2, activation="linear")
+    layer = make_layer(rng, dim=dim, hidden=dim, num_slots=2)
     for e in layer.experts:
         e.w1.data = np.eye(dim)
         e.b1.data = np.zeros(dim)
@@ -112,17 +144,18 @@ def test_identity_experts_reduce_to_combine_weighted_slots():
     z = Tensor(rng.uniform(-1, 1, (5, dim)))
     routing = route(z, layer)
     out = moe_forward(z, layer)
-    expected = routing.combine.data.T @ routing.slots.data
+    expected = routing.combine.data.T @ np_gelu(routing.slots.data)
     assert rel_err(out.data, expected) < 1e-12
 
 
-def test_expert_call_count_is_slot_count():
+def test_expert_call_count_is_slot_count(monkeypatch):
     rng = np.random.default_rng(6)
     layer = make_layer(rng, dim=4, num_slots=3)
+    calls = count_feed_forward_calls(monkeypatch)
     for num_tokens in (16, 49, 196):
-        layer.expert_calls = 0
+        calls.clear()
         moe_forward(Tensor(rng.uniform(-1, 1, (num_tokens, 4))), layer)
-        assert layer.expert_calls == 3  # independent of the token count
+        assert calls == [1, 1, 1]  # one slot row per call, independent of the token count
 
 
 def test_moe_forward_matches_step_by_step_oracle():
@@ -130,48 +163,34 @@ def test_moe_forward_matches_step_by_step_oracle():
     dim = 2
     slots = parameter(np.array([[1.0, 0.0], [0.0, 1.0]]))
     experts = [
-        ExpertParams(w1=parameter(np.array([[1.0, 0.0], [0.0, 2.0]])),
-                     b1=parameter(np.array([0.5, 0.0])),
-                     w2=parameter(np.array([[1.0, 1.0], [0.0, 1.0]])),
-                     b2=parameter(np.array([0.0, -1.0]))),
-        ExpertParams(w1=parameter(np.array([[2.0, 0.0], [1.0, 1.0]])),
-                     b1=parameter(np.array([0.0, 0.25])),
-                     w2=parameter(np.array([[1.0, 0.0], [1.0, 1.0]])),
-                     b2=parameter(np.array([1.0, 0.0]))),
+        FeedForwardParams(w1=parameter(np.array([[1.0, 0.0], [0.0, 2.0]])),
+                          b1=parameter(np.array([0.5, 0.0])),
+                          w2=parameter(np.array([[1.0, 1.0], [0.0, 1.0]])),
+                          b2=parameter(np.array([0.0, -1.0]))),
+        FeedForwardParams(w1=parameter(np.array([[2.0, 0.0], [1.0, 1.0]])),
+                          b1=parameter(np.array([0.0, 0.25])),
+                          w2=parameter(np.array([[1.0, 0.0], [1.0, 1.0]])),
+                          b2=parameter(np.array([1.0, 0.0]))),
     ]
     layer = SoftMoELayerParams(slot_embeddings=slots, experts=experts, temperature=1.0)
     z_data = np.array([[1.0, 2.0], [0.0, 1.0]])
     out = moe_forward(Tensor(z_data), layer)
-
-    def np_softmax(v, axis):
-        e = np.exp(v - v.max(axis=axis, keepdims=True))
-        return e / e.sum(axis=axis, keepdims=True)
-
-    def np_gelu(x):
-        return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-    logits = slots.data @ z_data.T
-    dispatch = np_softmax(logits, axis=1)
-    combine = np_softmax(logits, axis=0)
-    slot_vals = dispatch @ z_data
-    expert_out = np.zeros((2, 2))
-    for s in range(2):
-        e = experts[s]
-        h = np_gelu(slot_vals[s] @ e.w1.data + e.b1.data)
-        expert_out[s] = h @ e.w2.data + e.b2.data
-    expected = combine.T @ expert_out
-    assert rel_err(out.data, expected) < 1e-12
+    assert rel_err(out.data, reference_moe(z_data, slots.data, experts)) < 1e-12
 
 
-def test_slot_to_expert_validation():
-    slots = parameter(np.zeros((3, 2)))
-    experts = [None, None]
-    with pytest.raises(DimensionError):
-        SoftMoELayerParams(slot_embeddings=slots, experts=experts)  # 3 slots, 2 experts, no map
-    layer = SoftMoELayerParams(slot_embeddings=slots, experts=experts, slot_to_expert=[0, 1, 0])
-    assert layer.slot_to_expert == [0, 1, 0]
-    with pytest.raises(DimensionError):
-        SoftMoELayerParams(slot_embeddings=slots, experts=experts, slot_to_expert=[0, 1, 5])
+def test_extra_slots_wrap_around_to_the_first_experts():
+    rng = np.random.default_rng(12)
+    layer = init_soft_moe_layer(rng, dim=4, hidden=5, num_slots=3, num_experts=2, temperature=0.5)
+    # O(1) weights so that every slot and expert leaves a distinct mark
+    for e in layer.experts:
+        for t in (e.w1, e.b1, e.w2, e.b2):
+            t.data = rng.standard_normal(t.shape)
+    layer.slot_embeddings.data = rng.standard_normal((3, 4))
+    z = rng.standard_normal((6, 4))
+    out = moe_forward(Tensor(z), layer).data
+    e0, e1 = layer.experts
+    assert rel_err(out, reference_moe(z, layer.slot_embeddings.data, [e0, e1, e0], 0.5)) < 1e-12
+    assert rel_err(out, reference_moe(z, layer.slot_embeddings.data, [e0, e1, e1], 0.5)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
