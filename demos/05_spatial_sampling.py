@@ -6,7 +6,7 @@ import numpy as np
 
 from csmoe.sampler import (
     ArchiveEntry, ClassRaster, GaConfig,
-    generate_descriptors, stratify, sample_archive, pairwise_haversine,
+    generate_descriptors, stratify, sample_archive,
 )
 
 rng = np.random.default_rng(0)

@@ -2,7 +2,6 @@
 # retrieval evaluation on the learned embeddings.
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -15,10 +14,10 @@ cfg = CsmoeConfig(patch_size=8, image_side=16, channels_x=2, channels_y=3,
                   enc_dim=16, dec_dim=8, enc_layers_modality=1, enc_layers_shared=1,
                   dec_layers=1, num_slots=2, heads=2, dec_heads=2, proj_dim=8, seed=0)
 
-workdir = Path(tempfile.mkdtemp())
-synthesize_pairs(workdir, 8, cfg, seed=0)
-pairs = load_pairs(workdir)
-print(f"synthesized {len(pairs)} paired images under {workdir}")
+with tempfile.TemporaryDirectory() as workdir:
+    synthesize_pairs(workdir, 8, cfg, seed=0)
+    pairs = load_pairs(workdir, cfg)
+    print(f"synthesized {len(pairs)} paired images under {workdir}")
 
 model = init_model(cfg)
 tcfg = TrainerConfig(epochs=8, batch_size=2, lr=1e-3, val_fraction=0.0)

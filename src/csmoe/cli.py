@@ -260,11 +260,11 @@ def _cmd_pretrain(args) -> int:
             raise DataError(f"{name} is required (flag or paths section of the config)")
     if args.synthesize:
         synthesize_pairs(data_dir, args.synthesize, run.model, seed)
-    pairs = load_pairs(data_dir)
     if args.resume:
         model = load_checkpoint(args.resume)
     else:
         model = init_model(run.model)
+    pairs = load_pairs(data_dir, model.cfg)
     records = run_pretraining(
         model, pairs, run.trainer, seed,
         checkpoint_path=ckpt, log_path=log,

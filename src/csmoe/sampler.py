@@ -7,9 +7,11 @@ partitions the survivors into joint (climate, thematic) strata and, inside
 every stratum larger than the target count, runs a genetic algorithm over
 binary selection masks whose fitness rewards spatially dispersed picks:
 the entropy of the pairwise great-circle distance distribution plus the
-log of the mean pairwise distance. Tournament(2) selection, uniform
-crossover, bit-flip mutation, elitism of one, and random prune/augment
-repair to the 90-110% size band are the operators.
+log of the mean pairwise distance. Fitness reads only the selected points'
+coordinates, so a stratum of n entries costs O(n) memory, not an n x n
+distance matrix. Tournament(2) selection, uniform crossover, bit-flip
+mutation, elitism of one, and random prune/augment repair to the 90-110%
+size band are the operators.
 """
 
 from __future__ import annotations
@@ -118,17 +120,18 @@ def haversine(p, q) -> float:
     return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))))
 
 
-def pairwise_haversine(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    """Symmetric [n, n] matrix of great-circle distances in km."""
+def pair_distances(lons, lats) -> np.ndarray:
+    """Great-circle km of every pair i < j, in ``np.triu_indices(n, 1)`` order."""
     lam = np.radians(np.asarray(lons, dtype=np.float64))
     phi = np.radians(np.asarray(lats, dtype=np.float64))
+    k = np.arange(phi.size)
+    upper = k[:, None] < k  # row-major over the strict upper triangle
+    cos_phi = np.cos(phi)
     s = (
-        np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
-        + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(0.5 * (lam[:, None] - lam[None, :])) ** 2
+        np.sin(0.5 * (phi[:, None] - phi)[upper]) ** 2
+        + (cos_phi[:, None] * cos_phi)[upper] * np.sin(0.5 * (lam[:, None] - lam)[upper]) ** 2
     )
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
-    np.fill_diagonal(d, 0.0)
-    return d
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +168,13 @@ class Chromosome:
     fitness: float = float("-inf")
 
 
-def selection_fitness(distances: np.ndarray, selected: np.ndarray) -> float:
-    """Entropy of the normalized pairwise-distance distribution plus the log
-    of the mean pairwise distance; -inf for degenerate selections."""
+def selection_fitness(lons: np.ndarray, lats: np.ndarray, selected: np.ndarray) -> float:
+    """Entropy of the selected points' normalized pairwise-distance distribution
+    plus the log of their mean pairwise distance; -inf for degenerate selections."""
     idx = np.flatnonzero(selected) if selected.dtype == bool else np.asarray(selected)
     if idx.size < 2:
         return float("-inf")
-    sub = distances[np.ix_(idx, idx)]
-    iu = np.triu_indices(idx.size, k=1)
-    d = sub[iu]
+    d = pair_distances(lons[idx], lats[idx])
     total = d.sum()
     if total <= 0.0:
         return float("-inf")
@@ -233,13 +234,12 @@ def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
         rng = np.random.default_rng(cfg.seed)
     lons = np.array([d.entry.center[0] for d in stratum])
     lats = np.array([d.entry.center[1] for d in stratum])
-    distances = pairwise_haversine(lons, lats)
     rate = mutation_rate(cfg.target_size, n)
 
     def fresh() -> Chromosome:
         bits = np.zeros(n, dtype=bool)
         bits[rng.choice(n, size=cfg.target_size, replace=False)] = True
-        return Chromosome(bits, selection_fitness(distances, bits))
+        return Chromosome(bits, selection_fitness(lons, lats, bits))
 
     population = [fresh() for _ in range(cfg.population_size)]
     best = max(population, key=lambda c: c.fitness)
@@ -257,7 +257,7 @@ def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
                     break
                 child_bits = _mutate(child_bits, rate, rng)
                 child_bits = repair(child_bits, cfg.target_size, rng)
-                offspring.append(Chromosome(child_bits, selection_fitness(distances, child_bits)))
+                offspring.append(Chromosome(child_bits, selection_fitness(lons, lats, child_bits)))
         population = offspring
         gen_best = max(population, key=lambda c: c.fitness)
         if gen_best.fitness > best.fitness:
@@ -298,9 +298,7 @@ def _mean_pairwise(entries) -> float:
         return 0.0
     lons = np.array([d.entry.center[0] for d in entries])
     lats = np.array([d.entry.center[1] for d in entries])
-    d = pairwise_haversine(lons, lats)
-    iu = np.triu_indices(len(entries), k=1)
-    return float(d[iu].mean())
+    return float(pair_distances(lons, lats).mean())
 
 
 def _stratum_rng(seed: int, key, salt: int = 0) -> np.random.Generator:
@@ -444,6 +442,8 @@ def load_grid(path) -> ClassRaster:
             if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
                 raise FormatError(f"{path}: GRID1 header {key} must be a finite number, "
                                   f"got {header[key]!r}")
+            if key in ("dlat", "dlon") and header[key] <= 0:
+                raise FormatError(f"{path}: GRID1 header {key} must be positive, got {header[key]!r}")
         rows, cols = header["rows"], header["cols"]
         payload = fh.read(2 * rows * cols)
         if len(payload) < 2 * rows * cols:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError
 from .losses import loss_total
 from .model import CsmoeModel, forward, parameter_manifest, save_checkpoint
-from .numerics import backward, read_tnsr, save_tnsr, write_tnsr, zero_grads
+from .numerics import backward, load_tnsr, read_tnsr, save_tnsr, write_tnsr, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
 OPT_VERSION = 1
@@ -150,8 +150,13 @@ def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def load_pairs(data_dir):
-    """All <id>_x.tnsr / <id>_y.tnsr pairs under data_dir, sorted by id."""
+def load_pairs(data_dir, cfg):
+    """All <id>_x.tnsr / <id>_y.tnsr pairs under data_dir, sorted by id.
+
+    Every image must be finite and shaped [channels, image_side, image_side]
+    for ``cfg`` (channels_x for x, channels_y for y); a DataError names the
+    first file that is not.
+    """
     root = Path(data_dir)
     xs = {p.name[:-7]: p for p in root.glob("*_x.tnsr")}
     ys = {p.name[:-7]: p for p in root.glob("*_y.tnsr")}
@@ -160,9 +165,17 @@ def load_pairs(data_dir):
         raise DataError(f"{data_dir}: unpaired ids: {', '.join(unpaired)}")
     if not xs:
         raise DataError(f"{data_dir}: no *_x.tnsr/*_y.tnsr pairs found")
-    from .numerics import load_tnsr
 
-    return [(pid, load_tnsr(xs[pid]), load_tnsr(ys[pid])) for pid in sorted(xs)]
+    def image(path, channels):
+        arr = load_tnsr(path)
+        expected = (channels, cfg.image_side, cfg.image_side)
+        if arr.shape != expected:
+            raise DataError(f"{path}: image shape {list(arr.shape)}, expected {list(expected)}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: image has non-finite pixels")
+        return arr
+
+    return [(pid, image(xs[pid], cfg.channels_x), image(ys[pid], cfg.channels_y)) for pid in sorted(xs)]
 
 
 def synthesize_pairs(data_dir, count: int, cfg, seed: int):

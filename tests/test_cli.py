@@ -154,6 +154,7 @@ def test_sample_baseline_flag(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("rows", -2), ("rows", "x"), ("cols", 1.5), ("nodata", -1), ("dlat", float("nan")),
+    ("dlat", 0), ("dlon", -0.5),
 ])
 def test_sample_rejects_bad_grid_header(tmp_path, capsys, key, value):
     archive, climate, thematic = write_sampling_inputs(tmp_path, n_entries=4)
@@ -334,6 +335,37 @@ def test_pretrain_unpaired_files_error(tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "c.ckpt"), "--log", str(tmp_path / "l.jsonl")])
     assert code == 2
     assert "lonely" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("defect", ["nan_pixel", "wrong_shape"])
+def test_pretrain_rejects_bad_image_before_writing(tmp_path, capsys, defect, resume):
+    cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=1)
+    data, ckpt, log = tmp_path / "data", tmp_path / "r.ckpt", tmp_path / "r.jsonl"
+    assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.jsonl"),
+                 "--synthesize", "4", "--seed", "0"]) == 0
+    bad = data / "synt0001_y.tnsr"
+    if defect == "nan_pixel":
+        image = load_tnsr(bad)
+        image[1, 3, 5] = np.nan
+        save_tnsr(bad, image)
+    else:
+        save_tnsr(bad, np.zeros((3, 8, 8)))
+    resume_args = []
+    if resume:  # images are checked against the checkpoint's config, not the run config's
+        run = json.loads(cfg.read_text())
+        run["model"]["image_side"] = 32
+        cfg.write_text(json.dumps(run))
+        resume_args = ["--resume", str(tmp_path / "m.ckpt")]
+    code = main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(ckpt), "--log", str(log), "--seed", "0"] + resume_args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    if defect == "wrong_shape":
+        assert "expected [3, 16, 16]" in err
+    assert not ckpt.exists() and not log.exists()
 
 
 # ---------------------------------------------------------------------------

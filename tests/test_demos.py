@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion, prints something and leaves its
+temporary directory empty."""
 
 import os
 import subprocess
@@ -13,8 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", TMPDIR=str(tmpdir))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not any(tmpdir.iterdir()), sorted(p.name for p in tmpdir.iterdir())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from csmoe.sampler import (
     load_grid,
     lookup,
     mutation_rate,
-    pairwise_haversine,
+    pair_distances,
     repair,
     sample_archive,
     save_grid,
@@ -50,9 +51,7 @@ def clustered_stratum(seed, clustered=450, dispersed=50):
 def mean_pairwise_km(entries):
     lons = np.array([d.entry.center[0] for d in entries])
     lats = np.array([d.entry.center[1] for d in entries])
-    d = pairwise_haversine(lons, lats)
-    iu = np.triu_indices(len(entries), 1)
-    return d[iu].mean()
+    return pair_distances(lons, lats).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +152,39 @@ def test_pairwise_matches_scalar():
     rng = np.random.default_rng(1)
     lons = rng.uniform(-180, 180, 6)
     lats = rng.uniform(-85, 85, 6)
-    mat = pairwise_haversine(lons, lats)
-    for i in range(6):
-        for j in range(6):
-            assert abs(mat[i, j] - haversine((lons[i], lats[i]), (lons[j], lats[j]))) < 1e-6
+    d = pair_distances(lons, lats)
+    pairs = list(zip(*np.triu_indices(6, 1)))
+    assert d.shape == (len(pairs),) == (15,)
+    for k, (i, j) in enumerate(pairs):
+        assert abs(d[k] - haversine((lons[i], lats[i]), (lons[j], lats[j]))) < 1e-6
+
+
+def dense_distance_oracle(lons, lats):
+    """The dense [n, n] great-circle matrix, evaluated with broadcasting:
+    the reference whose upper triangle ``pair_distances`` must reproduce."""
+    lam, phi = np.radians(lons), np.radians(lats)
+    s = (
+        np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
+        + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(0.5 * (lam[:, None] - lam[None, :])) ** 2
+    )
+    return 2.0 * 6371.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [2, 7, 150])
+def test_pair_distances_bit_identical_to_dense_upper_triangle(n):
+    rng = np.random.default_rng(n)
+    lons = rng.uniform(-180, 180, n)
+    lats = rng.uniform(-90, 90, n)
+    # a coincident pair and an antipodal pair
+    lons[-1], lats[-1] = lons[0], lats[0]
+    if n > 2:
+        lons[1], lats[1] = lons[0] - 180.0 if lons[0] > 0 else lons[0] + 180.0, -lats[0]
+    expected = dense_distance_oracle(lons, lats)[np.triu_indices(n, 1)]
+    got = pair_distances(lons, lats)
+    assert np.array_equal(got, expected)
+    assert got[n - 2] == 0.0  # pair (0, n - 1) coincides
+    if n > 2:
+        assert abs(got[0] - 20015.09) <= 0.01  # pair (0, 1) is antipodal
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +195,23 @@ def test_pairwise_matches_scalar():
 def test_fitness_equidistant_points():
     # three points 120 degrees apart on the equator are mutually equidistant
     lons, lats = np.array([0.0, 120.0, -120.0]), np.zeros(3)
-    d = pairwise_haversine(lons, lats)
-    dist = d[0, 1]
-    fit = selection_fitness(d, np.array([True, True, True]))
+    dist = haversine((lons[0], lats[0]), (lons[1], lats[1]))
+    fit = selection_fitness(lons, lats, np.array([True, True, True]))
     assert rel_err(fit, math.log(3.0) + math.log(dist)) < 1e-9
 
 
 def test_fitness_degenerate_selections():
-    d = pairwise_haversine(np.zeros(4), np.zeros(4))  # all points coincide
-    assert selection_fitness(d, np.ones(4, dtype=bool)) == float("-inf")
-    d2 = pairwise_haversine(np.array([0.0, 1.0]), np.zeros(2))
-    assert selection_fitness(d2, np.array([True, False])) == float("-inf")
+    zeros = np.zeros(4)  # all points coincide
+    assert selection_fitness(zeros, zeros, np.ones(4, dtype=bool)) == float("-inf")
+    lons = np.array([0.0, 1.0])
+    assert selection_fitness(lons, np.zeros(2), np.array([True, False])) == float("-inf")
 
 
 def test_fitness_distance_scaling_shifts_by_log_two():
     # collinear equator points: doubling the longitude gaps doubles every distance
-    lons = np.array([0.0, 10.0, 30.0, 35.0])
-    base = selection_fitness(pairwise_haversine(lons, np.zeros(4)), np.ones(4, dtype=bool))
-    doubled = selection_fitness(pairwise_haversine(2 * lons, np.zeros(4)), np.ones(4, dtype=bool))
+    lons, lats, every = np.array([0.0, 10.0, 30.0, 35.0]), np.zeros(4), np.ones(4, dtype=bool)
+    base = selection_fitness(lons, lats, every)
+    doubled = selection_fitness(2 * lons, lats, every)
     assert abs((doubled - base) - math.log(2.0)) < 1e-9
 
 
@@ -247,6 +274,19 @@ def test_evolve_respects_band_and_subset():
     assert len(set(ids)) == len(ids)
     assert set(ids) <= {d.entry.id for d in stratum}
     assert np.isfinite(fitness)
+
+
+def test_evolve_memory_does_not_grow_with_stratum_squared():
+    # an n x n float64 distance matrix of 3000 entries alone would be 72 MB
+    stratum = clustered_stratum(7, clustered=2700, dispersed=300)
+    cfg = GaConfig(target_size=100, generations=20, stagnation_limit=0, seed=0)
+    tracemalloc.start()
+    try:
+        evolve_stratum(stratum, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_evolve_best_fitness_monotone():

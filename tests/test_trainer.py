@@ -64,13 +64,13 @@ def test_split_validation_fraction():
 def test_synthesize_and_load_pairs(tmp_path):
     cfg = mini_config()
     synthesize_pairs(tmp_path, 3, cfg, seed=0)
-    pairs = load_pairs(tmp_path)
+    pairs = load_pairs(tmp_path, cfg)
     assert [p[0] for p in pairs] == ["synt0000", "synt0001", "synt0002"]
     assert pairs[0][1].shape == (cfg.channels_x, 16, 16)
     assert pairs[0][2].shape == (cfg.channels_y, 16, 16)
     # regeneration is deterministic
     synthesize_pairs(tmp_path, 3, cfg, seed=0)
-    again = load_pairs(tmp_path)
+    again = load_pairs(tmp_path, cfg)
     assert np.array_equal(pairs[1][1], again[1][1])
 
 
@@ -79,13 +79,13 @@ def test_load_pairs_rejects_unpaired(tmp_path):
     save_tnsr(tmp_path / "a_y.tnsr", np.zeros((3, 4, 4)))
     save_tnsr(tmp_path / "b_x.tnsr", np.zeros((2, 4, 4)))
     with pytest.raises(DataError, match="b"):
-        load_pairs(tmp_path)
+        load_pairs(tmp_path, mini_config())
 
 
 def test_train_records_and_determinism(tmp_path):
     cfg = mini_config()
     synthesize_pairs(tmp_path, 4, cfg, seed=1)
-    pairs = load_pairs(tmp_path)
+    pairs = load_pairs(tmp_path, cfg)
     tcfg = TrainerConfig(epochs=2, batch_size=2, lr=1e-3, val_fraction=0.0)
 
     def run():
