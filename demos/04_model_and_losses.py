@@ -17,21 +17,20 @@ model = init_model(cfg)
 print(f"model: {sum(p.size for p in model.params.values()):,} parameters, "
       f"{cfg.num_patches} tokens per image")
 
+# A batch of two pairs runs as one forward pass over [B, C, H, W] stacks; each
+# sample draws its masks from its own seed, and every output gains a [B] axis.
 rng = np.random.default_rng(1)
-pairs = [
-    (rng.standard_normal((2, 32, 32)), rng.standard_normal((10, 32, 32)))
-    for _ in range(2)
-]
-artifacts = [forward(model, x, y, seed=i) for i, (x, y) in enumerate(pairs)]
+xs = rng.standard_normal((2, 2, 32, 32))
+ys = rng.standard_normal((2, 10, 32, 32))
+art = forward(model, xs, ys, seed=[0, 1])
 
-art = artifacts[0]
 for (target, source), recon in art.recon.items():
     print(f"reconstruction {target}<-{source}: {recon.shape}")
 print(f"routing tables per modality path: {len(art.routing['x'])}")
 
 # The five-term objective; the breakdown identity total = umr+cmr+mi+l*rep+g*ent
 # holds to machine precision.
-breakdown = loss_total(model, artifacts, lambda_rep=0.01, gamma_ent=0.01)
+breakdown = loss_total(model, art, lambda_rep=0.01, gamma_ent=0.01)
 for name in ("umr", "cmr", "mi", "rep", "ent", "total"):
     print(f"  {name:>5}: {getattr(breakdown, name):+.6f}")
 
@@ -40,7 +39,7 @@ shared = model.params["enc_shared.0.attn.wq"].grad
 print(f"shared cross-sensor stack receives gradients: max |g| = {np.abs(shared).max():.2e}")
 
 # Image-level embeddings for retrieval; the raw CLS row is the default.
-sequence = art.encoded["x"]
+sequence = art.encoded["x"].data[0]
 for strategy in ("only_cls", "avg_wo_cls", "norm_cls"):
     vec = build_embedding(sequence, strategy, projection=model.proj)
     print(f"embedding[{strategy}]: dim {vec.shape[0]}, norm {np.linalg.norm(vec):.3f}")

@@ -294,15 +294,16 @@ def _cmd_grad_check(args) -> int:
     for p in model.params.values():
         p.data = truncated_normal(rng, p.shape, GRAD_CHECK_STD)
     data_rng = np.random.default_rng(seed + 2)
-    batch = [
+    draws = [
         (data_rng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side)),
          data_rng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side)))
         for _ in range(2)
     ]
+    xs, ys = (np.stack(images) for images in zip(*draws))
 
     def loss_fn(params):
-        arts = [forward(model, x, y, seed=seed + 10 + i) for i, (x, y) in enumerate(batch)]
-        return loss_total(model, arts, **run.loss.to_kwargs()).total_tensor
+        art = forward(model, xs, ys, seed=[seed + 10, seed + 11])
+        return loss_total(model, art, **run.loss.to_kwargs()).total_tensor
 
     report = check_gradients(loss_fn, model.params, step=args.step,
                              max_checked=args.max_checked, sample_seed=seed)

@@ -7,7 +7,8 @@ denominator excludes the positive pair (an opt-in flag restores the more
 common variant that includes it). The two routing regularizers are a slot
 repulsion term over normalized slot embeddings and an entropy term over
 dispatch weights, both implemented exactly as stated, with signed weights
-left to configuration.
+left to configuration. Every term reads one batched forward artifact: the
+per-sample terms are averaged over its leading [B] axis.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .errors import NormalizationError, ParameterError
 from .model import MODALITIES, CsmoeModel, ForwardArtifacts
 from .numerics import (
     Tensor,
-    concat_rows,
     l2_normalize_rows,
     matmul,
     mul,
+    reshape,
     take_rows,
     texp,
     tlog,
@@ -61,19 +62,23 @@ class LossBreakdown:
 
 
 def rec_loss(pred: Tensor, target, mask_indices) -> Tensor:
-    """MSE over masked rows only: mean over |mask| * row_width elements."""
+    """MSE over masked rows only: mean over |mask| * row_width elements.
+
+    With leading batch axes and per-sample [..., M] masks this is the mean
+    of the per-sample MSEs, since every sample masks M rows.
+    """
     idx = np.asarray(mask_indices, dtype=np.int64)
     if idx.size == 0:
         raise ParameterError("reconstruction loss is undefined for an empty mask")
-    target_arr = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    diff = take_rows(pred, idx) - Tensor(target_arr[idx])
+    target = target if isinstance(target, Tensor) else Tensor(target)
+    diff = take_rows(pred, idx) - take_rows(target, idx)
     return tmean(mul(diff, diff))
 
 
 def normalize_pixel_targets(tokens: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Optional per-token target normalization (zero mean, unit variance)."""
-    mu = tokens.mean(axis=1, keepdims=True)
-    var = tokens.var(axis=1, keepdims=True)
+    mu = tokens.mean(axis=-1, keepdims=True)
+    var = tokens.var(axis=-1, keepdims=True)
     return (tokens - mu) / np.sqrt(var + eps)
 
 
@@ -138,16 +143,16 @@ def loss_rep(slot_embeddings: Tensor) -> Tensor:
 
 
 def loss_ent(dispatch: Tensor, eps: float = DEFAULT_EPS_ENT) -> Tensor:
-    """-(1/(S*P)) sum over dispatch entries of a * log(a + eps)."""
+    """-(1/(S*P)) sum over dispatch entries of a * log(a + eps); for a
+    [..., S, P] batch of tables, the mean of the per-table values."""
     if eps < 0:
         raise ParameterError(f"entropy stabilizer must be >= 0, got {eps}")
     if (dispatch.data < 0).any():
         raise ParameterError("dispatch weights must be nonnegative")
-    num_slots, num_tokens = dispatch.shape
-    return tsum(xlog_shifted(dispatch, eps)) * (-1.0 / (num_slots * num_tokens))
+    return tsum(xlog_shifted(dispatch, eps)) * (-1.0 / dispatch.size)
 
 
-def _batch_mean(terms) -> Tensor:
+def _mean(terms) -> Tensor:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -156,7 +161,7 @@ def _batch_mean(terms) -> Tensor:
 
 def loss_total(
     model: CsmoeModel,
-    artifacts,
+    art: ForwardArtifacts,
     lambda_rep: float = DEFAULT_LAMBDA_REP,
     gamma_ent: float = DEFAULT_GAMMA_ENT,
     tau_mi: float = DEFAULT_TAU_MI,
@@ -164,26 +169,19 @@ def loss_total(
     mi_include_positive: bool = False,
     norm_pix: bool = False,
 ) -> LossBreakdown:
-    """Combine all five terms over a batch of forward artifacts.
+    """Combine all five terms over one batched forward artifact.
 
     Reconstruction terms average over the batch; the contrastive term uses
-    the whole batch at once; slot repulsion averages over every MoE layer
-    of the model; the entropy term averages over every dispatch table of
-    every artifact.
+    the whole [B] batch at once; slot repulsion averages over every MoE
+    layer of the model; the entropy term averages over every (sample,
+    layer) dispatch table.
     """
-    arts = list(artifacts)
-    if not arts:
-        raise ParameterError("loss_total needs at least one forward artifact")
-    umr = _batch_mean([loss_umr(a, norm_pix) for a in arts])
-    cmr = _batch_mean([loss_cmr(a, norm_pix) for a in arts])
-    proj_x = concat_rows([a.proj_cls["x"] for a in arts])
-    proj_y = concat_rows([a.proj_cls["y"] for a in arts])
+    umr = loss_umr(art, norm_pix)
+    cmr = loss_cmr(art, norm_pix)
+    proj_x, proj_y = (reshape(art.proj_cls[m], (-1, art.proj_cls[m].shape[-1])) for m in MODALITIES)
     mi = loss_mi(proj_x, proj_y, tau_mi, mi_include_positive)
-    rep = _batch_mean([loss_rep(layer.slot_embeddings) for layer in model.moe_layers()])
-    ent = _batch_mean([
-        loss_ent(r.dispatch, eps_ent)
-        for a in arts for m in MODALITIES for r in a.routing[m]
-    ])
+    rep = _mean([loss_rep(layer.slot_embeddings) for layer in model.moe_layers()])
+    ent = _mean([loss_ent(r.dispatch, eps_ent) for m in MODALITIES for r in art.routing[m]])
     total = umr + cmr + mi + lambda_rep * rep + gamma_ent * ent
     return LossBreakdown(
         umr=umr.item(), cmr=cmr.item(), mi=mi.item(), rep=rep.item(), ent=ent.item(),

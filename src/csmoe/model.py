@@ -8,6 +8,10 @@ directions: each target modality is reconstructed both from its own
 features and from the other modality's features, always under the source
 features' mask. The encoded CLS rows are projected for the contrastive
 objective.
+
+Every function takes one pair or a batch through the same code: images may
+carry leading batch axes in front of [C, H, W], and every sequence and
+artifact then carries the same axes in front of its documented shape.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .numerics import (
     matmul,
     parameter,
     read_tnsr,
+    reshape,
     scatter_rows,
     take_rows,
     truncated_normal,
@@ -163,13 +168,14 @@ class CsmoeModel:
 
 @dataclass
 class ForwardArtifacts:
-    """Everything one paired forward pass produces that the losses consume."""
+    """Everything one forward pass produces that the losses consume; a
+    batched pass puts its [B] axis in front of every shape below."""
 
     encoded: dict  # modality -> Tensor [(U+1), enc_dim], CLS first
     recon: dict  # (target, source) -> Tensor [P, token_dim(target)]
     routing: dict  # modality -> list of RoutingTensors along that path
     proj_cls: dict  # modality -> Tensor [1, proj_dim]
-    masks: dict  # modality -> MaskPair
+    masks: dict  # modality -> MaskPair, index arrays [M] / [U]
     target_tokens: dict  # modality -> ndarray [P, token_dim], ground truth
 
 
@@ -348,11 +354,15 @@ def _check_modality(modality: str):
 
 def encode(model: CsmoeModel, image, mask: MaskPair, modality: str, routing_sink: list = None) -> Tensor:
     """Patch-embed, add positions, drop masked rows, prepend CLS, run the
-    modality-specific MoE blocks then the shared cross-sensor blocks."""
+    modality-specific MoE blocks then the shared cross-sensor blocks.
+
+    A [C, H, W] image gives [U+1, enc_dim]; a [..., C, H, W] batch gives
+    [..., U+1, enc_dim], under one [U] mask or per-sample [..., U] masks.
+    """
     _check_modality(modality)
     cfg = model.cfg
     ps = patchify(image, cfg.patch_size)
-    if ps.num_patches != cfg.num_patches or ps.tokens.shape[1] != cfg.token_dim(modality):
+    if ps.num_patches != cfg.num_patches or ps.tokens.shape[-1] != cfg.token_dim(modality):
         raise DimensionError(
             f"image tokens {ps.tokens.shape} do not match modality {modality!r} "
             f"expecting [{cfg.num_patches}, {cfg.token_dim(modality)}]"
@@ -367,59 +377,93 @@ def encode(model: CsmoeModel, image, mask: MaskPair, modality: str, routing_sink
     return z
 
 
-def decode(model: CsmoeModel, encoded_source: Tensor, source_mask: MaskPair,
-           target: str, source: str) -> Tensor:
-    """Reconstruct all P patches of ``target`` from the source features.
+def _stack(parts) -> Tensor:
+    """k tensors of one shape -> [k, ...], stacked on a new leading axis."""
+    return reshape(concat_rows([reshape(p, (1, -1)) for p in parts]), (len(parts), *parts[0].shape))
 
-    The encoded sequence is projected to decoder width, its CLS row is
-    dropped, unmasked rows are scattered back to their grid positions with
-    the target's learned mask token filling the holes, and the target's
-    plain-transformer decoder plus the direction-specific head emit pixels.
+
+def _unstack(z: Tensor, i: int) -> Tensor:
+    """Element ``i`` of the leading axis of ``z``."""
+    return reshape(take_rows(reshape(z, (z.shape[0], -1)), [i]), z.shape[1:])
+
+
+def decode(model: CsmoeModel, encoded: dict, masks: dict, target: str) -> dict:
+    """Reconstruct all P patches of ``target`` from each source's features.
+
+    ``encoded`` maps each source modality to its encoded sequence
+    [..., U+1, enc_dim] and ``masks`` to the MaskPair it was encoded under.
+    Every source goes through the target's decoder in one pass, stacked on
+    a new leading axis: each sequence is projected to decoder width, its
+    CLS row is dropped, and its unmasked rows are scattered back to their
+    grid positions with the target's learned mask token filling the holes.
+    The pass is split per source before the direction-specific heads.
+    Returns source -> [..., P, token_dim(target)].
     """
     _check_modality(target)
-    _check_modality(source)
     cfg = model.cfg
-    expected = len(source_mask.unmasked) + 1
-    if encoded_source.shape[0] != expected:
-        raise DimensionError(
-            f"encoded sequence has {encoded_source.shape[0]} rows, mask implies {expected}"
-        )
+    sources = list(encoded)
+    unmasked = []
+    for source in sources:
+        _check_modality(source)
+        seq, idx = encoded[source], masks[source].unmasked
+        if seq.shape[-2] != idx.shape[-1] + 1:
+            raise DimensionError(
+                f"encoded sequence has {seq.shape[-2]} rows, mask implies {idx.shape[-1] + 1}"
+            )
+        unmasked.append(np.broadcast_to(idx, (*seq.shape[:-2], idx.shape[-1])))
     w, b = model.dec_embed[target]
-    z = matmul(encoded_source, w) + b
-    z = take_rows(z, np.arange(1, z.shape[0]))  # CLS is not decoded
-    z = scatter_rows(z, source_mask.unmasked, model.mask_token[target], cfg.num_patches)
+    z = matmul(_stack([encoded[s] for s in sources]), w) + b  # [k, ..., U+1, dec_dim]
+    z = take_rows(z, np.arange(1, z.shape[-2]))  # CLS is not decoded
+    z = scatter_rows(z, np.stack(unmasked), model.mask_token[target], cfg.num_patches)
     z = z + Tensor(model.dec_pos)
     for blk in model.decoder[target]:
         z = plain_block_forward(z, blk)
-    hw, hb = model.heads[(target, source)]
-    return matmul(z, hw) + hb
+    recon = {}
+    for i, source in enumerate(sources):
+        hw, hb = model.heads[(target, source)]
+        recon[source] = matmul(_unstack(z, i), hw) + hb
+    return recon
 
 
-def mask_seeds(seed: int, mask_seed_x: int = None, mask_seed_y: int = None):
-    """Two independent mask streams from one seed (second stream XOR-split)."""
+def mask_seeds(seed, mask_seed_x: int = None, mask_seed_y: int = None):
+    """Two independent mask streams from one seed (second stream XOR-split),
+    elementwise for a sequence of seeds."""
     sx = seed if mask_seed_x is None else mask_seed_x
-    sy = (seed ^ MASK_STREAM_SPLIT) if mask_seed_y is None else mask_seed_y
-    return sx, sy
+    if mask_seed_y is None:
+        mask_seed_y = [s ^ MASK_STREAM_SPLIT for s in seed] if np.ndim(seed) else seed ^ MASK_STREAM_SPLIT
+    return sx, mask_seed_y
 
 
-def forward(model: CsmoeModel, image_x, image_y, seed: int,
-            mask_seed_x: int = None, mask_seed_y: int = None) -> ForwardArtifacts:
-    """Both encodes, all four reconstruction directions, projected CLS pair."""
+def forward(model: CsmoeModel, image_x, image_y, seed,
+            mask_seed_x=None, mask_seed_y=None) -> ForwardArtifacts:
+    """Both encodes, all four reconstruction directions, projected CLS pair.
+
+    One pair is two [C, H, W] images with an int ``seed``. A batch is two
+    [B, C, H, W] stacks with a sequence of B seeds: sample j draws its masks
+    from ``seed[j]`` exactly as an unbatched call with that seed would, and
+    every artifact gains a leading [B] axis.
+    """
     cfg = model.cfg
+    images = {"x": image_x, "y": image_y}
+    for m, image in images.items():
+        lead = np.shape(image.data if isinstance(image, Tensor) else image)[:-3]
+        if lead != np.shape(seed):
+            raise DimensionError(
+                f"{m} images have batch axes {lead}, but the seeds have shape {np.shape(seed)}"
+            )
     sx, sy = mask_seeds(seed, mask_seed_x, mask_seed_y)
     masks = {
         "x": sample_masks(cfg.num_patches, cfg.mask_ratio, sx),
         "y": sample_masks(cfg.num_patches, cfg.mask_ratio, sy),
     }
-    images = {"x": image_x, "y": image_y}
     routing = {m: [] for m in MODALITIES}
     encoded = {
         m: encode(model, images[m], masks[m], m, routing[m]) for m in MODALITIES
     }
     recon = {}
     for target in MODALITIES:
-        for source in MODALITIES:
-            recon[(target, source)] = decode(model, encoded[source], masks[source], target, source)
+        for source, out in decode(model, encoded, masks, target).items():
+            recon[(target, source)] = out
     pw, pb = model.proj
     proj_cls = {m: matmul(take_rows(encoded[m], [0]), pw) + pb for m in MODALITIES}
     targets = {m: patchify(images[m], cfg.patch_size).tokens.data for m in MODALITIES}

@@ -13,6 +13,12 @@ concurrently.
 Every op reports a deterministic operation count to the innermost active
 ``FlopCounter`` (2 ops per multiply-accumulate, 5 per softmax/norm element,
 10 per GELU element, 1 per plain elementwise op, 0 for data movement).
+
+Leading batch axes, numpy style: every op accepts any number of leading axes
+in front of the shapes it documents, so one code path serves one sample and
+a batch. ``matmul`` applies a 2-D weight to every batch element, the row ops
+(``take_rows``, ``scatter_rows``, ``concat_rows``) work along axis -2, and a
+batched op counts exactly batch size x the unbatched cost.
 """
 
 from __future__ import annotations
@@ -171,8 +177,9 @@ def _as_tensor(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _attach(out: Tensor, parents, backward_fn):
@@ -299,20 +306,34 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., m, k] @ [..., k, n] with equal leading batch axes."""
+    """[..., m, k] @ [..., k, n]: both operands share their leading batch
+    axes, or one is a 2-D matrix applied to every batch element of the other.
+    Counts batch size x ``matmul_flops(m, k, n)``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or (a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    batch = a.shape[:-2] if a.ndim > 2 else b.shape[:-2]
     m, k = a.shape[-2:]
-    _count(math.prod(a.shape[:-2]) * matmul_flops(m, k, b.shape[-1]))
+    n = b.shape[-1]
+    if b.ndim == 2:  # one GEMM over the rows of every batch element
+        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*batch, m, n))
+    else:
+        out = Tensor(a.data @ b.data)
+    _count(math.prod(batch) * matmul_flops(m, k, n))
 
-    def back(g):
+    def back(g):  # captures only a and b: every captured name is a cell the collector tracks
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            if b.ndim == 2:
+                _accumulate(a, (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape))
+            else:
+                ga = g @ np.swapaxes(b.data, -1, -2)
+                _accumulate(a, ga.reshape(-1, *a.shape).sum(axis=0) if a.ndim == 2 else ga)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            if b.ndim == 2:
+                _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _attach(out, (a, b), back)
 
@@ -486,47 +507,67 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 # ---------------------------------------------------------------------------
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
+def _row_index(idx, lead) -> tuple:
+    """Index tuple for rows ``idx`` along axis -2 of a [*lead, n, d] array:
+    one [r] vector shared by every batch element, or per-element [*lead, r]
+    indices."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx])
+    if idx.ndim == 0 or idx.shape[:-1] not in ((), tuple(lead)):
+        raise DimensionError(f"row indices of shape {idx.shape} do not fit leading axes {tuple(lead)}")
+    if idx.ndim == 1:
+        return (Ellipsis, idx, slice(None))
+    return (*(grid[..., None] for grid in np.indices(lead, sparse=True)), idx, slice(None))
 
-    def back(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+
+def take_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``idx`` along axis -2 (one [r] vector, or per-element [..., r])."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(a.data[_row_index(idx, a.shape[:-2])])
+
+    def back(g):  # rebuilds the index rather than keep a tracked tuple alive with the graph
+        full = np.zeros(a.shape)
+        np.add.at(full, _row_index(idx, a.shape[:-2]), g)
         _accumulate(a, full)
 
     return _attach(out, (a,), back)
 
 
 def concat_rows(parts) -> Tensor:
+    """Join along axis -2; a part without the others' leading batch axes,
+    such as one [n, d] matrix, is shared by every batch element."""
     parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    arrays = [p.data for p in parts]
+    lead = max((x.shape[:-2] for x in arrays), key=len)
+    out = Tensor(np.concatenate([
+        x if x.shape[:-2] == lead else np.broadcast_to(x, lead + x.shape[-2:]) for x in arrays
+    ], axis=-2))
+    offsets = np.cumsum([0] + [x.shape[-2] for x in arrays])
 
     def back(g):
         for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g[s:e])
+                _accumulate(p, _unbroadcast(g[..., s:e, :], p.shape))
 
     return _attach(out, tuple(parts), back)
 
 
 def scatter_rows(rows: Tensor, idx, fill: Tensor, total: int) -> Tensor:
-    """Place ``rows`` at positions ``idx`` of a [total, d] output; every other
+    """Place ``rows`` [..., r, d] at positions ``idx`` along axis -2 (one [r]
+    vector, or per-element [..., r]) of a [..., total, d] output; every other
     row is a copy of ``fill`` (a [d] or [1, d] tensor)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if rows.shape[0] != idx.size:
-        raise DimensionError(f"scatter_rows: {rows.shape[0]} rows vs {idx.size} indices")
-    d = rows.shape[1]
-    filled = np.broadcast_to(fill.data.reshape(1, d), (total, d)).copy()
-    filled[idx] = rows.data
+    *lead, r, d = rows.shape
+    if np.shape(idx)[-1:] != (r,):
+        raise DimensionError(f"scatter_rows: {r} rows vs indices of shape {np.shape(idx)}")
+    at = _row_index(idx, lead)
+    filled = np.broadcast_to(fill.data.reshape(d), (*lead, total, d)).copy()
+    filled[at] = rows.data
     out = Tensor(filled)
-    hole = np.ones(total, dtype=bool)
-    hole[idx] = False
+    hole = np.ones((*lead, total), dtype=bool)
+    hole[at[:-1]] = False
 
     def back(g):
         if rows.requires_grad:
-            _accumulate(rows, g[idx])
+            _accumulate(rows, g[at])
         if fill.requires_grad:
             _accumulate(fill, g[hole].sum(axis=0).reshape(fill.shape))
 

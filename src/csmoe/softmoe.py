@@ -8,6 +8,11 @@ expert outputs back into token space. Slot ``s`` is processed by expert
 ``s % num_experts`` alone, so a layer performs ``num_slots`` expert calls
 no matter how many tokens arrive. An expert is the same two-layer GELU
 ``feed_forward`` that the plain decoder blocks use.
+
+Token sequences are [T, d], or [..., T, d] with leading batch axes; every
+function here runs a whole batch in one pass. Routing tables are then
+[..., S, T], and slot ``s`` of every batch element goes through its expert
+in the same single call.
 """
 
 from __future__ import annotations
@@ -56,9 +61,9 @@ class SoftMoELayerParams:
 class RoutingTensors:
     """Dispatch/combine weight tables and the slots they produce."""
 
-    dispatch: Tensor  # [num_slots, num_tokens], rows sum to 1
-    combine: Tensor  # [num_slots, num_tokens], columns sum to 1
-    slots: Tensor  # [num_slots, dim]
+    dispatch: Tensor  # [..., num_slots, num_tokens], rows sum to 1
+    combine: Tensor  # [..., num_slots, num_tokens], columns sum to 1
+    slots: Tensor  # [..., num_slots, dim]
 
 
 @dataclass
@@ -109,14 +114,14 @@ class PlainBlockParams:
 def route(z: Tensor, params: SoftMoELayerParams) -> RoutingTensors:
     """Slot/token similarity logits -> dispatch and combine weights, then the
     slots as dispatch-weighted token averages."""
-    if z.shape[1] != params.slot_embeddings.shape[1]:
+    if z.shape[-1] != params.slot_embeddings.shape[1]:
         raise DimensionError(
-            f"token width {z.shape[1]} does not match slot width "
+            f"token width {z.shape[-1]} does not match slot width "
             f"{params.slot_embeddings.shape[1]}"
         )
-    logits = matmul(params.slot_embeddings, transpose(z))  # [S, P]
-    dispatch = softmax(logits, axis=1, temperature=params.temperature)
-    combine = softmax(logits, axis=0)
+    logits = matmul(params.slot_embeddings, transpose(z))  # [..., S, T]
+    dispatch = softmax(logits, axis=-1, temperature=params.temperature)
+    combine = softmax(logits, axis=-2)
     slots = matmul(dispatch, z)
     return RoutingTensors(dispatch=dispatch, combine=combine, slots=slots)
 
@@ -130,7 +135,8 @@ def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None
     """One Soft MoE layer: route, run each slot through its expert, combine.
 
     Exactly ``num_slots`` ``feed_forward`` calls happen regardless of the
-    token count; slot ``s`` goes to ``experts[s % len(experts)]``.
+    token count and the batch size; slot ``s`` of every batch element goes
+    to ``experts[s % len(experts)]`` in one call.
     """
     routing = route(z, params)
     if routing_sink is not None:
@@ -138,32 +144,34 @@ def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None
     experts = params.experts
     expert_out = concat_rows([
         feed_forward(take_rows(routing.slots, [s]), experts[s % len(experts)])
-        for s in range(routing.slots.shape[0])
-    ])  # [S, dim]
-    return matmul(transpose(routing.combine), expert_out)  # [P, dim]
+        for s in range(routing.slots.shape[-2])
+    ])  # [..., S, dim]
+    return matmul(transpose(routing.combine), expert_out)  # [..., T, dim]
 
 
 def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
     """Standard multi-head scaled dot-product self-attention over all tokens.
 
     Head ``h`` owns columns ``[h * d/H, (h + 1) * d/H)`` of q, k and v; all
-    heads run as one batch along a leading head axis.
+    heads run as one batch along a head axis placed after the batch axes.
     """
-    tokens, dim = z.shape
+    *lead, tokens, dim = z.shape
     heads = params.heads
     if dim % heads:
         raise DimensionError(f"width {dim} not divisible by {heads} heads")
     head_dim = dim // heads
+    n = len(lead)
+    swap = (*range(n), n + 1, n, n + 2)  # [..., T, H, d/H] <-> [..., H, T, d/H]
 
-    def split(x):  # [T, d] -> [H, T, d/H]
-        return transpose(reshape(x, (tokens, heads, head_dim)), (1, 0, 2))
+    def split(x):  # [..., T, d] -> [..., H, T, d/H]
+        return transpose(reshape(x, (*lead, tokens, heads, head_dim)), swap)
 
     q = split(matmul(z, params.wq) + params.bq)
     k = split(matmul(z, params.wk))
     v = split(matmul(z, params.wv) + params.bv)
-    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))  # [H, T, T]
+    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))  # [..., H, T, T]
     weights = softmax(scores, axis=-1)
-    merged = reshape(transpose(matmul(weights, v), (1, 0, 2)), (tokens, dim))
+    merged = reshape(transpose(matmul(weights, v), swap), (*lead, tokens, dim))
     return matmul(merged, params.wo) + params.bo
 
 

@@ -2,7 +2,9 @@
 
 All functions are pure; an image is a [C, H, W] array (or constant Tensor)
 and a token sequence is [P, patch^2 * C] with tokens in raster-scan order
-and each token flattened channel-major.
+and each token flattened channel-major. ``patchify`` and ``sample_masks``
+also take a batch: leading axes in front of [C, H, W], and a sequence of
+seeds, one per sample.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ class PatchSet:
 
 @dataclass(frozen=True)
 class MaskPair:
-    """Complementary masked / unmasked index sets over ``{0..P-1}``."""
+    """Complementary masked / unmasked index sets over ``{0..P-1}``: [M] and
+    [U] for one sample, [B, M] and [B, U] (one row per seed) for a batch."""
 
     masked: np.ndarray
     unmasked: np.ndarray
     ratio: float
-    seed: int
+    seed: object  # an int, or the tuple of per-sample seeds
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,22 @@ def _as_array(image) -> np.ndarray:
 
 
 def patchify(image, patch_size: int) -> PatchSet:
-    """Cut a [C, H, W] image into the raster-scan sequence of its
-    patch_size x patch_size blocks."""
-    arr = _as_array(image)
-    c, h, w = arr.shape
+    """Cut a [..., C, H, W] image (or batch of images) into the raster-scan
+    sequence of its patch_size x patch_size blocks, [..., P, patch^2 * C]."""
+    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    if arr.ndim < 3:
+        raise DimensionError(f"expected a [..., C, H, W] image, got shape {arr.shape}")
+    *lead, c, h, w = arr.shape
     if h % patch_size or w % patch_size:
         raise DimensionError(
             f"image sides {(h, w)} are not multiples of patch size {patch_size}"
         )
     rows, cols = h // patch_size, w // patch_size
+    n = len(lead)
     blocks = (
-        arr.reshape(c, rows, patch_size, cols, patch_size)
-        .transpose(1, 3, 0, 2, 4)
-        .reshape(rows * cols, c * patch_size * patch_size)
+        arr.reshape(*lead, c, rows, patch_size, cols, patch_size)
+        .transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+        .reshape(*lead, rows * cols, c * patch_size * patch_size)
     )
     return PatchSet(Tensor(blocks), patch_size, (rows, cols), c)
 
@@ -101,10 +107,22 @@ def tokens_to_image(tokens: np.ndarray, patch_size: int, grid, channels: int) ->
     return unpatchify(ps)
 
 
-def sample_masks(num_patches: int, ratio: float, seed: int) -> MaskPair:
-    """A uniformly random masked subset of round-half-up(ratio * P) indices."""
+def sample_masks(num_patches: int, ratio: float, seed) -> MaskPair:
+    """A uniformly random masked subset of round-half-up(ratio * P) indices.
+
+    A sequence of seeds gives one row per seed, each drawn exactly as that
+    seed alone would draw it.
+    """
     if not 0.0 < ratio < 1.0:
         raise ParameterError(f"mask ratio must be in (0, 1), got {ratio}")
+    if np.ndim(seed):
+        rows = [sample_masks(num_patches, ratio, s) for s in seed]
+        return MaskPair(
+            masked=np.stack([r.masked for r in rows]),
+            unmasked=np.stack([r.unmasked for r in rows]),
+            ratio=ratio,
+            seed=tuple(seed),
+        )
     count = int(math.floor(ratio * num_patches + 0.5))
     perm = np.random.default_rng(seed).permutation(num_patches)
     return MaskPair(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError
+from .errors import DataError, EvaluationError, FormatError, ParameterError
 from .losses import loss_total
 from .model import CsmoeModel, forward, parameter_manifest, save_checkpoint
 from .numerics import backward, load_tnsr, read_tnsr, save_tnsr, write_tnsr, zero_grads
@@ -222,13 +222,30 @@ def split_validation(pair_ids, fraction: float, seed: int):
     return train, val
 
 
+def _check_finite(breakdown, where: str):
+    """EvaluationError naming ``where`` and the first non-finite loss term."""
+    for term, value in breakdown.to_dict().items():
+        if not math.isfinite(value):
+            raise EvaluationError(f"{where}: loss term {term} is not finite ({value})")
+
+
+def _batch_forward(model: CsmoeModel, by_id: dict, ids, seeds):
+    """One forward pass over the pairs ``ids``, stacked into [B, C, H, W]."""
+    xs = np.stack([by_id[pid][0] for pid in ids])
+    ys = np.stack([by_id[pid][1] for pid in ids])
+    return forward(model, xs, ys, seed=seeds)
+
+
 def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
           loss_kwargs: dict = None, log_fh=None, start_epoch: int = 0,
           optimizer: AdamW = None):
     """Run epochs [start_epoch, tcfg.epochs) of mini-batch AdamW training.
 
     Returns (optimizer, steps["train"/"val"] log records). Batches with
-    fewer than 2 pairs are dropped (the contrastive term needs pairs).
+    fewer than 2 pairs are dropped (the contrastive term needs pairs). Each
+    step and each validation pass is one batched forward. A non-finite loss
+    term or gradient norm raises EvaluationError naming the step (or
+    epoch) and the term, before the optimizer moves or the record is logged.
     """
     loss_kwargs = loss_kwargs or {}
     by_id = {pid: (x, y) for pid, x, y in pairs}
@@ -259,23 +276,25 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
             chunk = order[lo:lo + tcfg.batch_size]
             if chunk.size < 2:
                 continue
-            arts = []
-            for j, idx in enumerate(chunk):
-                x, y = by_id[train_ids[idx]]
-                arts.append(forward(model, x, y, seed=_derived_seed(seed, _KEY_MASKS, step, j)))
-            breakdown = loss_total(model, arts, **loss_kwargs)
+            art = _batch_forward(model, by_id, [train_ids[i] for i in chunk],
+                                 [_derived_seed(seed, _KEY_MASKS, step, j) for j in range(chunk.size)])
+            breakdown = loss_total(model, art, **loss_kwargs)
+            _check_finite(breakdown, f"step {step + 1}")
             optimizer.zero_grad()
             backward(breakdown.total_tensor)
+            grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                      for p in model.params.values() if p.grad is not None))
+            if not math.isfinite(grad_norm):
+                raise EvaluationError(f"step {step + 1}: grad_norm is not finite ({grad_norm})")
             lr = cosine_lr(step, total_steps, tcfg.lr, warmup)
             optimizer.step(lr=lr)
             step = optimizer.step_count
             emit({"step": step, **breakdown.to_dict()})
         if len(val_ids) >= 2:
-            arts = []
-            for j, pid in enumerate(val_ids):
-                x, y = by_id[pid]
-                arts.append(forward(model, x, y, seed=_derived_seed(seed, _KEY_VAL_MASKS, epoch, j)))
-            val = loss_total(model, arts, **loss_kwargs)
+            art = _batch_forward(model, by_id, val_ids,
+                                 [_derived_seed(seed, _KEY_VAL_MASKS, epoch, j) for j in range(len(val_ids))])
+            val = loss_total(model, art, **loss_kwargs)
+            _check_finite(val, f"epoch {epoch + 1} validation")
             emit({"epoch": epoch + 1, "val_total": val.total})
     return optimizer, records
 

@@ -76,13 +76,14 @@ def test_criterion_02_expert_call_economy(monkeypatch):
     counts = {}
     for num_tokens in (16, 49, 196):
         layer = init_soft_moe_layer(rng, dim=8, hidden=8, num_slots=4)
-        calls.clear()
-        moe_forward(Tensor(rng.uniform(-1, 1, (num_tokens, 8))), layer)
-        counts[num_tokens] = len(calls)
+        for shape in ((num_tokens, 8), (4, num_tokens, 8)):  # one sample, a batch of 4
+            calls.clear()
+            moe_forward(Tensor(rng.uniform(-1, 1, shape)), layer)
+            counts[shape] = len(calls)
     elapsed = time.time() - start
     ok = all(v == 4 for v in counts.values()) and elapsed < 1.0
     report(2, ok, f"expert invocations per forward {counts} == num_slots for all token counts "
-                  f"({elapsed:.2f}s)")
+                  f"and batch sizes ({elapsed:.2f}s)")
 
 
 def test_criterion_03_gradient_fidelity():
@@ -94,15 +95,15 @@ def test_criterion_03_gradient_fidelity():
     for p in model.params.values():
         p.data = truncated_normal(rng, p.shape, 0.3)
     data_rng = np.random.default_rng(3)
-    batch = [
+    draws = [
         (data_rng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side)),
          data_rng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side)))
         for _ in range(2)
     ]
+    xs, ys = (np.stack(images) for images in zip(*draws))
 
     def loss_fn(params):
-        arts = [forward(model, x, y, seed=10 + i) for i, (x, y) in enumerate(batch)]
-        return loss_total(model, arts).total_tensor
+        return loss_total(model, forward(model, xs, ys, seed=[10, 11])).total_tensor
 
     result = check_gradients(loss_fn, model.params, step=1e-5, max_checked=500, sample_seed=0)
     elapsed = time.time() - start

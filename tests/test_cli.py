@@ -1,12 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csmoe.cli import main
-from csmoe.model import load_checkpoint
+from csmoe.model import load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
 from csmoe.sampler import ClassRaster, save_grid
 
@@ -326,6 +329,28 @@ def test_pretrain_resume_rejects_corrupt_optimizer_state(tmp_path, capsys, corru
     assert str(opt) in err and culprit in err
 
 
+@pytest.mark.parametrize("name, term", [("proj.weight", "mi"), ("head_x_from_x.bias", "umr")])
+def test_pretrain_resume_stops_at_non_finite_loss_term(tmp_path, capsys, name, term):
+    cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=1, val_fraction=0.0)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.jsonl"),
+                 "--synthesize", "4", "--seed", "0"]) == 0
+    model = load_checkpoint(ckpt)
+    model.params[name].data[0] = np.nan
+    save_checkpoint(model, ckpt)
+    more = write_mini_run_config(tmp_path / "more.json", epochs=2, val_fraction=0.0)
+    out, log = tmp_path / "r.ckpt", tmp_path / "r.jsonl"
+    code = main(["pretrain-toy", "--config", str(more), "--data-dir", str(data),
+                 "--checkpoint", str(out), "--log", str(log), "--resume", str(ckpt), "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    # 4 pairs in batches of 2: epoch 1 took steps 1-2, so the resumed run fails at step 3
+    assert f"step 3: loss term {term} is not finite" in err and "Traceback" not in err
+    assert not out.exists() and not Path(str(out) + ".opt").exists()
+    assert log.read_text() == ""
+
+
 def test_pretrain_unpaired_files_error(tmp_path, capsys):
     cfg = write_mini_run_config(tmp_path / "cfg.json")
     data = tmp_path / "data"
@@ -461,3 +486,45 @@ def test_sample_with_no_covered_entries(tmp_path):
     assert out.read_text().splitlines() == ["id,u,v,stratum_fitness"]
     report = json.loads(rep.read_text())
     assert report["total_described"] == 0 and report["total_selected"] == 0
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # batches of 8 make the embedding and decoder GEMMs large enough for
+    # OpenBLAS to split them across both threads
+    run = {
+        "model": {"patch_size": 8, "image_side": 32, "channels_x": 2, "channels_y": 10,
+                  "enc_dim": 64, "dec_dim": 32, "enc_layers_modality": 1, "enc_layers_shared": 1,
+                  "dec_layers": 1, "num_slots": 4, "heads": 4, "dec_heads": 4, "proj_dim": 16},
+        "trainer": {"epochs": 2, "batch_size": 8, "lr": 1e-3, "val_fraction": 0.25},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(run))
+    root = Path(__file__).resolve().parent.parent
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        commands = [
+            ["pretrain-toy", "--config", str(cfg), "--data-dir", str(work / "data"),
+             "--checkpoint", str(work / "m.ckpt"), "--log", str(work / "log.jsonl"),
+             "--synthesize", "20", "--seed", "3"],
+            ["grad-check", "--config", str(cfg), "--seed", "3", "--max-checked", "40",
+             "--out", str(work / "report.json")],
+        ]
+        codes = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert "Traceback" not in proc.stderr, proc.stderr
+            codes.append(proc.returncode)
+        assert codes == [0, 0]
+        outputs[threads] = {name: (work / name).read_bytes()
+                                   for name in ("m.ckpt", "m.ckpt.opt", "log.jsonl", "report.json")}
+    assert outputs["1"] == outputs["2"]

@@ -12,6 +12,7 @@ from csmoe.evaluation import (
     retrieval_f1,
     retrieve,
 )
+from csmoe.evaluation import _NORM_ROWS
 from csmoe.model import CsmoeConfig, forward, init_model, parameter_count
 from csmoe.numerics import FlopCounter
 
@@ -80,16 +81,36 @@ def brute_force_retrieve(q, g, k, query_ids, gallery_ids):
 def test_retrieve_matches_brute_force_reference(k, with_ids):
     rng = np.random.default_rng(3)
     base = rng.integers(-2, 3, (6, 4)).astype(float) + 0.5
-    gallery = np.concatenate([base, base])  # rows 6..11 repeat rows 0..5: exact ties
-    queries = np.concatenate([base[[3, 0]], rng.standard_normal((2, 4))])
-    gallery_ids = [f"g{j}" for j in range(12)]
+    tied = np.tile([[0.3, -1.1, 0.7, 2.0]], (8, 1))
+    # rows 6..11 repeat rows 0..5 and rows 12..19 repeat one row: exact ties,
+    # and for the last query the 8-way tie at the top straddles k = 1 and 5
+    gallery = np.concatenate([base, base, tied])
+    queries = np.concatenate([base[[3, 0]], rng.standard_normal((2, 4)), 2.0 * tied[:1]])
+    gallery_ids = [f"g{j}" for j in range(20)]
     gallery_ids[9] = "g3"  # a query id present twice in the gallery
-    query_ids = ["g3", "g0", "absent", "also-absent"]  # the last two exclude nothing
+    # the third and fourth exclude nothing; the last excludes one tied row
+    query_ids = ["g3", "g0", "absent", "also-absent", "g15"]
     qids, gids = (query_ids, gallery_ids) if with_ids else (None, None)
     ranked = retrieve(queries, gallery, k, query_ids=qids, gallery_ids=gids)
     assert ranked == brute_force_retrieve(queries, gallery, k, qids, gids)
-    if with_ids and k >= 12:  # exclusions leave the first two queries fewer than k items
-        assert [len(r) for r in ranked] == [10, 11, 12, 12]
+    if with_ids and k >= 20:  # exclusions leave three queries fewer than k items
+        assert [len(r) for r in ranked] == [18, 19, 20, 20, 19]
+
+
+def test_retrieve_gallery_spanning_several_normalisation_blocks():
+    # the gallery is normalised in row blocks: rankings, ties between equal
+    # rows in different blocks included, equal those of a one-pass computation,
+    # for a row-major and a column-major gallery
+    rng = np.random.default_rng(11)
+    n = 3 * _NORM_ROWS + 5
+    gallery = rng.standard_normal((n, 16))
+    gallery[[1, _NORM_ROWS + 2, 2 * _NORM_ROWS + 7, n - 1]] = gallery[0] * [[1.0], [2.0], [0.5], [4.0]]
+    queries = np.concatenate([gallery[:1], rng.standard_normal((3, 16))])
+    gallery_ids = [f"g{j}" for j in range(n)]
+    for g in (gallery, np.asfortranarray(gallery)):
+        for qids, gids in ((None, None), (["g1", "x", "y", "z"], gallery_ids)):
+            ranked = retrieve(queries, g, 7, query_ids=qids, gallery_ids=gids)
+            assert ranked == brute_force_retrieve(queries, gallery, 7, qids, gids)
 
 
 def test_retrieve_validation():
@@ -243,6 +264,21 @@ def test_analytic_flops_equal_instrumented_forward():
             forward(model, x, y, seed=0)
         analytic, _ = forward_flops(cfg)
         assert counter.total == analytic, cfg
+
+
+def test_batched_forward_flops_are_batch_size_times_analytic():
+    # the two miniature configurations of acceptance criterion 9
+    rng = np.random.default_rng(4)
+    for cfg in (mini_config(), mini_config(patch_size=4, num_slots=3, num_experts=3,
+                                           heads=4, mask_ratio=0.3)):
+        model = init_model(cfg)
+        analytic, _ = forward_flops(cfg)
+        for batch in (1, 3, 8):
+            xs = rng.standard_normal((batch, cfg.channels_x, cfg.image_side, cfg.image_side))
+            ys = rng.standard_normal((batch, cfg.channels_y, cfg.image_side, cfg.image_side))
+            with FlopCounter() as counter:
+                forward(model, xs, ys, seed=list(range(batch)))
+            assert counter.total == batch * analytic, (cfg, batch)
 
 
 def test_profile_report_has_convention_and_breakdown():

@@ -18,14 +18,21 @@ from csmoe.numerics import Tensor, check_gradients, truncated_normal
 from util import mini_config, rel_err
 
 
-def make_batch(cfg, model, batch=2, seed=1):
+def make_pairs(cfg, batch=2, seed=1):
+    """[B, C, H, W] stacks of x and y images, drawn pair by pair."""
     rng = np.random.default_rng(seed)
-    arts = []
-    for i in range(batch):
-        x = rng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side))
-        y = rng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side))
-        arts.append(forward(model, x, y, seed=10 + i))
-    return arts
+    draws = [
+        (rng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side)),
+         rng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side)))
+        for _ in range(batch)
+    ]
+    return tuple(np.stack(images) for images in zip(*draws))
+
+
+def make_batch(cfg, model, batch=2, seed=1):
+    """One batched forward artifact; pair i is masked with seed 10 + i."""
+    xs, ys = make_pairs(cfg, batch, seed)
+    return forward(model, xs, ys, seed=[10 + i for i in range(batch)])
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,8 @@ def test_umr_and_cmr_mask_wiring():
 def test_umr_cmr_match_scratch_evaluation():
     cfg = mini_config()
     model = init_model(cfg)
-    (art,) = make_batch(cfg, model, batch=1)
+    (x,), (y,) = make_pairs(cfg, batch=1)
+    art = forward(model, x, y, seed=10)
 
     def mse(pred, target, idx):
         d = pred.data[idx] - target[idx]
@@ -237,9 +245,9 @@ def test_ent_rejects_bad_inputs():
 def test_total_decomposition_identity():
     cfg = mini_config()
     model = init_model(cfg)
-    arts = make_batch(cfg, model)
+    art = make_batch(cfg, model)
     for lam, gam in ((0.0, 0.0), (0.01, 0.01), (-0.5, 2.0)):
-        b = loss_total(model, arts, lambda_rep=lam, gamma_ent=gam)
+        b = loss_total(model, art, lambda_rep=lam, gamma_ent=gam)
         recomposed = b.umr + b.cmr + b.mi + lam * b.rep + gam * b.ent
         assert abs(b.total - recomposed) <= 1e-12
 
@@ -247,8 +255,8 @@ def test_total_decomposition_identity():
 def test_total_weights_off():
     cfg = mini_config()
     model = init_model(cfg)
-    arts = make_batch(cfg, model)
-    b = loss_total(model, arts, lambda_rep=0.0, gamma_ent=0.0)
+    art = make_batch(cfg, model)
+    b = loss_total(model, art, lambda_rep=0.0, gamma_ent=0.0)
     assert abs(b.total - (b.umr + b.cmr + b.mi)) <= 1e-12
 
 
@@ -258,16 +266,10 @@ def test_total_gradients_flow_everywhere():
     rng = np.random.default_rng(7)
     for p in model.params.values():
         p.data = truncated_normal(rng, p.shape, 0.3)
-    drng = np.random.default_rng(3)
-    batch = [
-        (drng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side)),
-         drng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side)))
-        for _ in range(2)
-    ]
+    xs, ys = make_pairs(cfg, batch=2, seed=3)
 
     def loss_fn(params):
-        arts = [forward(model, x, y, seed=10 + i) for i, (x, y) in enumerate(batch)]
-        return loss_total(model, arts).total_tensor
+        return loss_total(model, forward(model, xs, ys, seed=[10, 11])).total_tensor
 
     report = check_gradients(loss_fn, model.params, step=1e-5, max_checked=150, sample_seed=0)
     assert report.max_relative_error <= 1e-4
@@ -282,16 +284,14 @@ def test_total_gradients_flow_everywhere():
 def test_total_zero_under_perfect_reconstruction_and_identical_projections():
     cfg = mini_config()
     model = init_model(cfg)
-    arts = make_batch(cfg, model, batch=2)
-    for art in arts:
-        for (target, _source), recon in art.recon.items():
-            recon.data = art.target_tokens[target].copy()  # perfect reconstruction
+    art = make_batch(cfg, model, batch=2)
+    for (target, _source), recon in art.recon.items():
+        recon.data = art.target_tokens[target].copy()  # perfect reconstruction
     shared = np.array([[0.3, -0.2, 0.5, 0.1, 0.0, 0.7, -0.4, 0.2]])
-    for art in arts:
-        # all four projections identical: the positive-excluding denominator
-        # cancels the numerator exactly at batch size 2
-        art.proj_cls["x"].data = shared.copy()
-        art.proj_cls["y"].data = shared.copy()
-    b = loss_total(model, arts, lambda_rep=0.0, gamma_ent=0.0, tau_mi=0.5)
+    # all four projections identical: the positive-excluding denominator
+    # cancels the numerator exactly at batch size 2
+    art.proj_cls["x"].data = np.broadcast_to(shared, (2, 1, 8)).copy()
+    art.proj_cls["y"].data = np.broadcast_to(shared, (2, 1, 8)).copy()
+    b = loss_total(model, art, lambda_rep=0.0, gamma_ent=0.0, tau_mi=0.5)
     assert b.umr == 0.0 and b.cmr == 0.0
     assert abs(b.total) <= 1e-9

@@ -169,7 +169,7 @@ def test_decode_full_visibility_never_uses_mask_token():
     mask = full_mask(cfg.num_patches)
     encoded = encode(model, x, mask, "x")
     model.mask_token["x"].data[:] = np.nan  # would poison the output if used
-    out = decode(model, encoded, mask, "x", "x")
+    out = decode(model, {"x": encoded}, {"x": mask}, "x")["x"]
     assert np.isfinite(out.data).all()
 
 
@@ -180,7 +180,7 @@ def test_decode_emits_all_positions():
     for seed in (0, 1, 2):
         mask = sample_masks(cfg.num_patches, 0.5, seed)
         encoded = encode(model, x, mask, "x")
-        out = decode(model, encoded, mask, "y", "x")
+        out = decode(model, {"x": encoded}, {"x": mask}, "y")["x"]
         assert out.shape == (cfg.num_patches, cfg.token_dim("y"))
 
 
@@ -192,7 +192,21 @@ def test_decode_mask_consistency_check():
     encoded = encode(model, x, mask, "x")
     other = full_mask(cfg.num_patches)
     with pytest.raises(DimensionError):
-        decode(model, encoded, other, "x", "x")
+        decode(model, {"x": encoded}, {"x": other}, "x")
+
+
+def test_decode_of_both_sources_in_one_pass_matches_separate_passes():
+    cfg = mini_config()
+    model = init_model(cfg)
+    x, y = make_images(cfg)
+    masks = {"x": sample_masks(cfg.num_patches, 0.5, 3), "y": sample_masks(cfg.num_patches, 0.5, 4)}
+    encoded = {"x": encode(model, x, masks["x"], "x"), "y": encode(model, y, masks["y"], "y")}
+    for target in ("x", "y"):
+        joint = decode(model, encoded, masks, target)
+        assert list(joint) == ["x", "y"]
+        for source in ("x", "y"):
+            alone = decode(model, {source: encoded[source]}, {source: masks[source]}, target)[source]
+            assert np.abs(joint[source].data - alone.data).max() <= 1e-12
 
 
 def test_encode_decode_path_gradient_check():
@@ -208,11 +222,11 @@ def test_encode_decode_path_gradient_check():
     w = rng.uniform(-1, 1, (cfg.num_patches, cfg.token_dim("x")))
 
     def run():
-        out = decode(model, encode(model, x, mask, "x"), mask, "x", "x")
+        out = decode(model, {"x": encode(model, x, mask, "x")}, {"x": mask}, "x")["x"]
         return tsum(mul(out, Tensor(w))).item()
 
     zero_grads(model.params)
-    out = decode(model, encode(model, x, mask, "x"), mask, "x", "x")
+    out = decode(model, {"x": encode(model, x, mask, "x")}, {"x": mask}, "x")["x"]
     backward(tsum(mul(out, Tensor(w))))
     for name in ("embed_x.weight", "cls_x", "mask_token_x", "dec_embed_x.weight",
                  "enc_x.0.moe.slots", "head_x_from_x.weight"):
@@ -237,6 +251,35 @@ def test_forward_artifact_inventory():
     assert len(art.routing["y"]) == per_path
     assert art.proj_cls["x"].shape == (1, cfg.proj_dim)
     assert art.recon[("y", "x")].shape == (cfg.num_patches, cfg.token_dim("y"))
+
+
+def test_batched_forward_matches_each_unbatched_pair():
+    cfg = mini_config()
+    model = init_model(cfg)
+    rng = np.random.default_rng(21)
+    xs = rng.standard_normal((8, cfg.channels_x, cfg.image_side, cfg.image_side))
+    ys = rng.standard_normal((8, cfg.channels_y, cfg.image_side, cfg.image_side))
+    seeds = [int(s) for s in rng.integers(0, 2**32, 8)]
+    batch = forward(model, xs, ys, seed=seeds)
+
+    def close(batched, single):
+        return np.abs(batched - single).max() <= 1e-12
+
+    for j, seed in enumerate(seeds):
+        one = forward(model, xs[j], ys[j], seed=seed)
+        for m in ("x", "y"):
+            assert np.array_equal(batch.masks[m].unmasked[j], one.masks[m].unmasked)
+            assert close(batch.encoded[m].data[j], one.encoded[m].data)
+            assert close(batch.proj_cls[m].data[j], one.proj_cls[m].data)
+            assert len(batch.routing[m]) == len(one.routing[m])
+            for b_route, o_route in zip(batch.routing[m], one.routing[m]):
+                assert close(b_route.dispatch.data[j], o_route.dispatch.data)
+        for key in one.recon:
+            assert close(batch.recon[key].data[j], one.recon[key].data)
+    with pytest.raises(DimensionError):  # a stack of images needs one seed per sample
+        forward(model, xs, ys, seed=0)
+    with pytest.raises(DimensionError):
+        forward(model, xs[:2], ys[:2], seed=seeds)
 
 
 def test_forward_deterministic():

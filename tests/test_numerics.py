@@ -64,8 +64,24 @@ def test_matmul_shape_error_names_both_shapes():
 def test_matmul_rejects_mismatched_batch_axes():
     with pytest.raises(DimensionError):
         matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(DimensionError):  # a 2-D weight broadcasts, but k must still agree
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 6))))
     with pytest.raises(DimensionError):
-        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+        matmul(Tensor(np.zeros((3, 5))), Tensor(np.zeros((2, 4, 6))))
+    with pytest.raises(DimensionError):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(4)))
+
+
+def test_row_ops_reject_indices_that_do_not_fit_the_batch():
+    a = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        take_rows(a, [[0], [1], [2]])  # three index rows for a batch of two
+    with pytest.raises(IndexError):  # element 0 has no row 3; it must not read element 1's row 0
+        take_rows(a, [[0], [3]])
+    with pytest.raises(DimensionError):
+        scatter_rows(a, [[0, 1, 2]] * 3, Tensor(np.zeros(4)), 5)
+    with pytest.raises(DimensionError):
+        scatter_rows(a, [0, 1], Tensor(np.zeros(4)), 5)  # three rows, two positions
 
 
 def test_matmul_gradient_of_sum_is_column_sums():
@@ -199,6 +215,13 @@ def test_op_gradients_against_finite_differences():
     cases.append((lambda: transpose(h1), [h1]))
     fill = parameter(rng.uniform(-1, 1, (1, 4)))
     cases.append((lambda: scatter_rows(take_rows(a, [0, 1, 2]), [4, 0, 2], fill, 5), [a, fill]))
+    # leading batch axes: a 2-D weight on either side, per-sample row indices
+    cases.append((lambda: matmul(h1, m2), [h1, m2]))
+    cases.append((lambda: matmul(m1, h2), [m1, h2]))
+    per_sample = [[2, 0], [1, 1]]
+    cases.append((lambda: take_rows(h1, per_sample), [h1]))
+    cases.append((lambda: concat_rows([fill, h1]), [fill, h1]))
+    cases.append((lambda: scatter_rows(take_rows(h1, per_sample), [[3, 0], [1, 4]], fill, 5), [h1, fill]))
 
     for fn, params in cases:
         for p in params:
@@ -239,14 +262,14 @@ def test_dropped_graph_leaves_no_cyclic_garbage():
     # counting alone frees a dropped graph
     model = init_model(mini_config())
     rng = np.random.default_rng(6)
-    images = [(rng.standard_normal((2, 16, 16)), rng.standard_normal((3, 16, 16))) for _ in range(2)]
+    images = (rng.standard_normal((2, 2, 16, 16)), rng.standard_normal((2, 3, 16, 16)))
     gc.collect()
     gc.disable()
     try:
-        arts = [forward(model, x, y, seed=j) for j, (x, y) in enumerate(images)]
-        breakdown = loss_total(model, arts)
+        art = forward(model, *images, seed=[0, 1])
+        breakdown = loss_total(model, art)
         backward(breakdown.total_tensor)
-        del arts, breakdown
+        del art, breakdown
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -327,6 +350,9 @@ def test_flop_counter_counts_matmul():
     with FlopCounter() as fc:
         matmul(Tensor(np.zeros((6, 3, 4))), Tensor(np.zeros((6, 4, 5))))
     assert fc.total == 6 * 2 * 3 * 4 * 5
+    with FlopCounter() as fc:  # a 2-D weight applied to a [2, 6] batch
+        matmul(Tensor(np.zeros((2, 6, 3, 4))), Tensor(np.zeros((4, 5))))
+    assert fc.total == 12 * 2 * 3 * 4 * 5
 
 
 def test_tnsr_roundtrip(tmp_path):

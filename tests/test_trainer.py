@@ -1,9 +1,12 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from csmoe.errors import DataError, FormatError
+import csmoe.trainer as trainer
+from csmoe.errors import DataError, EvaluationError, FormatError
 from csmoe.model import init_model
 from csmoe.numerics import Tensor, parameter, save_tnsr
 from csmoe.trainer import (
@@ -99,6 +102,48 @@ def test_train_records_and_determinism(tmp_path):
     for name in m1.params:
         assert np.array_equal(m1.params[name].data, m2.params[name].data)
     assert all(set(r) >= {"step", "umr", "cmr", "mi", "rep", "ent", "total"} for r in r1)
+
+
+def test_train_makes_one_forward_per_step_and_per_validation(tmp_path, monkeypatch):
+    cfg = mini_config()
+    synthesize_pairs(tmp_path, 6, cfg, seed=1)
+    pairs = load_pairs(tmp_path, cfg)
+    # 2 of 6 pairs held out: 4 training pairs make 2 steps of 2 per epoch
+    tcfg = TrainerConfig(epochs=2, batch_size=2, lr=1e-3, val_fraction=0.34)
+    batches = []
+    real_forward = trainer.forward
+
+    def counting_forward(model, xs, ys, seed):
+        batches.append((xs.shape[0], ys.shape[0], len(seed)))
+        return real_forward(model, xs, ys, seed=seed)
+
+    monkeypatch.setattr(trainer, "forward", counting_forward)
+    _, records = train(init_model(cfg), pairs, tcfg, seed=0)
+    steps = [r for r in records if "step" in r]
+    vals = [r for r in records if "val_total" in r]
+    assert len(steps) == 4 and len(vals) == 2
+    assert batches == [(2, 2, 2)] * 6
+
+
+def test_train_rejects_non_finite_gradient_norm(tmp_path, monkeypatch):
+    cfg = mini_config()
+    synthesize_pairs(tmp_path, 4, cfg, seed=1)
+    pairs = load_pairs(tmp_path, cfg)
+    model = init_model(cfg)
+    real_backward = trainer.backward
+    sweeps = []
+
+    def overflowing_backward(loss):  # the second step's gradient overflows
+        real_backward(loss)
+        sweeps.append(loss)
+        if len(sweeps) == 2:
+            model.params["embed_x.weight"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(trainer, "backward", overflowing_backward)
+    log = io.StringIO()
+    with pytest.raises(EvaluationError, match="step 2: grad_norm is not finite"):
+        train(model, pairs, TrainerConfig(epochs=1, batch_size=2, val_fraction=0.0), seed=0, log_fh=log)
+    assert [json.loads(line)["step"] for line in log.getvalue().splitlines()] == [1]
 
 
 def test_optimizer_state_roundtrip(tmp_path):
