@@ -5,12 +5,17 @@
 import numpy as np
 
 import csmoe.softmoe as softmoe
+from csmoe.model import CsmoeConfig, init_model
 from csmoe.numerics import Tensor
-from csmoe.softmoe import init_soft_moe_layer, route, moe_forward
+from csmoe.softmoe import route, moe_forward
 
 rng = np.random.default_rng(0)
 dim, num_slots = 16, 4
-layer = init_soft_moe_layer(rng, dim=dim, hidden=dim, num_slots=num_slots)
+# one Soft MoE layer of a small model, initialised as the model initialises it
+cfg = CsmoeConfig(patch_size=8, image_side=16, enc_dim=dim, dec_dim=8, heads=2, dec_heads=2,
+                  enc_layers_modality=1, enc_layers_shared=1, dec_layers=1,
+                  num_slots=num_slots, proj_dim=8)
+layer = init_model(cfg).enc_shared[0].moe
 
 tokens = Tensor(rng.uniform(-1, 1, (49, dim)))
 routing = route(tokens, layer)

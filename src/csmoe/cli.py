@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .model import (
     forward,
     init_model,
     load_checkpoint,
+    load_section,
 )
 from .numerics import check_gradients, load_tnsr, save_tnsr, truncated_normal
 from .sampler import GaConfig, load_archive, load_grid, sample_archive, write_selection
@@ -71,12 +72,8 @@ class RunConfig:
         return asdict(self)
 
 
-def _section(cls, data: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section '{where}': {sorted(unknown)}")
-    return cls(**data)
+_SECTIONS = {"model": CsmoeConfig, "loss": LossSettings, "trainer": TrainerConfig,
+             "ga": GaConfig, "paths": PathSettings}
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -91,19 +88,11 @@ def load_run_config(path=None) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    sections = {"model": CsmoeConfig, "loss": LossSettings, "trainer": TrainerConfig,
-                "ga": GaConfig, "paths": PathSettings}
-    unknown = set(data) - set(sections)
+    unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config sections: {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in sections.items():
-        if name in data:
-            if name == "model":
-                kwargs[name] = CsmoeConfig.from_dict(data[name])
-            else:
-                kwargs[name] = _section(cls, data[name], name)
-    return RunConfig(**kwargs)
+    return RunConfig(**{name: load_section(_SECTIONS[name], section, f"{path}: section '{name}'")
+                        for name, section in data.items()})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,13 +102,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="csmoe", description=__doc__)
+    # --config may come before or after the subcommand: no parser sets a
+    # default for it (main starts from config=None), so a subcommand never
+    # overwrites the top-level value
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=argparse.SUPPRESS, help="JSON run configuration file")
+    parser = _Parser(prog="csmoe", description=__doc__, parents=[config])
     parser.add_argument("--dump-config", action="store_true",
                         help="print the fully resolved run configuration and exit")
-    parser.add_argument("--config", help="JSON run configuration file")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("sample", help="descriptor-driven archive sampling")
+    p = sub.add_parser("sample", parents=[config], help="descriptor-driven archive sampling")
     p.add_argument("--archive", required=True, help="CSV id,lon_min,lat_min,lon_max,lat_max")
     p.add_argument("--climate", required=True, help="GRID1 climate raster")
     p.add_argument("--thematic", required=True, help="GRID1 thematic raster")
@@ -132,7 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--baseline", action="store_true",
                    help="also report an equal-size random selection per stratum")
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON run configuration file")
 
     p = sub.add_parser("split-tiles", help="cut TNSR1 tiles into training patches")
     p.add_argument("--input", required=True, help="directory of *.tnsr tiles")
@@ -140,8 +132,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--patch", type=int, default=120)
     p.add_argument("--sentinel", default="nan", help="invalid-pixel value (default NaN)")
 
-    p = sub.add_parser("pretrain-toy", help="mini-batch pretraining on paired TNSR1 images")
-    p.add_argument("--config", help="JSON run configuration file")
+    p = sub.add_parser("pretrain-toy", parents=[config],
+                       help="mini-batch pretraining on paired TNSR1 images")
     p.add_argument("--data-dir", help="directory of <id>_x.tnsr/<id>_y.tnsr pairs")
     p.add_argument("--checkpoint", help="checkpoint path to write")
     p.add_argument("--log", help="JSON-lines loss log to write")
@@ -155,8 +147,7 @@ def _build_parser() -> _Parser:
                    help="include the positive pair in the contrastive denominator")
     p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of the total loss")
-    p.add_argument("--config", help="JSON run configuration file")
+    p = sub.add_parser("grad-check", parents=[config], help="finite-difference check of the total loss")
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--max-checked", type=int, default=1024)
     p.add_argument("--tolerance", type=float, default=1e-4)
@@ -174,8 +165,7 @@ def _build_parser() -> _Parser:
                    help="embedding strategy for image inputs (default only_cls)")
     p.add_argument("--out", help="JSON result path")
 
-    p = sub.add_parser("flops", help="parameter/FLOP/C2C profile of a configuration")
-    p.add_argument("--config", help="JSON run configuration file")
+    p = sub.add_parser("flops", parents=[config], help="parameter/FLOP/C2C profile of a configuration")
     p.add_argument("--out", help="JSON profile path")
 
     return parser
@@ -187,17 +177,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sample(args) -> int:
-    run = load_run_config(args.config)
-    ga = run.ga
     overrides = {
         "target_size": args.target, "generations": args.iters,
         "population_size": args.pop, "crossover_rate": args.rc, "seed": args.seed,
     }
-    values = {f.name: getattr(ga, f.name) for f in fields(GaConfig)}
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    ga = GaConfig(**values)
+    ga = replace(load_run_config(args.config).ga, **{k: v for k, v in overrides.items() if v is not None})
     archive = load_archive(args.archive)
     climate = load_grid(args.climate)
     thematic = load_grid(args.thematic)
@@ -426,7 +410,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(config=None))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

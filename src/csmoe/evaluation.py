@@ -301,11 +301,24 @@ def forward_flops(cfg: CsmoeConfig):
     return sum(comp.values()), comp
 
 
+def _component(name: str) -> str:
+    """The ``forward_flops`` component whose ops use parameter ``name``: a
+    CLS token joins its modality's embedding, and the decoder embedding,
+    mask token and heads of a target join that target's decoder."""
+    group = name.split(".")[0]
+    for prefix, owner in (("cls_", "embed_"), ("dec_embed_", "dec_"), ("mask_token_", "dec_"),
+                          ("head_", "dec_")):  # head_<target>_from_<source>
+        if group.startswith(prefix):
+            return owner + group[len(prefix):].split("_")[0]
+    return group
+
+
 def profile(cfg: CsmoeConfig) -> ComputeProfile:
-    """Exact parameter enumeration plus the analytic forward op count."""
+    """Exact parameter enumeration plus the analytic forward op count, both
+    broken down by the same components."""
     param_groups = {}
     for name, shape, _ in parameter_manifest(cfg):
-        group = name.split(".")[0]
+        group = _component(name)
         param_groups[group] = param_groups.get(group, 0) + int(np.prod(shape))
     total_params = sum(param_groups.values())
     total_flops, flop_groups = forward_flops(cfg)

@@ -16,7 +16,6 @@ artifact then carries the same axes in front of its documented shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -27,15 +26,14 @@ from .numerics import (
     concat_rows,
     matmul,
     parameter,
-    read_tnsr,
+    read_blocks,
     reshape,
     scatter_rows,
     take_rows,
     truncated_normal,
-    write_tnsr,
+    write_blocks,
 )
 from .softmoe import (
-    INIT_STD,
     AttentionParams,
     FeedForwardParams,
     LayerNormParams,
@@ -54,6 +52,8 @@ MASK_STREAM_SPLIT = 0x9E3779B9
 
 CHECKPOINT_FORMAT = "CSMOE-CKPT"
 CHECKPOINT_VERSION = 1
+
+INIT_STD = 0.02  # truncated-normal scale of every "weight" tensor
 
 EMBEDDING_STRATEGIES = ("avg_wo_cls", "avg_all", "only_cls", "norm_cls", "norm_proj_cls")
 
@@ -132,13 +132,32 @@ class CsmoeConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CsmoeConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}
+
+
+def load_section(cls, data, where: str):
+    """``cls(**data)`` for a flat config dataclass read from JSON.
+
+    ``data`` must be an object whose keys are fields of ``cls``, each value
+    of its default's type: an int field takes an int but not a bool, a float
+    field an int or a float. Any failure, the dataclass's own checks
+    included, is a ConfigError that starts with ``where``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind = type(defaults[key])
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"{where}: key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    try:
         return cls(**data)
+    except (ConfigError, ParameterError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -255,34 +274,19 @@ def parameter_count(cfg: CsmoeConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_manifest(cfg))
 
 
-def _build_attention(t, prefix: str, heads: int) -> AttentionParams:
-    return AttentionParams(
-        wq=t[f"{prefix}.wq"], bq=t[f"{prefix}.bq"],
-        wk=t[f"{prefix}.wk"],
-        wv=t[f"{prefix}.wv"], bv=t[f"{prefix}.bv"],
-        wo=t[f"{prefix}.wo"], bo=t[f"{prefix}.bo"],
-        heads=heads,
-    )
-
-
-def _build_norm(t, prefix: str) -> LayerNormParams:
-    return LayerNormParams(gain=t[f"{prefix}.gain"], bias=t[f"{prefix}.bias"])
-
-
-def _build_ffn(t, prefix: str) -> FeedForwardParams:
-    return FeedForwardParams(
-        w1=t[f"{prefix}.w1"], b1=t[f"{prefix}.b1"], w2=t[f"{prefix}.w2"], b2=t[f"{prefix}.b2"],
-    )
+def _params(cls, t, prefix: str, **given):
+    """``cls`` with every field not ``given`` set to the tensor ``<prefix>.<field>``."""
+    return cls(**given, **{f.name: t[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in given})
 
 
 def _build_moe_block(t, prefix: str, cfg: CsmoeConfig) -> MoeBlockParams:
     return MoeBlockParams(
-        attention=_build_attention(t, f"{prefix}.attn", cfg.heads),
-        norm1=_build_norm(t, f"{prefix}.norm1"),
-        norm2=_build_norm(t, f"{prefix}.norm2"),
+        attention=_params(AttentionParams, t, f"{prefix}.attn", heads=cfg.heads),
+        norm1=_params(LayerNormParams, t, f"{prefix}.norm1"),
+        norm2=_params(LayerNormParams, t, f"{prefix}.norm2"),
         moe=SoftMoELayerParams(
             slot_embeddings=t[f"{prefix}.moe.slots"],
-            experts=[_build_ffn(t, f"{prefix}.moe.expert{e}") for e in range(cfg.num_experts)],
+            experts=[_params(FeedForwardParams, t, f"{prefix}.moe.expert{e}") for e in range(cfg.num_experts)],
             temperature=cfg.route_temperature,
         ),
     )
@@ -290,10 +294,10 @@ def _build_moe_block(t, prefix: str, cfg: CsmoeConfig) -> MoeBlockParams:
 
 def _build_plain_block(t, prefix: str, cfg: CsmoeConfig) -> PlainBlockParams:
     return PlainBlockParams(
-        attention=_build_attention(t, f"{prefix}.attn", cfg.dec_heads),
-        norm1=_build_norm(t, f"{prefix}.norm1"),
-        norm2=_build_norm(t, f"{prefix}.norm2"),
-        ffn=_build_ffn(t, f"{prefix}.ffn"),
+        attention=_params(AttentionParams, t, f"{prefix}.attn", heads=cfg.dec_heads),
+        norm1=_params(LayerNormParams, t, f"{prefix}.norm1"),
+        norm2=_params(LayerNormParams, t, f"{prefix}.norm2"),
+        ffn=_params(FeedForwardParams, t, f"{prefix}.ffn"),
     )
 
 
@@ -519,45 +523,27 @@ def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _manifest_header(cfg: CsmoeConfig) -> list:
+    return [[name, list(shape)] for name, shape, _ in parameter_manifest(cfg)]
+
+
 def save_checkpoint(model: CsmoeModel, path):
-    manifest = parameter_manifest(model.cfg)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.cfg.to_dict(),
-        "params": [[name, list(shape)] for name, shape, _ in manifest],
+        "params": _manifest_header(model.cfg),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for name, _, _ in manifest:
-            write_tnsr(fh, model.params[name].data)
+    write_blocks(path, header, [model.params[name].data for name, _ in header["params"]])
 
 
 def load_checkpoint(path) -> CsmoeModel:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise FormatError(f"{path}: missing checkpoint header line")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise FormatError(f"{path}: not a model checkpoint")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        cfg = CsmoeConfig.from_dict(header["config"])
-        manifest = parameter_manifest(cfg)
-        stored = [(name, tuple(shape)) for name, shape in header["params"]]
-        if stored != [(name, shape) for name, shape, _ in manifest]:
+    def expect(header):
+        params = _manifest_header(load_section(CsmoeConfig, header.get("config"), f"{path}: config"))
+        if header.get("params") != params:
             raise FormatError(f"{path}: header manifest does not match its config")
-        tensors = {}
-        for name, shape, _ in manifest:
-            arr = read_tnsr(fh)
-            if arr.shape != shape:
-                raise FormatError(f"{path}: block {name} has shape {arr.shape}, expected {shape}")
-            tensors[name] = parameter(arr)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after last parameter block")
-    return _assemble(cfg, tensors)
+        return params
+
+    header, arrays = read_blocks(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, expect)
+    tensors = {name: parameter(arr) for (name, _), arr in zip(header["params"], arrays)}
+    return _assemble(CsmoeConfig(**header["config"]), tensors)

@@ -23,13 +23,15 @@ batched op counts exactly batch size x the unbatched cost.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionError, EvaluationError, FormatError, ParameterError
 
@@ -419,6 +421,8 @@ def tsqrt(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact erf form: 0.5 x (1 + erf(x / sqrt 2))."""
+    from scipy.special import erf  # imported on first use: it is most of the package's import time
+
     x = a.data
     e = erf(x * _INV_SQRT2)
     out = Tensor(0.5 * x * (1.0 + e))
@@ -731,3 +735,67 @@ def save_tnsr(path, array: np.ndarray):
 def load_tnsr(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return read_tnsr(fh)
+
+
+# ---------------------------------------------------------------------------
+# Block files: one JSON header line, then TNSR1 blocks (checkpoints, .opt)
+# ---------------------------------------------------------------------------
+
+
+def read_header(fh, path, kind: str) -> dict:
+    """The JSON object on the first line of ``fh``; FormatError names ``path``."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise FormatError(f"{path}: missing {kind} header line")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable {kind} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: {kind} header is not a JSON object")
+    return header
+
+
+def write_blocks(path, header: dict, arrays):
+    """Write the header line and one TNSR1 block per array to ``<path>.tmp``,
+    then rename it over ``path``: a killed writer never leaves a torn file
+    (there is no fsync, so this does not guard against power loss)."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for array in arrays:
+                write_tnsr(fh, array)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def read_blocks(path, fmt: str, version: int, expect):
+    """Read a file written by ``write_blocks``; returns (header, arrays).
+
+    The header must be a JSON object with ``format`` ``fmt`` and ``version``
+    ``version``; ``expect(header)`` then returns the (label, shape) of every
+    block in order. Each block must have its shape and nothing may follow
+    the last; every FormatError names the file and the block's label.
+    """
+    with open(path, "rb") as fh:
+        header = read_header(fh, path, fmt)
+        if header.get("format") != fmt:
+            raise FormatError(f"{path}: not a {fmt} file")
+        if header.get("version") != version:
+            raise FormatError(f"{path}: unsupported {fmt} version {header.get('version')!r}")
+        arrays, label = [], "the header"
+        for label, shape in expect(header):
+            try:
+                arr = read_tnsr(fh)
+            except FormatError as exc:
+                raise FormatError(f"{path}: block {label}: {exc}") from exc
+            if arr.shape != tuple(shape):
+                raise FormatError(f"{path}: block {label} has shape {arr.shape}, expected {tuple(shape)}")
+            arrays.append(arr)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after {label}")
+    return header, arrays

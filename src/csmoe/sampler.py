@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
+from .numerics import read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
 
@@ -424,13 +425,7 @@ _GRID_KEYS = {"lat_max", "lon_min", "dlat", "dlon", "rows", "cols", "nodata"}
 def load_grid(path) -> ClassRaster:
     """GRID1: one JSON header line, then rows*cols little-endian u16 codes."""
     with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable GRID1 header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: GRID1 header is not a JSON object")
+        header = read_header(fh, path, "GRID1")
         missing = _GRID_KEYS - set(header)
         if missing:
             raise FormatError(f"{path}: GRID1 header missing keys {sorted(missing)}")

@@ -29,12 +29,10 @@ from .numerics import (
     layer_norm,
     matmul,
     mul,
-    parameter,
     reshape,
     softmax,
     take_rows,
     transpose,
-    truncated_normal,
 )
 
 LN_EPS = 1e-6
@@ -188,68 +186,3 @@ def plain_block_forward(z: Tensor, params: PlainBlockParams) -> Tensor:
     attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias, LN_EPS), params.attention)
     z = z + attn
     return z + feed_forward(layer_norm(z, params.norm2.gain, params.norm2.bias, LN_EPS), params.ffn)
-
-
-# ---------------------------------------------------------------------------
-# Initializers
-# ---------------------------------------------------------------------------
-
-INIT_STD = 0.02
-
-
-def init_attention(rng, dim: int, heads: int) -> AttentionParams:
-    def w():
-        return parameter(truncated_normal(rng, (dim, dim), INIT_STD))
-
-    def b():
-        return parameter(np.zeros(dim))
-
-    return AttentionParams(wq=w(), bq=b(), wk=w(), wv=w(), bv=b(), wo=w(), bo=b(), heads=heads)
-
-
-def init_layer_norm(dim: int) -> LayerNormParams:
-    return LayerNormParams(gain=parameter(np.ones(dim)), bias=parameter(np.zeros(dim)))
-
-
-def init_feed_forward(rng, dim: int, hidden: int) -> FeedForwardParams:
-    return FeedForwardParams(
-        w1=parameter(truncated_normal(rng, (dim, hidden), INIT_STD)),
-        b1=parameter(np.zeros(hidden)),
-        w2=parameter(truncated_normal(rng, (hidden, dim), INIT_STD)),
-        b2=parameter(np.zeros(dim)),
-    )
-
-
-def init_soft_moe_layer(
-    rng,
-    dim: int,
-    hidden: int,
-    num_slots: int,
-    num_experts: int = None,
-    temperature: float = 1.0,
-) -> SoftMoELayerParams:
-    if num_experts is None:
-        num_experts = num_slots
-    return SoftMoELayerParams(
-        slot_embeddings=parameter(truncated_normal(rng, (num_slots, dim), INIT_STD)),
-        experts=[init_feed_forward(rng, dim, hidden) for _ in range(num_experts)],
-        temperature=temperature,
-    )
-
-
-def init_moe_block(rng, dim, heads, hidden, num_slots, num_experts=None, temperature=1.0) -> MoeBlockParams:
-    return MoeBlockParams(
-        attention=init_attention(rng, dim, heads),
-        norm1=init_layer_norm(dim),
-        norm2=init_layer_norm(dim),
-        moe=init_soft_moe_layer(rng, dim, hidden, num_slots, num_experts, temperature),
-    )
-
-
-def init_plain_block(rng, dim, heads, hidden) -> PlainBlockParams:
-    return PlainBlockParams(
-        attention=init_attention(rng, dim, heads),
-        norm1=init_layer_norm(dim),
-        norm2=init_layer_norm(dim),
-        ffn=init_feed_forward(rng, dim, hidden),
-    )

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, EvaluationError, FormatError, ParameterError
 from .losses import loss_total
 from .model import CsmoeModel, forward, parameter_manifest, save_checkpoint
-from .numerics import backward, load_tnsr, read_tnsr, save_tnsr, write_tnsr, zero_grads
+from .numerics import backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
 OPT_VERSION = 1
@@ -102,47 +102,27 @@ def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
         "epoch": epoch,
         "names": names,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for name in names:
-            write_tnsr(fh, optimizer.m[name])
-            write_tnsr(fh, optimizer.v[name])
+    write_blocks(path, header, [moments[name] for name in names for moments in (optimizer.m, optimizer.v)])
 
 
 def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
     """Restore moments and step count; returns the epoch to resume from."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: unreadable optimizer header: {exc}") from exc
-        if (not isinstance(header, dict) or header.get("format") != OPT_FORMAT
-                or header.get("version") != OPT_VERSION):
-            raise FormatError(f"{path}: not an optimizer state file")
+    manifest = parameter_manifest(model.cfg)
+
+    def expect(header):
         step, epoch = header.get("step"), header.get("epoch")
         if type(step) is not int or type(epoch) is not int or min(step, epoch) < 0:
             raise FormatError(f"{path}: optimizer header needs non-negative int step and epoch")
-        manifest = parameter_manifest(model.cfg)
         if header.get("names") != [name for name, _, _ in manifest]:
             raise FormatError(f"{path}: optimizer state does not match the model config")
-        m, v = {}, {}
-        for name, shape, _ in manifest:
-            for moments in (m, v):
-                try:
-                    arr = read_tnsr(fh)
-                except FormatError as exc:
-                    raise FormatError(f"{path}: moment of {name}: {exc}") from exc
-                if arr.shape != shape:
-                    raise FormatError(f"{path}: moment of {name} has shape {arr.shape}, expected {shape}")
-                moments[name] = arr
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after the moments of {name}")
-    optimizer.m.update(m)
-    optimizer.v.update(v)
-    optimizer.step_count = step
-    return epoch
+        return [(f"{moment} moment of {name}", shape)
+                for name, shape, _ in manifest for moment in ("first", "second")]
+
+    header, arrays = read_blocks(path, OPT_FORMAT, OPT_VERSION, expect)
+    for (name, _, _), m, v in zip(manifest, arrays[0::2], arrays[1::2]):
+        optimizer.m[name], optimizer.v[name] = m, v
+    optimizer.step_count = header["step"]
+    return header["epoch"]
 
 
 # ---------------------------------------------------------------------------

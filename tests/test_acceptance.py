@@ -27,10 +27,10 @@ from csmoe.sampler import (
     pair_distances,
     repair,
 )
-from csmoe.softmoe import init_soft_moe_layer, moe_forward, route
+from csmoe.softmoe import moe_forward, route
 from csmoe.tokenizer import patchify, sample_masks, unpatchify
 
-from util import mini_config
+from util import mini_config, moe_block
 
 
 def report(number, ok, detail):
@@ -47,9 +47,8 @@ def test_criterion_01_routing_simplex():
     rng = np.random.default_rng(0)
     worst = 0.0
     for num_slots in (1, 2, 8):
+        layer = moe_block(enc_dim=12, expert_hidden=12, num_slots=num_slots, route_temperature=0.5).moe
         for num_tokens in (1, 4, 49, 196):
-            layer = init_soft_moe_layer(rng, dim=12, hidden=12, num_slots=num_slots,
-                                        temperature=0.5)
             routing = route(Tensor(rng.uniform(-2, 2, (num_tokens, 12))), layer)
             d, c = routing.dispatch.data, routing.combine.data
             worst = max(worst,
@@ -74,8 +73,8 @@ def test_criterion_02_expert_call_economy(monkeypatch):
 
     monkeypatch.setattr(softmoe, "feed_forward", counting_feed_forward)
     counts = {}
+    layer = moe_block(enc_dim=8, expert_hidden=8, num_slots=4).moe
     for num_tokens in (16, 49, 196):
-        layer = init_soft_moe_layer(rng, dim=8, hidden=8, num_slots=4)
         for shape in ((num_tokens, 8), (4, num_tokens, 8)):  # one sample, a batch of 4
             calls.clear()
             moe_forward(Tensor(rng.uniform(-1, 1, shape)), layer)

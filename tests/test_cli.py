@@ -72,6 +72,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["flops"], ["--dump-config"]])
+def test_config_may_come_before_or_after_the_subcommand(tmp_path, capsys, argv):
+    cfg = str(write_mini_run_config(tmp_path / "cfg.json"))
+    outputs = []
+    for args in (["--config", cfg, *argv], [*argv, "--config", cfg]):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert outputs[0] == outputs[1] != default
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -327,6 +339,90 @@ def test_pretrain_resume_rejects_corrupt_optimizer_state(tmp_path, capsys, corru
     assert code == 2
     err = capsys.readouterr().err
     assert str(opt) in err and culprit in err
+
+
+# tiny.ckpt, tiny.ckpt.opt: one epoch of pretrain-toy on tiny.json (seed 0,
+# --synthesize 4), written by the code before the block-file reader/writer
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_committed_checkpoint_and_optimizer_state_load_resave_and_resume(tmp_path):
+    from csmoe.trainer import AdamW, load_optimizer_state, save_optimizer_state
+
+    model = load_checkpoint(DATA / "tiny.ckpt")
+    optimizer = AdamW(model.params)
+    epoch = load_optimizer_state(DATA / "tiny.ckpt.opt", optimizer, model)
+    assert (epoch, optimizer.step_count) == (1, 2)
+    save_checkpoint(model, tmp_path / "again.ckpt")
+    save_optimizer_state(tmp_path / "again.ckpt.opt", optimizer, epoch, model)
+    assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "tiny.ckpt").read_bytes()
+    assert (tmp_path / "again.ckpt.opt").read_bytes() == (DATA / "tiny.ckpt.opt").read_bytes()
+    log = tmp_path / "l.jsonl"
+    assert main(["pretrain-toy", "--config", str(DATA / "tiny.json"), "--data-dir", str(tmp_path / "data"),
+                 "--synthesize", "4", "--resume", str(DATA / "tiny.ckpt"), "--epochs", "2",
+                 "--checkpoint", str(tmp_path / "r.ckpt"), "--log", str(log), "--seed", "0"]) == 0
+    assert [r["step"] for r in read_steps(log)] == [3, 4]
+
+
+def _edit_checkpoint_header(src, dst, edit):
+    with open(src, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    dst.write_bytes(json.dumps(edit(header)).encode("utf-8") + b"\n" + body)
+
+
+def _set_config(header, key, value):
+    header["config"][key] = value
+    return header
+
+
+@pytest.mark.parametrize("case, key", [
+    ("header_not_object", None),
+    ("header_without_config", "config"),
+    ("config_not_object", "config"),
+    ("checkpoint_patch_size_str", "patch_size"),
+    ("checkpoint_patch_size_bool", "patch_size"),
+    ("run_config_patch_size_str", "patch_size"),
+    ("run_config_epochs_str", "epochs"),
+    ("run_config_lr_str", "lr"),
+    ("run_config_section_not_object", "trainer"),
+])
+def test_malformed_checkpoint_header_or_config_exits_two(tmp_path, capsys, case, key):
+    cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=1)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.jsonl"),
+                 "--synthesize", "4", "--seed", "0"]) == 0
+    capsys.readouterr()
+    bad, resume = tmp_path / "bad.ckpt", []
+    edits = {
+        "header_not_object": lambda h: [1],
+        "header_without_config": lambda h: {k: v for k, v in h.items() if k != "config"},
+        "config_not_object": lambda h: {**h, "config": []},
+        "checkpoint_patch_size_str": lambda h: _set_config(h, "patch_size", "x"),
+        "checkpoint_patch_size_bool": lambda h: _set_config(h, "patch_size", True),
+    }
+    if case in edits:
+        _edit_checkpoint_header(ckpt, bad, edits[case])
+        resume = ["--resume", str(bad)]
+    else:
+        run = json.loads(cfg.read_text())
+        if case == "run_config_patch_size_str":
+            run["model"]["patch_size"] = "x"
+        elif case == "run_config_section_not_object":
+            run["trainer"] = [1]
+        else:
+            run["trainer"][key] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(run))
+        cfg = bad
+    code = main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
+                 "--checkpoint", str(tmp_path / "r.ckpt"), "--log", str(tmp_path / "r.jsonl"),
+                 *resume, "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(bad) in err and (key is None or key in err), err
+    assert not (tmp_path / "r.ckpt").exists()
 
 
 @pytest.mark.parametrize("name, term", [("proj.weight", "mi"), ("head_x_from_x.bias", "umr")])

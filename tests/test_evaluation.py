@@ -281,6 +281,16 @@ def test_batched_forward_flops_are_batch_size_times_analytic():
             assert counter.total == batch * analytic, (cfg, batch)
 
 
+def test_profile_components_carry_both_params_and_flops():
+    cfg = CsmoeConfig()
+    prof = profile(cfg)
+    total, flops = forward_flops(cfg)
+    assert [r["component"] for r in prof.breakdown] == sorted(flops)
+    assert all(r["params"] > 0 and r["flops"] == flops[r["component"]] for r in prof.breakdown)
+    assert sum(r["params"] for r in prof.breakdown) == prof.params == parameter_count(cfg)
+    assert prof.flops == total == 3926714656 and prof.params == 137614464
+
+
 def test_profile_report_has_convention_and_breakdown():
     prof = profile(mini_config())
     d = prof.to_dict()

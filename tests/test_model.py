@@ -10,6 +10,7 @@ from csmoe.model import (
     forward,
     init_model,
     load_checkpoint,
+    load_section,
     parameter_count,
     parameter_manifest,
     save_checkpoint,
@@ -44,8 +45,23 @@ def test_config_validation():
         CsmoeConfig(enc_dim=100, heads=12)
     with pytest.raises(ConfigError):
         CsmoeConfig(mask_ratio=1.2)
-    with pytest.raises(ConfigError):
-        CsmoeConfig.from_dict({"patch_size": 32, "bogus": 1})
+    with pytest.raises(ConfigError, match="bogus"):
+        load_section(CsmoeConfig, {"patch_size": 32, "bogus": 1}, "model")
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("patch_size", 16, True), ("patch_size", True, False), ("patch_size", 16.0, False),
+    ("patch_size", "16", False), ("mask_ratio", 0.25, True), ("mask_ratio", "0.5", False),
+    ("route_temperature", 2, True), ("route_temperature", False, False), ("seed", None, False),
+])
+def test_load_section_checks_each_value_against_its_default_type(key, value, ok):
+    # an int field takes an int but not a bool or a float; a float field takes
+    # an int or a float
+    if ok:
+        assert getattr(load_section(CsmoeConfig, {key: value}, "cfg.json"), key) == value
+    else:
+        with pytest.raises(ConfigError, match=f"^cfg.json: .*{key}"):
+            load_section(CsmoeConfig, {key: value}, "cfg.json")
 
 
 def test_config_defaults_resolve():

@@ -1,5 +1,8 @@
 import gc
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from csmoe.numerics import (
     matmul,
     mul,
     parameter,
+    read_blocks,
     read_tnsr,
     save_tnsr,
     scatter_rows,
@@ -29,6 +33,7 @@ from csmoe.numerics import (
     tsqrt,
     tsum,
     truncated_normal,
+    write_blocks,
     write_tnsr,
     xlog_shifted,
 )
@@ -387,8 +392,41 @@ def test_tnsr_stream_concatenation():
     assert np.array_equal(read_tnsr(buf), b)
 
 
+def test_block_file_roundtrip_and_labelled_errors(tmp_path):
+    path = tmp_path / "f.blk"
+    arrays = [np.arange(6.0).reshape(2, 3), np.ones(4)]
+    write_blocks(path, {"format": "F", "version": 1, "n": 2}, arrays)
+    raw = path.read_bytes()
+    assert raw.startswith(b'{"format": "F", "n": 2, "version": 1}\n')  # sorted keys
+    labelled = lambda header: [("a", (2, 3)), ("b", (4,))]
+    header, got = read_blocks(path, "F", 1, labelled)
+    assert header["n"] == 2 and all(np.array_equal(x, y) for x, y in zip(got, arrays))
+    cases = [
+        (raw, "G", 1, labelled, "not a G file"),
+        (raw, "F", 2, labelled, "unsupported F version 1"),
+        (raw, "F", 1, lambda h: [("a", (3, 2)), ("b", (4,))], "block a has shape"),
+        (raw[:-8], "F", 1, labelled, "block b: truncated"),
+        (raw + b"\0", "F", 1, labelled, "trailing bytes after b"),
+        (raw.split(b"\n")[0], "F", 1, labelled, "missing F header line"),
+        (b"[1]\n", "F", 1, labelled, "F header is not a JSON object"),
+    ]
+    for data, fmt, version, expect, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^{path}: {message}"):
+            read_blocks(path, fmt, version, expect)
+
+
 def test_softmax_extreme_logits_stay_normalized():
     x = Tensor([[1e4, -1e4, 0.0], [-1e4, -1e4, -1e4]])
     y = softmax(x, axis=1)
     assert np.isfinite(y.data).all()
     assert np.abs(y.data.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_import_cli_leaves_scipy_special_unloaded():
+    # scipy.special is most of the package's import time and only gelu uses it
+    code = "import sys, csmoe.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

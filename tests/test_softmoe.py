@@ -10,20 +10,18 @@ from csmoe.softmoe import (
     SoftMoELayerParams,
     attention_forward,
     block_forward,
-    init_attention,
-    init_moe_block,
-    init_plain_block,
-    init_soft_moe_layer,
     moe_forward,
     plain_block_forward,
     route,
 )
 
-from util import finite_difference, rel_err
+from util import decoder_block, finite_difference, moe_block, rel_err
 
 
-def make_layer(rng, dim=4, hidden=4, num_slots=2, temperature=1.0):
-    return init_soft_moe_layer(rng, dim, hidden, num_slots, temperature=temperature)
+def make_layer(seed, dim=4, hidden=4, num_slots=2, temperature=1.0):
+    """A Soft MoE layer as ``init_model`` builds it, one expert per slot."""
+    return moe_block(seed, enc_dim=dim, expert_hidden=hidden, num_slots=num_slots,
+                     route_temperature=temperature).moe
 
 
 def np_softmax(v, axis):
@@ -67,7 +65,7 @@ def count_feed_forward_calls(monkeypatch):
 
 def test_route_identical_tokens_give_uniform_dispatch():
     rng = np.random.default_rng(0)
-    layer = make_layer(rng, dim=4, num_slots=3)
+    layer = make_layer(0, dim=4, num_slots=3)
     z = Tensor(np.tile(rng.uniform(-1, 1, (1, 4)), (5, 1)))
     routing = route(z, layer)
     assert np.allclose(routing.dispatch.data, 0.2, atol=1e-12)
@@ -75,7 +73,7 @@ def test_route_identical_tokens_give_uniform_dispatch():
 
 def test_route_single_slot_combine_all_ones():
     rng = np.random.default_rng(1)
-    layer = make_layer(rng, dim=4, num_slots=1)
+    layer = make_layer(1, dim=4, num_slots=1)
     routing = route(Tensor(rng.uniform(-1, 1, (6, 4))), layer)
     assert np.allclose(routing.combine.data, 1.0, atol=0)
 
@@ -100,8 +98,7 @@ def test_route_matches_direct_softmax_evaluation():
 
 
 def test_route_rejects_width_mismatch():
-    rng = np.random.default_rng(2)
-    layer = make_layer(rng, dim=4)
+    layer = make_layer(2, dim=4)
     with pytest.raises(DimensionError):
         route(Tensor(np.zeros((3, 5))), layer)
 
@@ -109,9 +106,9 @@ def test_route_rejects_width_mismatch():
 def test_dispatch_and_combine_are_probability_tables():
     rng = np.random.default_rng(3)
     for num_slots in (1, 2, 8):
+        layer = make_layer(3, dim=8, num_slots=num_slots, temperature=0.7)
         for num_tokens in (1, 4, 49):
-            layer = make_layer(rng, dim=6, num_slots=num_slots, temperature=0.7)
-            routing = route(Tensor(rng.uniform(-2, 2, (num_tokens, 6))), layer)
+            routing = route(Tensor(rng.uniform(-2, 2, (num_tokens, 8))), layer)
             assert np.abs(routing.dispatch.data.sum(axis=1) - 1.0).max() <= 1e-9
             assert np.abs(routing.combine.data.sum(axis=0) - 1.0).max() <= 1e-9
             for t in (routing.dispatch, routing.combine):
@@ -120,11 +117,19 @@ def test_dispatch_and_combine_are_probability_tables():
 
 def test_low_temperature_sharpens_dispatch():
     rng = np.random.default_rng(4)
-    layer = make_layer(rng, dim=8, num_slots=4, temperature=0.01)
+    layer = make_layer(4, dim=8, num_slots=4)
     # generic O(1) logits rather than the tiny train-time init scale
     layer.slot_embeddings.data = rng.uniform(-1, 1, (4, 8))
-    routing = route(Tensor(rng.uniform(-1, 1, (10, 8))), layer)
-    assert routing.dispatch.data.max(axis=1).min() >= 0.99
+    z = Tensor(rng.uniform(-1, 1, (10, 8)))
+    peaks = []
+    for temperature in (1.0, 0.1, 0.01):
+        layer.temperature = temperature
+        peaks.append(route(z, layer).dispatch.data.max(axis=1))
+    assert (np.diff(peaks, axis=0) >= 0).all()  # every slot sharpens as the temperature falls
+    # a top logit 0.07 clear of the rest leaves the other 9 tokens < 9 e^-7 < 0.01 at 0.01
+    logits = np.sort(layer.slot_embeddings.data @ z.data.T, axis=1)
+    clear = logits[:, -1] - logits[:, -2] >= 0.07
+    assert clear.any() and (peaks[-1][clear] >= 0.99).all()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def test_low_temperature_sharpens_dispatch():
 def test_identity_experts_reduce_to_combine_weighted_slots():
     rng = np.random.default_rng(5)
     dim = 4
-    layer = make_layer(rng, dim=dim, hidden=dim, num_slots=2)
+    layer = make_layer(5, dim=dim, hidden=dim, num_slots=2)
     for e in layer.experts:
         e.w1.data = np.eye(dim)
         e.b1.data = np.zeros(dim)
@@ -150,7 +155,7 @@ def test_identity_experts_reduce_to_combine_weighted_slots():
 
 def test_expert_call_count_is_slot_count(monkeypatch):
     rng = np.random.default_rng(6)
-    layer = make_layer(rng, dim=4, num_slots=3)
+    layer = make_layer(6, dim=4, num_slots=3)
     calls = count_feed_forward_calls(monkeypatch)
     for num_tokens in (16, 49, 196):
         calls.clear()
@@ -180,7 +185,8 @@ def test_moe_forward_matches_step_by_step_oracle():
 
 def test_extra_slots_wrap_around_to_the_first_experts():
     rng = np.random.default_rng(12)
-    layer = init_soft_moe_layer(rng, dim=4, hidden=5, num_slots=3, num_experts=2, temperature=0.5)
+    layer = moe_block(12, enc_dim=4, expert_hidden=5, num_slots=3, num_experts=2,
+                      route_temperature=0.5).moe
     # O(1) weights so that every slot and expert leaves a distinct mark
     for e in layer.experts:
         for t in (e.w1, e.b1, e.w2, e.b2):
@@ -200,7 +206,7 @@ def test_extra_slots_wrap_around_to_the_first_experts():
 
 def test_block_with_zeroed_output_branches_is_identity():
     rng = np.random.default_rng(7)
-    block = init_moe_block(rng, dim=4, heads=2, hidden=4, num_slots=2)
+    block = moe_block(7, enc_dim=4, expert_hidden=4, num_slots=2)
     block.attention.wo.data = np.zeros((4, 4))
     block.attention.bo.data = np.zeros(4)
     for e in block.moe.experts:
@@ -230,7 +236,7 @@ def reference_attention(z, p):
 @pytest.mark.parametrize("tokens", [1, 2, 7])
 def test_attention_matches_per_head_reference(heads, tokens):
     rng = np.random.default_rng(11)
-    params = init_attention(rng, 8, heads)
+    params = moe_block(11, enc_dim=8, heads=heads).attention
     # weights large enough that every head attends sharply and differently
     for t in (params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo):
         t.data = rng.standard_normal(t.shape)
@@ -241,7 +247,7 @@ def test_attention_matches_per_head_reference(heads, tokens):
 
 def test_block_single_token_is_finite():
     rng = np.random.default_rng(8)
-    block = init_moe_block(rng, dim=4, heads=2, hidden=4, num_slots=2)
+    block = moe_block(8, enc_dim=4, expert_hidden=4, num_slots=2)
     out = block_forward(Tensor(rng.uniform(-1, 1, (1, 4))), block)
     assert out.shape == (1, 4)
     assert np.isfinite(out.data).all()
@@ -249,8 +255,8 @@ def test_block_single_token_is_finite():
 
 def test_block_token_permutation_equivariance():
     rng = np.random.default_rng(9)
-    block = init_moe_block(rng, dim=6, heads=2, hidden=6, num_slots=3)
-    z = rng.uniform(-1, 1, (7, 6))
+    block = moe_block(9, enc_dim=8, expert_hidden=8, num_slots=3)
+    z = rng.uniform(-1, 1, (7, 8))
     perm = rng.permutation(7)
     out = block_forward(Tensor(z), block)
     out_perm = block_forward(Tensor(z[perm]), block)
@@ -259,7 +265,7 @@ def test_block_token_permutation_equivariance():
 
 def test_moe_block_gradient_check():
     rng = np.random.default_rng(10)
-    block = init_moe_block(rng, dim=4, heads=2, hidden=4, num_slots=2)
+    block = moe_block(10, enc_dim=4, expert_hidden=4, num_slots=2)
     # healthier conditioning than train-time init for finite differences
     params = {}
 
@@ -298,7 +304,7 @@ def test_moe_block_gradient_check():
 
 def test_plain_block_forward_shapes_and_gradients():
     rng = np.random.default_rng(11)
-    block = init_plain_block(rng, dim=4, heads=2, hidden=6)
+    block = decoder_block(11, dec_dim=4, dec_heads=2, dec_hidden=6)
     z = parameter(rng.uniform(-1, 1, (3, 4)))
     w = rng.uniform(-1, 1, (3, 4))
     out = plain_block_forward(z, block)

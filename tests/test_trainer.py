@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import csmoe.numerics as numerics
 import csmoe.trainer as trainer
 from csmoe.errors import DataError, EvaluationError, FormatError
-from csmoe.model import init_model
+from csmoe.model import init_model, save_checkpoint
 from csmoe.numerics import Tensor, parameter, save_tnsr
 from csmoe.trainer import (
     AdamW,
@@ -165,3 +166,34 @@ def test_optimizer_state_roundtrip(tmp_path):
     (tmp_path / "junk.opt").write_bytes(b'{"format": "nope"}\n')
     with pytest.raises(FormatError):
         load_optimizer_state(tmp_path / "junk.opt", fresh, model)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, k):
+    model = init_model(mini_config())
+    opt = AdamW(model.params, lr=1e-3)
+    ckpt, state = tmp_path / "m.ckpt", tmp_path / "m.ckpt.opt"
+    save_checkpoint(model, ckpt)
+    save_optimizer_state(state, opt, epoch=0, model=model)
+    before = {path: path.read_bytes() for path in (ckpt, state)}
+    for name, p in model.params.items():  # what a second save would write
+        p.data = p.data + 1.0
+        opt.m[name] += 1.0
+    opt.step_count = 5
+    real, written = numerics.write_tnsr, []
+
+    def failing_write_tnsr(fh, array):
+        if len(written) == k:
+            raise KeyboardInterrupt("killed after writing blocks")
+        written.append(array.shape)
+        real(fh, array)
+
+    monkeypatch.setattr(numerics, "write_tnsr", failing_write_tnsr)
+    for save in (lambda: save_checkpoint(model, ckpt),
+                 lambda: save_optimizer_state(state, opt, epoch=1, model=model)):
+        written.clear()
+        with pytest.raises(KeyboardInterrupt):
+            save()
+        assert len(written) == k
+    assert {path: path.read_bytes() for path in (ckpt, state)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.opt"]

@@ -42,3 +42,18 @@ def mini_config(**overrides):
     )
     base.update(overrides)
     return CsmoeConfig(**base)
+
+
+def moe_block(seed=0, **overrides):
+    """The first shared encoder block of ``init_model(mini_config(...))``: a
+    Soft MoE block initialised exactly as the model initialises it."""
+    from csmoe.model import init_model
+
+    return init_model(mini_config(seed=seed, **overrides)).enc_shared[0]
+
+
+def decoder_block(seed=0, **overrides):
+    """The first x decoder block of ``init_model(mini_config(...))``."""
+    from csmoe.model import init_model
+
+    return init_model(mini_config(seed=seed, **overrides)).decoder["x"][0]
