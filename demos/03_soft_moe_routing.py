@@ -1,6 +1,10 @@
 # Soft mixture-of-experts routing: every token contributes fractionally to
 # every slot, each slot visits exactly one expert, and the expert outputs are
-# mixed back per token. Expert work is O(num_slots), not O(num_tokens).
+# mixed back per token. Expert work is O(num_slots), not O(num_tokens). A
+# layer stores its experts stacked on a leading axis and runs all of them in
+# one call.
+
+import math
 
 import numpy as np
 
@@ -24,14 +28,15 @@ print(f"dispatch {routing.dispatch.shape}: rows sum to "
 print(f"combine  {routing.combine.shape}: columns sum to "
       f"{routing.combine.data.sum(axis=0).round(12)[:3]} ...")
 
-# The headline economy: counted by wrapping the expert feed-forward, the
-# expert calls stay at num_slots no matter how many tokens arrive.
+# The headline economy: counted by wrapping the expert feed-forward, the rows
+# that reach the experts stay at num_slots no matter how many tokens arrive,
+# all of them in one call on [experts, slots per expert, dim].
 calls = []
 real_feed_forward = softmoe.feed_forward
 
 
 def counting_feed_forward(x, params):
-    calls.append(x.shape[0])
+    calls.append(x.shape)
     return real_feed_forward(x, params)
 
 
@@ -39,7 +44,8 @@ softmoe.feed_forward = counting_feed_forward
 for num_tokens in (16, 49, 196):
     calls.clear()
     moe_forward(Tensor(rng.uniform(-1, 1, (num_tokens, dim))), layer)
-    print(f"tokens={num_tokens:4d} -> expert calls {len(calls)}")
+    print(f"tokens={num_tokens:4d} -> {len(calls)} expert call on {list(calls[0])}: "
+          f"{math.prod(calls[0][:-1])} rows")
 softmoe.feed_forward = real_feed_forward
 
 # Lowering the dispatch temperature sharpens each slot onto fewer tokens.

@@ -16,6 +16,10 @@ cfg = CsmoeConfig(
 model = init_model(cfg)
 print(f"model: {sum(p.size for p in model.params.values()):,} parameters, "
       f"{cfg.num_patches} tokens per image")
+# Each MoE layer stores its experts stacked on a leading axis, and each
+# attention its q, v and k projections side by side in one weight.
+for name in ("enc_x.0.moe.experts.w1", "enc_x.0.attn.wqvk", "enc_x.0.attn.bqv"):
+    print(f"  {name}: {model.params[name].shape}")
 
 # A batch of two pairs runs as one forward pass over [B, C, H, W] stacks; each
 # sample draws its masks from its own seed, and every output gains a [B] axis.
@@ -35,7 +39,7 @@ for name in ("umr", "cmr", "mi", "rep", "ent", "total"):
     print(f"  {name:>5}: {getattr(breakdown, name):+.6f}")
 
 backward(breakdown.total_tensor)
-shared = model.params["enc_shared.0.attn.wq"].grad
+shared = model.params["enc_shared.0.attn.wqvk"].grad
 print(f"shared cross-sensor stack receives gradients: max |g| = {np.abs(shared).max():.2e}")
 
 # Image-level embeddings for retrieval; the raw CLS row is the default.

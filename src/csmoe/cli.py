@@ -221,6 +221,8 @@ def _cmd_split_tiles(args) -> int:
 
 def _resolve_seed(run: RunConfig, arg_seed):
     if arg_seed is not None:
+        if arg_seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {arg_seed}")
         run.model.seed = arg_seed
         run.ga.seed = arg_seed
         return arg_seed

@@ -123,7 +123,7 @@ def train_linear_probe(embeddings: np.ndarray, truths, task: str, num_classes: i
     Full-batch AdamW with a logistic loss per class (multilabel) or a
     softmax cross-entropy (multiclass); the backbone never moves.
     """
-    from .numerics import Tensor, backward, matmul, mul, parameter, softmax, texp, tlog, tmean, tsum
+    from .numerics import Tensor, backward, linear, mul, parameter, softmax, texp, tlog, tmean, tsum
     from .trainer import AdamW
 
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -144,7 +144,7 @@ def train_linear_probe(embeddings: np.ndarray, truths, task: str, num_classes: i
     t = Tensor(target)
     opt = AdamW({"w": weight, "b": bias}, lr=lr, weight_decay=0.0)
     for _ in range(epochs):
-        logits = matmul(x, weight) + bias
+        logits = linear(x, weight, bias)
         if task == "multilabel":
             # per-class binary cross-entropy, probabilities clamped away from 0/1
             probs = Tensor(1.0) / (Tensor(1.0) + texp(-logits))

@@ -25,6 +25,7 @@ from .numerics import (
     matmul,
     mul,
     reshape,
+    stack,
     take_rows,
     texp,
     tlog,
@@ -132,14 +133,15 @@ def loss_mi(proj_x: Tensor, proj_y: Tensor, temperature: float,
 
 
 def loss_rep(slot_embeddings: Tensor) -> Tensor:
-    """-(1/S^2) sum of squared inner products of the unit-normalized slots."""
-    norms = np.linalg.norm(slot_embeddings.data, axis=1)
+    """-(1/S^2) sum of squared inner products of the unit-normalized slots
+    [S, d]; for a [..., S, d] stack of slot tables, the mean of the
+    per-table values."""
+    norms = np.linalg.norm(slot_embeddings.data, axis=-1)
     if (norms == 0.0).any():
         raise NormalizationError("slot embedding row with zero norm")
-    num_slots = slot_embeddings.shape[0]
     sn = l2_normalize_rows(slot_embeddings)
-    gram = matmul(sn, transpose(sn))
-    return tsum(mul(gram, gram)) * (-1.0 / (num_slots * num_slots))
+    gram = matmul(sn, transpose(sn))  # [..., S, S]
+    return tsum(mul(gram, gram)) * (-1.0 / gram.size)
 
 
 def loss_ent(dispatch: Tensor, eps: float = DEFAULT_EPS_ENT) -> Tensor:
@@ -150,13 +152,6 @@ def loss_ent(dispatch: Tensor, eps: float = DEFAULT_EPS_ENT) -> Tensor:
     if (dispatch.data < 0).any():
         raise ParameterError("dispatch weights must be nonnegative")
     return tsum(xlog_shifted(dispatch, eps)) * (-1.0 / dispatch.size)
-
-
-def _mean(terms) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / float(len(terms))
 
 
 def loss_total(
@@ -173,15 +168,15 @@ def loss_total(
 
     Reconstruction terms average over the batch; the contrastive term uses
     the whole [B] batch at once; slot repulsion averages over every MoE
-    layer of the model; the entropy term averages over every (sample,
-    layer) dispatch table.
+    layer of the model, and the entropy term over every (sample, layer)
+    dispatch table, each in one pass over the stacked tables.
     """
     umr = loss_umr(art, norm_pix)
     cmr = loss_cmr(art, norm_pix)
     proj_x, proj_y = (reshape(art.proj_cls[m], (-1, art.proj_cls[m].shape[-1])) for m in MODALITIES)
     mi = loss_mi(proj_x, proj_y, tau_mi, mi_include_positive)
-    rep = _mean([loss_rep(layer.slot_embeddings) for layer in model.moe_layers()])
-    ent = _mean([loss_ent(r.dispatch, eps_ent) for m in MODALITIES for r in art.routing[m]])
+    rep = loss_rep(stack([layer.slot_embeddings for layer in model.moe_layers()]))
+    ent = loss_ent(stack([r.dispatch for m in MODALITIES for r in art.routing[m]]), eps_ent)
     total = umr + cmr + mi + lambda_rep * rep + gamma_ent * ent
     return LossBreakdown(
         umr=umr.item(), cmr=cmr.item(), mi=mi.item(), rep=rep.item(), ent=ent.item(),

@@ -24,11 +24,12 @@ from .errors import ConfigError, DimensionError, FormatError, ParameterError
 from .numerics import (
     Tensor,
     concat_rows,
-    matmul,
+    linear,
     parameter,
     read_blocks,
-    reshape,
     scatter_rows,
+    stack,
+    take,
     take_rows,
     truncated_normal,
     write_blocks,
@@ -51,7 +52,7 @@ MODALITIES = ("x", "y")
 MASK_STREAM_SPLIT = 0x9E3779B9
 
 CHECKPOINT_FORMAT = "CSMOE-CKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 files still load, through convert_v1
 
 INIT_STD = 0.02  # truncated-normal scale of every "weight" tensor
 
@@ -104,6 +105,13 @@ class CsmoeConfig:
             (self.dec_layers >= 1, "need at least one decoder layer"),
             (self.num_slots >= 1, "need at least one slot"),
             (self.num_experts >= 1, "need at least one expert"),
+            (self.num_experts < 1 or self.num_slots % self.num_experts == 0,
+             f"num_slots {self.num_slots} is not a multiple of num_experts {self.num_experts}: "
+             f"every expert takes the same number of slots"),
+            (self.expert_hidden >= 1,
+             f"expert_hidden must be >= 0 (0 means enc_dim), got {self.expert_hidden}"),
+            (self.dec_hidden >= 1, f"dec_hidden must be >= 0 (0 means dec_dim), got {self.dec_hidden}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.channels_x >= 1 and self.channels_y >= 1, "channel counts must be >= 1"),
             (0.0 < self.mask_ratio < 1.0, f"mask ratio {self.mask_ratio} outside (0, 1)"),
             (self.route_temperature > 0, "routing temperature must be > 0"),
@@ -199,79 +207,113 @@ class ForwardArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Parameter manifest and construction
+# Parameter layout and construction
 # ---------------------------------------------------------------------------
+#
+# Layout v2 (this version's checkpoints) stores each Soft MoE layer's experts
+# stacked on a leading [E] axis and each attention's q, v and k projections
+# side by side in one [d, 3d] weight with one [2d] q/v bias. Layout v1 (the
+# first checkpoint version) stored one tensor per expert and per projection.
+# ``_layout`` lists the v1 tensors in v1 order, each with its place in a v2
+# tensor: the order is the init draw sequence, so both layouts hold the same
+# values, and it is the block order of v1 files.
 
 
-def _attention_entries(prefix: str, dim: int):
-    for nm in ("wq", "wk", "wv", "wo"):
-        yield f"{prefix}.{nm}", (dim, dim), "weight"
-        if nm != "wk":  # key bias is a softmax-invariant no-op
-            yield f"{prefix}.b{nm[1]}", (dim,), "zero"
+def _same(name: str, shape, kind: str):
+    """A v1 tensor that v2 keeps whole and under the same name."""
+    return name, shape, kind, name, shape, Ellipsis
 
 
-def _norm_entries(prefix: str, dim: int):
-    yield f"{prefix}.gain", (dim,), "one"
-    yield f"{prefix}.bias", (dim,), "zero"
+def _attention_layout(prefix: str, dim: int):
+    cols = {c: slice(i * dim, (i + 1) * dim) for i, c in enumerate("qvk")}
+    for c in "qkv":  # the v1 draw order
+        yield f"{prefix}.w{c}", (dim, dim), "weight", f"{prefix}.wqvk", (dim, 3 * dim), (slice(None), cols[c])
+        if c != "k":  # key bias is a softmax-invariant no-op
+            yield f"{prefix}.b{c}", (dim,), "zero", f"{prefix}.bqv", (2 * dim,), cols[c]
+    yield _same(f"{prefix}.wo", (dim, dim), "weight")
+    yield _same(f"{prefix}.bo", (dim,), "zero")
 
 
-def _ffn_entries(prefix: str, dim: int, hidden: int):
-    yield f"{prefix}.w1", (dim, hidden), "weight"
-    yield f"{prefix}.b1", (hidden,), "zero"
-    yield f"{prefix}.w2", (hidden, dim), "weight"
-    yield f"{prefix}.b2", (dim,), "zero"
+def _norm_layout(prefix: str, dim: int):
+    yield _same(f"{prefix}.gain", (dim,), "one")
+    yield _same(f"{prefix}.bias", (dim,), "zero")
 
 
-def _moe_block_entries(prefix: str, cfg: CsmoeConfig):
-    yield from _attention_entries(f"{prefix}.attn", cfg.enc_dim)
-    yield from _norm_entries(f"{prefix}.norm1", cfg.enc_dim)
-    yield from _norm_entries(f"{prefix}.norm2", cfg.enc_dim)
-    yield f"{prefix}.moe.slots", (cfg.num_slots, cfg.enc_dim), "weight"
-    for e in range(cfg.num_experts):
-        yield from _ffn_entries(f"{prefix}.moe.expert{e}", cfg.enc_dim, cfg.expert_hidden)
+def _ffn_layout(prefix: str, dim: int, hidden: int, experts: int = None):
+    """A plain feed-forward, or ``experts`` of them stacked as
+    ``<prefix>.experts``, which v1 held one by one as ``<prefix>.expert<e>``."""
+    parts = (("w1", (dim, hidden), "weight"), ("b1", (hidden,), "zero"),
+             ("w2", (hidden, dim), "weight"), ("b2", (dim,), "zero"))
+    if experts is None:
+        for name, shape, kind in parts:
+            yield _same(f"{prefix}.{name}", shape, kind)
+        return
+    for e in range(experts):
+        for name, shape, kind in parts:
+            yield f"{prefix}.expert{e}.{name}", shape, kind, f"{prefix}.experts.{name}", (experts, *shape), e
 
 
-def _plain_block_entries(prefix: str, cfg: CsmoeConfig):
-    yield from _attention_entries(f"{prefix}.attn", cfg.dec_dim)
-    yield from _norm_entries(f"{prefix}.norm1", cfg.dec_dim)
-    yield from _norm_entries(f"{prefix}.norm2", cfg.dec_dim)
-    yield from _ffn_entries(f"{prefix}.ffn", cfg.dec_dim, cfg.dec_hidden)
+def _moe_block_layout(prefix: str, cfg: CsmoeConfig):
+    yield from _attention_layout(f"{prefix}.attn", cfg.enc_dim)
+    yield from _norm_layout(f"{prefix}.norm1", cfg.enc_dim)
+    yield from _norm_layout(f"{prefix}.norm2", cfg.enc_dim)
+    yield _same(f"{prefix}.moe.slots", (cfg.num_slots, cfg.enc_dim), "weight")
+    yield from _ffn_layout(f"{prefix}.moe", cfg.enc_dim, cfg.expert_hidden, cfg.num_experts)
+
+
+def _plain_block_layout(prefix: str, cfg: CsmoeConfig):
+    yield from _attention_layout(f"{prefix}.attn", cfg.dec_dim)
+    yield from _norm_layout(f"{prefix}.norm1", cfg.dec_dim)
+    yield from _norm_layout(f"{prefix}.norm2", cfg.dec_dim)
+    yield from _ffn_layout(f"{prefix}.ffn", cfg.dec_dim, cfg.dec_hidden)
+
+
+def _layout(cfg: CsmoeConfig):
+    """Every v1 tensor in v1 order: (v1 name, v1 shape, init kind, v2 name,
+    v2 shape, index of the v1 tensor within the v2 one)."""
+    for m in MODALITIES:
+        yield _same(f"embed_{m}.weight", (cfg.token_dim(m), cfg.enc_dim), "weight")
+        yield _same(f"cls_{m}", (1, cfg.enc_dim), "zero")
+    for m in MODALITIES:
+        for i in range(cfg.enc_layers_modality):
+            yield from _moe_block_layout(f"enc_{m}.{i}", cfg)
+    for i in range(cfg.enc_layers_shared):
+        yield from _moe_block_layout(f"enc_shared.{i}", cfg)
+    for m in MODALITIES:
+        yield _same(f"dec_embed_{m}.weight", (cfg.enc_dim, cfg.dec_dim), "weight")
+        yield _same(f"dec_embed_{m}.bias", (cfg.dec_dim,), "zero")
+        yield _same(f"mask_token_{m}", (1, cfg.dec_dim), "zero")
+        for i in range(cfg.dec_layers):
+            yield from _plain_block_layout(f"dec_{m}.{i}", cfg)
+    for target in MODALITIES:
+        for source in MODALITIES:
+            yield _same(f"head_{target}_from_{source}.weight", (cfg.dec_dim, cfg.token_dim(target)), "weight")
+            yield _same(f"head_{target}_from_{source}.bias", (cfg.token_dim(target),), "zero")
+    yield _same("proj.weight", (cfg.enc_dim, cfg.proj_dim), "weight")
+    yield _same("proj.bias", (cfg.proj_dim,), "zero")
 
 
 def parameter_manifest(cfg: CsmoeConfig):
-    """Ordered (name, shape, init kind) for every trainable tensor.
-
-    The order fixes both the RNG draw sequence at init time and the block
-    layout of checkpoints.
-    """
-    entries = []
-    for m in MODALITIES:
-        entries.append((f"embed_{m}.weight", (cfg.token_dim(m), cfg.enc_dim), "weight"))
-        entries.append((f"cls_{m}", (1, cfg.enc_dim), "zero"))
-    for m in MODALITIES:
-        for i in range(cfg.enc_layers_modality):
-            entries.extend(_moe_block_entries(f"enc_{m}.{i}", cfg))
-    for i in range(cfg.enc_layers_shared):
-        entries.extend(_moe_block_entries(f"enc_shared.{i}", cfg))
-    for m in MODALITIES:
-        entries.append((f"dec_embed_{m}.weight", (cfg.enc_dim, cfg.dec_dim), "weight"))
-        entries.append((f"dec_embed_{m}.bias", (cfg.dec_dim,), "zero"))
-        entries.append((f"mask_token_{m}", (1, cfg.dec_dim), "zero"))
-        for i in range(cfg.dec_layers):
-            entries.extend(_plain_block_entries(f"dec_{m}.{i}", cfg))
-    for target in MODALITIES:
-        for source in MODALITIES:
-            entries.append((f"head_{target}_from_{source}.weight",
-                            (cfg.dec_dim, cfg.token_dim(target)), "weight"))
-            entries.append((f"head_{target}_from_{source}.bias",
-                            (cfg.token_dim(target),), "zero"))
-    entries.append(("proj.weight", (cfg.enc_dim, cfg.proj_dim), "weight"))
-    entries.append(("proj.bias", (cfg.proj_dim,), "zero"))
-    return entries
+    """Ordered (name, shape, init kind) for every trainable tensor of layout
+    v2, in the block order of checkpoints: each tensor where its first v1
+    part appears."""
+    entries = {}
+    for _, _, kind, name, shape, _ in _layout(cfg):
+        entries.setdefault(name, (name, shape, kind))
+    return list(entries.values())
 
 
 def parameter_count(cfg: CsmoeConfig) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in parameter_manifest(cfg))
+
+
+def convert_v1(cfg: CsmoeConfig, arrays) -> list:
+    """Arrays of the v1 tensors, in v1 order -> the v2 tensors, in manifest
+    order; the one conversion for v1 checkpoints and v1 optimizer moments."""
+    out = {name: np.empty(shape) for name, shape, _ in parameter_manifest(cfg)}
+    for arr, (_, _, _, name, _, at) in zip(arrays, _layout(cfg), strict=True):
+        out[name][at] = arr
+    return list(out.values())
 
 
 def _params(cls, t, prefix: str, **given):
@@ -286,7 +328,7 @@ def _build_moe_block(t, prefix: str, cfg: CsmoeConfig) -> MoeBlockParams:
         norm2=_params(LayerNormParams, t, f"{prefix}.norm2"),
         moe=SoftMoELayerParams(
             slot_embeddings=t[f"{prefix}.moe.slots"],
-            experts=[_params(FeedForwardParams, t, f"{prefix}.moe.expert{e}") for e in range(cfg.num_experts)],
+            experts=_params(FeedForwardParams, t, f"{prefix}.moe.experts"),
             temperature=cfg.route_temperature,
         ),
     )
@@ -332,18 +374,15 @@ def _assemble(cfg: CsmoeConfig, tensors: dict) -> CsmoeModel:
 
 def init_model(cfg: CsmoeConfig) -> CsmoeModel:
     """Deterministic init from cfg.seed: truncated-normal(0, 0.02) weights,
-    zero biases/CLS/mask tokens, unit norm gains."""
+    zero biases/CLS/mask tokens, unit norm gains. Weights are drawn tensor
+    by tensor in v1 order, straight into their slices of the v2 tensors."""
     rng = np.random.default_rng(cfg.seed)
-    tensors = {}
-    for name, shape, kind in parameter_manifest(cfg):
+    arrays = {name: (np.ones if kind == "one" else np.zeros)(shape)
+              for name, shape, kind in parameter_manifest(cfg)}
+    for _, shape, kind, name, _, at in _layout(cfg):
         if kind == "weight":
-            arr = truncated_normal(rng, shape, INIT_STD)
-        elif kind == "one":
-            arr = np.ones(shape)
-        else:
-            arr = np.zeros(shape)
-        tensors[name] = parameter(arr)
-    return _assemble(cfg, tensors)
+            arrays[name][at] = truncated_normal(rng, shape, INIT_STD)
+    return _assemble(cfg, {name: parameter(arr) for name, arr in arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +410,7 @@ def encode(model: CsmoeModel, image, mask: MaskPair, modality: str, routing_sink
             f"image tokens {ps.tokens.shape} do not match modality {modality!r} "
             f"expecting [{cfg.num_patches}, {cfg.token_dim(modality)}]"
         )
-    z = matmul(ps.tokens, model.embed[modality]) + Tensor(model.enc_pos)
+    z = linear(ps.tokens, model.embed[modality]) + Tensor(model.enc_pos)
     z = take_rows(z, mask.unmasked)
     z = concat_rows([model.cls_token[modality], z])
     for blk in model.enc_modality[modality]:
@@ -379,16 +418,6 @@ def encode(model: CsmoeModel, image, mask: MaskPair, modality: str, routing_sink
     for blk in model.enc_shared:
         z = block_forward(z, blk, routing_sink)
     return z
-
-
-def _stack(parts) -> Tensor:
-    """k tensors of one shape -> [k, ...], stacked on a new leading axis."""
-    return reshape(concat_rows([reshape(p, (1, -1)) for p in parts]), (len(parts), *parts[0].shape))
-
-
-def _unstack(z: Tensor, i: int) -> Tensor:
-    """Element ``i`` of the leading axis of ``z``."""
-    return reshape(take_rows(reshape(z, (z.shape[0], -1)), [i]), z.shape[1:])
 
 
 def decode(model: CsmoeModel, encoded: dict, masks: dict, target: str) -> dict:
@@ -416,7 +445,7 @@ def decode(model: CsmoeModel, encoded: dict, masks: dict, target: str) -> dict:
             )
         unmasked.append(np.broadcast_to(idx, (*seq.shape[:-2], idx.shape[-1])))
     w, b = model.dec_embed[target]
-    z = matmul(_stack([encoded[s] for s in sources]), w) + b  # [k, ..., U+1, dec_dim]
+    z = linear(stack([encoded[s] for s in sources]), w, b)  # [k, ..., U+1, dec_dim]
     z = take_rows(z, np.arange(1, z.shape[-2]))  # CLS is not decoded
     z = scatter_rows(z, np.stack(unmasked), model.mask_token[target], cfg.num_patches)
     z = z + Tensor(model.dec_pos)
@@ -425,7 +454,7 @@ def decode(model: CsmoeModel, encoded: dict, masks: dict, target: str) -> dict:
     recon = {}
     for i, source in enumerate(sources):
         hw, hb = model.heads[(target, source)]
-        recon[source] = matmul(_unstack(z, i), hw) + hb
+        recon[source] = linear(take(z, i), hw, hb)
     return recon
 
 
@@ -469,7 +498,7 @@ def forward(model: CsmoeModel, image_x, image_y, seed,
         for source, out in decode(model, encoded, masks, target).items():
             recon[(target, source)] = out
     pw, pb = model.proj
-    proj_cls = {m: matmul(take_rows(encoded[m], [0]), pw) + pb for m in MODALITIES}
+    proj_cls = {m: linear(take_rows(encoded[m], [0]), pw, pb) for m in MODALITIES}
     targets = {m: patchify(images[m], cfg.patch_size).tokens.data for m in MODALITIES}
     return ForwardArtifacts(
         encoded=encoded,
@@ -523,7 +552,10 @@ def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _manifest_header(cfg: CsmoeConfig) -> list:
+def manifest_header(cfg: CsmoeConfig, version: int = CHECKPOINT_VERSION) -> list:
+    """[name, shape] of every block of a checkpoint of ``version``, in order."""
+    if version == 1:
+        return [[name, list(shape)] for name, shape, *_ in _layout(cfg)]
     return [[name, list(shape)] for name, shape, _ in parameter_manifest(cfg)]
 
 
@@ -532,18 +564,23 @@ def save_checkpoint(model: CsmoeModel, path):
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.cfg.to_dict(),
-        "params": _manifest_header(model.cfg),
+        "params": manifest_header(model.cfg),
     }
     write_blocks(path, header, [model.params[name].data for name, _ in header["params"]])
 
 
 def load_checkpoint(path) -> CsmoeModel:
+    """A model from a v2 checkpoint, or from a v1 one converted to v2."""
     def expect(header):
-        params = _manifest_header(load_section(CsmoeConfig, header.get("config"), f"{path}: config"))
+        cfg = load_section(CsmoeConfig, header.get("config"), f"{path}: config")
+        params = manifest_header(cfg, header["version"])
         if header.get("params") != params:
             raise FormatError(f"{path}: header manifest does not match its config")
         return params
 
-    header, arrays = read_blocks(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, expect)
-    tensors = {name: parameter(arr) for (name, _), arr in zip(header["params"], arrays)}
-    return _assemble(CsmoeConfig(**header["config"]), tensors)
+    header, arrays = read_blocks(path, CHECKPOINT_FORMAT, (1, CHECKPOINT_VERSION), expect)
+    cfg = CsmoeConfig(**header["config"])
+    if header["version"] == 1:
+        arrays = convert_v1(cfg, arrays)
+    names = [name for name, _, _ in parameter_manifest(cfg)]
+    return _assemble(cfg, {name: parameter(arr) for name, arr in zip(names, arrays)})

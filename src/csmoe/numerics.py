@@ -16,9 +16,10 @@ Every op reports a deterministic operation count to the innermost active
 
 Leading batch axes, numpy style: every op accepts any number of leading axes
 in front of the shapes it documents, so one code path serves one sample and
-a batch. ``matmul`` applies a 2-D weight to every batch element, the row ops
-(``take_rows``, ``scatter_rows``, ``concat_rows``) work along axis -2, and a
-batched op counts exactly batch size x the unbatched cost.
+a batch. ``matmul`` and ``linear`` apply a 2-D matrix to every batch
+element, the row ops (``take_rows``, ``scatter_rows``, ``concat_rows``) work
+along axis -2, ``stack`` and ``take`` along a leading axis, and a batched op
+counts exactly batch size x the unbatched cost.
 """
 
 from __future__ import annotations
@@ -309,35 +310,62 @@ def neg(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [..., k, n]: both operands share their leading batch
-    axes, or one is a 2-D matrix applied to every batch element of the other.
-    Counts batch size x ``matmul_flops(m, k, n)``."""
+    axes, or one is a 2-D matrix applied to every batch element of the other
+    (``linear`` applies a 2-D weight as one GEMM). Counts batch size x
+    ``matmul_flops(m, k, n)``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
             or (a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    batch = a.shape[:-2] if a.ndim > 2 else b.shape[:-2]
-    m, k = a.shape[-2:]
-    n = b.shape[-1]
-    if b.ndim == 2:  # one GEMM over the rows of every batch element
-        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(*batch, m, n))
-    else:
-        out = Tensor(a.data @ b.data)
-    _count(math.prod(batch) * matmul_flops(m, k, n))
+    out = Tensor(a.data @ b.data)
+    _count(math.prod(out.shape[:-2]) * matmul_flops(a.shape[-2], a.shape[-1], b.shape[-1]))
 
     def back(g):  # captures only a and b: every captured name is a cell the collector tracks
         if a.requires_grad:
-            if b.ndim == 2:
-                _accumulate(a, (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape))
-            else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                _accumulate(a, ga.reshape(-1, *a.shape).sum(axis=0) if a.ndim == 2 else ga)
+            ga = g @ np.swapaxes(b.data, -1, -2)
+            _accumulate(a, ga.reshape(-1, *a.shape).sum(axis=0) if a.ndim == 2 else ga)
         if b.requires_grad:
-            if b.ndim == 2:
-                _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            else:
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            gb = np.swapaxes(a.data, -1, -2) @ g
+            _accumulate(b, gb.reshape(-1, *b.shape).sum(axis=0) if b.ndim == 2 else gb)
 
     return _attach(out, (a, b), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
+    """x W + b as one op. A 2-D weight [k, n] applies to every row of x
+    [..., k]; a stacked weight [E, k, n] applies matrix e to x[e], with x
+    [E, ..., k] and b [E, n']. The bias may be narrower than the output
+    (n' <= n): it is added to the first n' columns only. Counts the matmul
+    plus one op per bias element added."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    lead = w.shape[:-2]  # () or (E,)
+    if (w.ndim not in (2, 3) or x.ndim < 1 + len(lead) or x.shape[-1] != w.shape[-2]
+            or x.shape[:len(lead)] != lead):
+        raise DimensionError(f"linear: incompatible shapes {x.shape} x {w.shape}")
+    k, n = w.shape[-2:]
+    xs = x.data.reshape(*lead, -1, k)
+    y = xs @ w.data
+    width = 0
+    if b is not None:
+        b = _as_tensor(b)
+        width = b.shape[-1] if b.ndim else 0
+        if b.shape != (*lead, width) or width > n:
+            raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+        y[..., :width] += b.data[..., None, :]
+    out = Tensor(y.reshape(*x.shape[:-1], n))
+    rows = xs.shape[-2]
+    _count(math.prod(lead) * (matmul_flops(rows, k, n) + elementwise_flops(rows * width)))
+
+    def back(g):
+        g = g.reshape(*w.shape[:-2], -1, w.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g @ np.swapaxes(w.data, -1, -2)).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, np.swapaxes(x.data.reshape(*w.shape[:-2], -1, w.shape[-2]), -1, -2) @ g)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g[..., :b.shape[-1]].sum(axis=-2))
+
+    return _attach(out, (x, w) if b is None else (x, w, b), back)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -527,11 +555,45 @@ def take_rows(a: Tensor, idx) -> Tensor:
     """Rows ``idx`` along axis -2 (one [r] vector, or per-element [..., r])."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[_row_index(idx, a.shape[:-2])])
+    # distinct rows (every model call site) scatter back by assignment;
+    # only repeated rows need the much slower unbuffered np.add.at
+    rows = np.sort(idx % max(a.shape[-2], 1), axis=-1) if idx.ndim else idx
+    distinct = bool((rows[..., 1:] != rows[..., :-1]).all())
 
     def back(g):  # rebuilds the index rather than keep a tracked tuple alive with the graph
         full = np.zeros(a.shape)
-        np.add.at(full, _row_index(idx, a.shape[:-2]), g)
+        if distinct:
+            full[_row_index(idx, a.shape[:-2])] = g
+        else:
+            np.add.at(full, _row_index(idx, a.shape[:-2]), g)
         _accumulate(a, full)
+
+    return _attach(out, (a,), back)
+
+
+def stack(parts) -> Tensor:
+    """k tensors of one shape -> [k, ...], on a new leading axis."""
+    parts = [_as_tensor(p) for p in parts]
+    if len({p.shape for p in parts}) != 1:
+        raise DimensionError(f"stack: parts have shapes {sorted({p.shape for p in parts})}")
+    out = Tensor(np.stack([p.data for p in parts]))
+
+    def back(g):
+        for p, gi in zip(parts, g):
+            if p.requires_grad:
+                _accumulate(p, gi)
+
+    return _attach(out, tuple(parts), back)
+
+
+def take(a: Tensor, i: int) -> Tensor:
+    """Element ``i`` of the leading axis of ``a``."""
+    out = Tensor(a.data[i])
+
+    def back(g):  # sibling takes of one stack add into one gradient buffer
+        if a.grad is None:
+            a.grad = np.zeros(a.shape)
+        a.grad[i] += g
 
     return _attach(out, (a,), back)
 
@@ -608,8 +670,11 @@ class GradCheckReport:
         return self.max_relative_error <= tolerance
 
 
-def _rel_err(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1e-12)
+def _rel_err(a: float, n: float, step: float) -> float:
+    """|a - n| relative to the larger magnitude, floored at the step size:
+    central differences cannot resolve a gradient much smaller than the
+    step, so such an element is judged by its absolute error instead."""
+    return abs(a - n) / max(abs(a), abs(n), step)
 
 
 def check_gradients(
@@ -662,7 +727,7 @@ def check_gradients(
         if not (np.isfinite(up) and np.isfinite(down)):
             raise EvaluationError("perturbed loss is not finite")
         numeric = (up - down) / (2.0 * step)
-        err = _rel_err(float(analytic[names[pi]].flat[local]), numeric)
+        err = _rel_err(float(analytic[names[pi]].flat[local]), numeric, step)
         if err > per_param[names[pi]]:
             per_param[names[pi]] = err
 
@@ -773,20 +838,22 @@ def write_blocks(path, header: dict, arrays):
         raise
 
 
-def read_blocks(path, fmt: str, version: int, expect):
+def read_blocks(path, fmt: str, versions, expect):
     """Read a file written by ``write_blocks``; returns (header, arrays).
 
-    The header must be a JSON object with ``format`` ``fmt`` and ``version``
-    ``version``; ``expect(header)`` then returns the (label, shape) of every
-    block in order. Each block must have its shape and nothing may follow
-    the last; every FormatError names the file and the block's label.
+    The header must be a JSON object with ``format`` ``fmt`` and an int
+    ``version`` in ``versions``; ``expect(header)`` then returns the
+    (label, shape) of every block in order. Each block must have its shape
+    and nothing may follow the last; every FormatError names the file and
+    the block's label.
     """
     with open(path, "rb") as fh:
         header = read_header(fh, path, fmt)
         if header.get("format") != fmt:
             raise FormatError(f"{path}: not a {fmt} file")
-        if header.get("version") != version:
-            raise FormatError(f"{path}: unsupported {fmt} version {header.get('version')!r}")
+        version = header.get("version")
+        if type(version) is not int or version not in versions:
+            raise FormatError(f"{path}: unsupported {fmt} version {version!r}")
         arrays, label = [], "the header"
         for label, shape in expect(header):
             try:

@@ -156,6 +156,8 @@ class GaConfig:
             raise ParameterError(f"population size must be >= 2, got {self.population_size}")
         if self.target_size < 1 or self.generations < 1:
             raise ParameterError("target size and generations must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def mutation_rate(target_size: int, stratum_size: int) -> float:

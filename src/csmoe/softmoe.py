@@ -24,14 +24,14 @@ import numpy as np
 from .errors import DimensionError
 from .numerics import (
     Tensor,
-    concat_rows,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mul,
     reshape,
     softmax,
-    take_rows,
+    take,
     transpose,
 )
 
@@ -40,18 +40,19 @@ LN_EPS = 1e-6
 
 @dataclass
 class FeedForwardParams:
-    """Two-layer GELU feed-forward: a Soft MoE expert or a decoder FFN."""
+    """Two-layer GELU feed-forward: a decoder FFN, or a Soft MoE layer's E
+    experts stacked on a leading [E] axis of every tensor."""
 
-    w1: Tensor  # [dim, hidden]
-    b1: Tensor  # [hidden]
-    w2: Tensor  # [hidden, dim]
-    b2: Tensor  # [dim]
+    w1: Tensor  # [(E,) dim, hidden]
+    b1: Tensor  # [(E,) hidden]
+    w2: Tensor  # [(E,) hidden, dim]
+    b2: Tensor  # [(E,) dim]
 
 
 @dataclass
 class SoftMoELayerParams:
     slot_embeddings: Tensor  # [num_slots, dim]
-    experts: list  # of FeedForwardParams; slot s uses experts[s % len(experts)]
+    experts: FeedForwardParams  # stacked; slot s uses expert s % E
     temperature: float = 1.0
 
 
@@ -72,13 +73,10 @@ class LayerNormParams:
 
 @dataclass
 class AttentionParams:
+    wqvk: Tensor  # [dim, 3 dim]: the q, v and k projections side by side
     # no key bias: softmax over keys is invariant to per-query constant
     # shifts, so a key bias cannot affect the output
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bv: Tensor
+    bqv: Tensor  # [2 dim]: the q and v biases
     wo: Tensor
     bo: Tensor
     heads: int
@@ -125,26 +123,29 @@ def route(z: Tensor, params: SoftMoELayerParams) -> RoutingTensors:
 
 
 def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
-    """GELU(x W1 + b1) W2 + b2, applied to each row of x."""
-    return matmul(gelu(matmul(x, params.w1) + params.b1), params.w2) + params.b2
+    """GELU(x W1 + b1) W2 + b2, applied to each row of x; with stacked
+    [E, ...] weights, expert e applies to x[e]."""
+    return linear(gelu(linear(x, params.w1, params.b1)), params.w2, params.b2)
 
 
 def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None) -> Tensor:
     """One Soft MoE layer: route, run each slot through its expert, combine.
 
-    Exactly ``num_slots`` ``feed_forward`` calls happen regardless of the
-    token count and the batch size; slot ``s`` of every batch element goes
-    to ``experts[s % len(experts)]`` in one call.
+    One ``feed_forward`` call takes the S slots of every batch element, so
+    expert work is S rows per sample whatever the token count. Slot
+    s = p E + e goes to expert e = s % E: the [..., S, d] slots reshape to
+    [..., S/E, E, d], and E moves to the front to meet the stacked weights.
     """
     routing = route(z, params)
     if routing_sink is not None:
         routing_sink.append(routing)
-    experts = params.experts
-    expert_out = concat_rows([
-        feed_forward(take_rows(routing.slots, [s]), experts[s % len(experts)])
-        for s in range(routing.slots.shape[-2])
-    ])  # [..., S, dim]
-    return matmul(transpose(routing.combine), expert_out)  # [..., T, dim]
+    *lead, num_slots, dim = routing.slots.shape
+    experts = params.experts.w1.shape[0]
+    n = len(lead)
+    by_expert = transpose(reshape(routing.slots, (*lead, num_slots // experts, experts, dim)),
+                          (n + 1, *range(n), n, n + 2))  # [E, ..., S/E, d]
+    out = transpose(feed_forward(by_expert, params.experts), (*range(1, n + 2), 0, n + 2))
+    return matmul(transpose(routing.combine), reshape(out, (*lead, num_slots, dim)))  # [..., T, dim]
 
 
 def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
@@ -152,6 +153,7 @@ def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
 
     Head ``h`` owns columns ``[h * d/H, (h + 1) * d/H)`` of q, k and v; all
     heads run as one batch along a head axis placed after the batch axes.
+    One ``linear`` computes q, v and k side by side.
     """
     *lead, tokens, dim = z.shape
     heads = params.heads
@@ -159,18 +161,14 @@ def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
         raise DimensionError(f"width {dim} not divisible by {heads} heads")
     head_dim = dim // heads
     n = len(lead)
-    swap = (*range(n), n + 1, n, n + 2)  # [..., T, H, d/H] <-> [..., H, T, d/H]
-
-    def split(x):  # [..., T, d] -> [..., H, T, d/H]
-        return transpose(reshape(x, (*lead, tokens, heads, head_dim)), swap)
-
-    q = split(matmul(z, params.wq) + params.bq)
-    k = split(matmul(z, params.wk))
-    v = split(matmul(z, params.wv) + params.bv)
+    qvk = reshape(linear(z, params.wqvk, params.bqv), (*lead, tokens, 3, heads, head_dim))
+    qvk = transpose(qvk, (n + 1, *range(n), n + 2, n, n + 3))  # [3, ..., H, T, d/H]
+    q, v, k = (take(qvk, i) for i in range(3))
     scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))  # [..., H, T, T]
     weights = softmax(scores, axis=-1)
+    swap = (*range(n), n + 1, n, n + 2)  # [..., H, T, d/H] -> [..., T, H, d/H]
     merged = reshape(transpose(matmul(weights, v), swap), (*lead, tokens, dim))
-    return matmul(merged, params.wo) + params.bo
+    return linear(merged, params.wo, params.bo)
 
 
 def block_forward(z: Tensor, params: MoeBlockParams, routing_sink: list = None) -> Tensor:

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import DataError, EvaluationError, FormatError, ParameterError
 from .losses import loss_total
-from .model import CsmoeModel, forward, parameter_manifest, save_checkpoint
+from .model import CsmoeModel, convert_v1, forward, manifest_header, save_checkpoint
 from .numerics import backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
-OPT_VERSION = 1
+OPT_VERSION = 2  # the checkpoint's layout version; version 1 files still load
 
 # spawn keys for the independent derived streams
 _KEY_VAL_SPLIT = 2
@@ -81,8 +81,17 @@ class AdamW:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+            # in place, each operation in the order of
+            # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = np.divide(m, bc1)
+            update /= denom
+            step = np.multiply(p.data, self.weight_decay, out=denom)
+            step += update
+            step *= lr
+            p.data -= step
 
     def zero_grad(self):
         zero_grads(self.params)
@@ -94,7 +103,7 @@ class AdamW:
 
 
 def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
-    names = [name for name, _, _ in parameter_manifest(model.cfg)]
+    names = [name for name, _ in manifest_header(model.cfg)]
     header = {
         "format": OPT_FORMAT,
         "version": OPT_VERSION,
@@ -106,20 +115,23 @@ def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
 
 
 def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
-    """Restore moments and step count; returns the epoch to resume from."""
-    manifest = parameter_manifest(model.cfg)
-
+    """Restore moments and step count; returns the epoch to resume from.
+    Version 1 moments are converted to the v2 layout."""
     def expect(header):
         step, epoch = header.get("step"), header.get("epoch")
         if type(step) is not int or type(epoch) is not int or min(step, epoch) < 0:
             raise FormatError(f"{path}: optimizer header needs non-negative int step and epoch")
-        if header.get("names") != [name for name, _, _ in manifest]:
+        manifest = manifest_header(model.cfg, header["version"])
+        if header.get("names") != [name for name, _ in manifest]:
             raise FormatError(f"{path}: optimizer state does not match the model config")
         return [(f"{moment} moment of {name}", shape)
-                for name, shape, _ in manifest for moment in ("first", "second")]
+                for name, shape in manifest for moment in ("first", "second")]
 
-    header, arrays = read_blocks(path, OPT_FORMAT, OPT_VERSION, expect)
-    for (name, _, _), m, v in zip(manifest, arrays[0::2], arrays[1::2]):
+    header, arrays = read_blocks(path, OPT_FORMAT, (1, OPT_VERSION), expect)
+    first, second = arrays[0::2], arrays[1::2]
+    if header["version"] == 1:
+        first, second = convert_v1(model.cfg, first), convert_v1(model.cfg, second)
+    for (name, _), m, v in zip(manifest_header(model.cfg), first, second):
         optimizer.m[name], optimizer.v[name] = m, v
     optimizer.step_count = header["step"]
     return header["epoch"]

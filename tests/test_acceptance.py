@@ -68,20 +68,20 @@ def test_criterion_02_expert_call_economy(monkeypatch):
     real_feed_forward = softmoe.feed_forward
 
     def counting_feed_forward(x, params):
-        calls.append(x.shape[0])
+        calls.append(math.prod(x.shape[:-1]))  # rows that reach the stacked experts
         return real_feed_forward(x, params)
 
     monkeypatch.setattr(softmoe, "feed_forward", counting_feed_forward)
-    counts = {}
-    layer = moe_block(enc_dim=8, expert_hidden=8, num_slots=4).moe
+    rows = {}
+    layer = moe_block(enc_dim=8, expert_hidden=8, num_slots=4, num_experts=2).moe
     for num_tokens in (16, 49, 196):
-        for shape in ((num_tokens, 8), (4, num_tokens, 8)):  # one sample, a batch of 4
+        for batch, shape in ((1, (num_tokens, 8)), (4, (4, num_tokens, 8))):  # one sample, a batch of 4
             calls.clear()
             moe_forward(Tensor(rng.uniform(-1, 1, shape)), layer)
-            counts[shape] = len(calls)
+            rows[shape] = [r / batch for r in calls]
     elapsed = time.time() - start
-    ok = all(v == 4 for v in counts.values()) and elapsed < 1.0
-    report(2, ok, f"expert invocations per forward {counts} == num_slots for all token counts "
+    ok = all(v == [4] for v in rows.values()) and elapsed < 1.0
+    report(2, ok, f"expert rows per sample {rows} == num_slots in one call for all token counts "
                   f"and batch sizes ({elapsed:.2f}s)")
 
 

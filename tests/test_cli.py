@@ -93,6 +93,43 @@ def test_missing_data_exits_two(tmp_path, capsys):
     assert main(["flops", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("section, values, key", [
+    ("model", {"num_slots": 3, "num_experts": 2}, "num_experts"),  # experts share the slots evenly
+    ("model", {"expert_hidden": -4}, "expert_hidden"),
+    ("model", {"dec_hidden": -1}, "dec_hidden"),
+    ("model", {"seed": -1}, "seed"),
+    ("ga", {"seed": -1}, "seed"),
+])
+@pytest.mark.parametrize("command", ["flops", "pretrain-toy", "grad-check"])
+def test_run_config_the_model_cannot_use_exits_two_naming_the_key(tmp_path, capsys, command, section,
+                                                                  values, key):
+    cfg = write_mini_run_config(tmp_path / "cfg.json")
+    run = json.loads(cfg.read_text())
+    run.setdefault(section, {}).update(values)
+    cfg.write_text(json.dumps(run))
+    extra = {"pretrain-toy": ["--data-dir", str(tmp_path / "data"), "--synthesize", "4",
+                              "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.jsonl")]}
+    assert main([command, "--config", str(cfg), *extra.get(command, [])]) == 2
+    err = capsys.readouterr().err
+    assert f"section '{section}'" in err and key in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain-toy", "grad-check", "sample"])
+def test_negative_seed_exits_two(tmp_path, capsys, command):
+    cfg = write_mini_run_config(tmp_path / "cfg.json")
+    archive, climate, thematic = write_sampling_inputs(tmp_path)
+    extra = {
+        "pretrain-toy": ["--data-dir", str(tmp_path / "data"), "--synthesize", "4",
+                         "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "l.jsonl")],
+        "sample": ["--archive", str(archive), "--climate", str(climate), "--thematic", str(thematic),
+                   "--out", str(tmp_path / "sel.csv")],
+    }
+    assert main([command, "--config", str(cfg), *extra.get(command, []), "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "sel.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # flops
 # ---------------------------------------------------------------------------
@@ -342,26 +379,45 @@ def test_pretrain_resume_rejects_corrupt_optimizer_state(tmp_path, capsys, corru
 
 
 # tiny.ckpt, tiny.ckpt.opt: one epoch of pretrain-toy on tiny.json (seed 0,
-# --synthesize 4), written by the code before the block-file reader/writer
+# --synthesize 4), written in the version 1 layout (one tensor per expert and
+# per q/k/v projection) by the code before the block-file reader/writer
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def _version(path) -> int:
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())["version"]
 
 
 def test_committed_checkpoint_and_optimizer_state_load_resave_and_resume(tmp_path):
     from csmoe.trainer import AdamW, load_optimizer_state, save_optimizer_state
 
+    assert _version(DATA / "tiny.ckpt") == _version(DATA / "tiny.ckpt.opt") == 1
     model = load_checkpoint(DATA / "tiny.ckpt")
     optimizer = AdamW(model.params)
     epoch = load_optimizer_state(DATA / "tiny.ckpt.opt", optimizer, model)
     assert (epoch, optimizer.step_count) == (1, 2)
-    save_checkpoint(model, tmp_path / "again.ckpt")
-    save_optimizer_state(tmp_path / "again.ckpt.opt", optimizer, epoch, model)
-    assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "tiny.ckpt").read_bytes()
-    assert (tmp_path / "again.ckpt.opt").read_bytes() == (DATA / "tiny.ckpt.opt").read_bytes()
-    log = tmp_path / "l.jsonl"
-    assert main(["pretrain-toy", "--config", str(DATA / "tiny.json"), "--data-dir", str(tmp_path / "data"),
-                 "--synthesize", "4", "--resume", str(DATA / "tiny.ckpt"), "--epochs", "2",
-                 "--checkpoint", str(tmp_path / "r.ckpt"), "--log", str(log), "--seed", "0"]) == 0
-    assert [r["step"] for r in read_steps(log)] == [3, 4]
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(model, again)
+    save_optimizer_state(f"{again}.opt", optimizer, epoch, model)
+    assert _version(again) == _version(f"{again}.opt") == 2
+    reloaded = load_checkpoint(again)
+    moments = AdamW(reloaded.params)
+    assert load_optimizer_state(f"{again}.opt", moments, reloaded) == 1 and moments.step_count == 2
+    assert reloaded.params.keys() == model.params.keys()
+    for name, p in model.params.items():
+        assert np.array_equal(reloaded.params[name].data, p.data), name
+        assert np.array_equal(moments.m[name], optimizer.m[name]), name
+        assert np.array_equal(moments.v[name], optimizer.v[name]), name
+    outputs = []
+    for source in (DATA / "tiny.ckpt", again):
+        out, log = tmp_path / f"r_{source.name}", tmp_path / f"l_{source.name}.jsonl"
+        assert main(["pretrain-toy", "--config", str(DATA / "tiny.json"), "--data-dir", str(tmp_path / "data"),
+                     "--synthesize", "4", "--resume", str(source), "--epochs", "2",
+                     "--checkpoint", str(out), "--log", str(log), "--seed", "0"]) == 0
+        assert [r["step"] for r in read_steps(log)] == [3, 4]
+        outputs.append((out.read_bytes(), Path(f"{out}.opt").read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]  # resuming from v1 and from its v2 re-save is the same run
 
 
 def _edit_checkpoint_header(src, dst, edit):

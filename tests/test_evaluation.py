@@ -243,7 +243,7 @@ def test_c2c_formula_reproduces_reference_row():
 
 
 def test_profile_self_consistency_params():
-    for cfg in (mini_config(), mini_config(num_slots=3, num_experts=2, dec_layers=2)):
+    for cfg in (mini_config(), mini_config(num_slots=4, num_experts=2, dec_layers=2)):
         model = init_model(cfg)
         assert profile(cfg).params == sum(p.size for p in model.params.values())
         assert parameter_count(cfg) == profile(cfg).params

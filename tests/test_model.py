@@ -5,17 +5,19 @@ from csmoe.errors import ConfigError, DimensionError, FormatError, ParameterErro
 from csmoe.model import (
     CsmoeConfig,
     build_embedding,
+    convert_v1,
     decode,
     encode,
     forward,
     init_model,
     load_checkpoint,
     load_section,
+    manifest_header,
     parameter_count,
     parameter_manifest,
     save_checkpoint,
 )
-from csmoe.numerics import Tensor, backward, mul, tsum, zero_grads
+from csmoe.numerics import Tensor, backward, mul, truncated_normal, tsum, zero_grads
 from csmoe.tokenizer import MaskPair, sample_masks
 
 from util import finite_difference, mini_config, rel_err
@@ -49,6 +51,18 @@ def test_config_validation():
         load_section(CsmoeConfig, {"patch_size": 32, "bogus": 1}, "model")
 
 
+@pytest.mark.parametrize("key, overrides", [
+    ("num_experts", {"num_slots": 3, "num_experts": 2}),  # experts must share the slots evenly
+    ("num_experts", {"num_slots": 2, "num_experts": 4}),
+    ("expert_hidden", {"expert_hidden": -1}),
+    ("dec_hidden", {"dec_hidden": -8}),
+    ("seed", {"seed": -1}),
+])
+def test_config_rejects_layouts_the_model_cannot_build(key, overrides):
+    with pytest.raises(ConfigError, match=key):
+        CsmoeConfig(**overrides)
+
+
 @pytest.mark.parametrize("key, value, ok", [
     ("patch_size", 16, True), ("patch_size", True, False), ("patch_size", 16.0, False),
     ("patch_size", "16", False), ("mask_ratio", 0.25, True), ("mask_ratio", "0.5", False),
@@ -80,6 +94,44 @@ def test_init_deterministic():
         assert np.array_equal(a.params[name].data, b.params[name].data), name
 
 
+def test_init_draws_each_v1_tensor_in_v1_order_into_its_v2_slice():
+    # v1 drew embed_x, embed_y, then the first block's wq, wk, wv, wo and
+    # slot table, then expert 0's w1 and w2, expert 1's w1 and w2, ...
+    cfg = mini_config(num_slots=4, num_experts=2)
+    model = init_model(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    d, h = cfg.enc_dim, cfg.expert_hidden
+    draws = [truncated_normal(rng, shape, 0.02) for shape in
+             [(cfg.token_dim("x"), d), (cfg.token_dim("y"), d)] + [(d, d)] * 4
+             + [(4, d), (d, h), (h, d), (d, h), (h, d)]]
+    embed_x, embed_y, wq, wk, wv, wo, slots, w1_0, w2_0, w1_1, w2_1 = draws
+    p = {name: t.data for name, t in model.params.items()}
+    assert np.array_equal(p["embed_x.weight"], embed_x) and np.array_equal(p["embed_y.weight"], embed_y)
+    assert np.array_equal(p["enc_x.0.attn.wqvk"], np.concatenate([wq, wv, wk], axis=1))
+    assert np.array_equal(p["enc_x.0.attn.wo"], wo)
+    assert np.array_equal(p["enc_x.0.moe.slots"], slots)
+    assert np.array_equal(p["enc_x.0.moe.experts.w1"], np.stack([w1_0, w1_1]))
+    assert np.array_equal(p["enc_x.0.moe.experts.w2"], np.stack([w2_0, w2_1]))
+
+
+def test_convert_v1_places_every_v1_tensor_once():
+    cfg = mini_config(num_slots=4, num_experts=2)
+    v1 = manifest_header(cfg, 1)
+    # tag each v1 element with a distinct value and find every one in v2
+    offsets = np.cumsum([0] + [int(np.prod(shape)) for _, shape in v1])
+    arrays = [np.arange(lo, hi, dtype=float).reshape(shape)
+              for (_, shape), lo, hi in zip(v1, offsets[:-1], offsets[1:])]
+    v2 = convert_v1(cfg, arrays)
+    assert [list(a.shape) for a in v2] == [shape for _, shape in manifest_header(cfg)]
+    assert np.array_equal(np.sort(np.concatenate([a.ravel() for a in v2])), np.arange(offsets[-1]))
+    named = dict(zip((name for name, _ in manifest_header(cfg)), v2))
+    old = dict(zip((name for name, _ in v1), arrays))
+    assert np.array_equal(named["enc_y.0.attn.bqv"], np.concatenate([old["enc_y.0.attn.bq"],
+                                                                      old["enc_y.0.attn.bv"]]))
+    assert np.array_equal(named["dec_x.0.attn.wqvk"][:, 16:], old["dec_x.0.attn.wk"])
+    assert np.array_equal(named["enc_shared.0.moe.experts.b2"][1], old["enc_shared.0.moe.expert1.b2"])
+
+
 def test_init_token_count_vit_scale():
     cfg = CsmoeConfig(patch_size=32, image_side=224)
     assert cfg.num_patches == 49
@@ -91,20 +143,20 @@ def test_init_zero_and_unit_groups():
     assert np.all(model.cls_token["x"].data == 0)
     assert np.all(model.mask_token["y"].data == 0)
     assert np.all(model.params["enc_x.0.norm1.gain"].data == 1)
-    assert np.all(model.params["enc_x.0.attn.bq"].data == 0)
+    assert np.all(model.params["enc_x.0.attn.bqv"].data == 0)
 
 
 def test_cross_sensor_blocks_shared_by_reference():
     model = init_model(mini_config())
-    shared = model.enc_shared[0].attention.wq
-    assert shared is model.params["enc_shared.0.attn.wq"]
+    shared = model.enc_shared[0].attention.wqvk
+    assert shared is model.params["enc_shared.0.attn.wqvk"]
     shared.data[0, 0] = 123.0
     # the same object is observed through both modality paths
-    assert model.enc_shared[0].attention.wq.data[0, 0] == 123.0
+    assert model.enc_shared[0].attention.wqvk.data[0, 0] == 123.0
 
 
 def test_parameter_count_matches_runtime_enumeration():
-    for cfg in (mini_config(), mini_config(patch_size=4, num_slots=3, num_experts=2, proj_dim=4)):
+    for cfg in (mini_config(), mini_config(patch_size=4, num_slots=4, num_experts=2, proj_dim=4)):
         model = init_model(cfg)
         runtime = sum(p.size for p in model.params.values())
         assert parameter_count(cfg) == runtime
@@ -338,7 +390,7 @@ def test_shared_encoder_gets_gradients_from_both_paths():
         art = forward(model, x, y, seed=0)
         loss = tsum(mul(art.recon[(modality, modality)], art.recon[(modality, modality)]))
         backward(loss)
-        g = model.params["enc_shared.0.attn.wq"].grad
+        g = model.params["enc_shared.0.attn.wqvk"].grad
         return g.copy()
 
     gx = grads_for("x")

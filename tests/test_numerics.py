@@ -16,6 +16,7 @@ from csmoe.numerics import (
     concat_rows,
     gelu,
     layer_norm,
+    linear,
     load_tnsr,
     matmul,
     mul,
@@ -25,6 +26,8 @@ from csmoe.numerics import (
     save_tnsr,
     scatter_rows,
     softmax,
+    stack,
+    take,
     take_rows,
     texp,
     tlog,
@@ -227,6 +230,18 @@ def test_op_gradients_against_finite_differences():
     cases.append((lambda: take_rows(h1, per_sample), [h1]))
     cases.append((lambda: concat_rows([fill, h1]), [fill, h1]))
     cases.append((lambda: scatter_rows(take_rows(h1, per_sample), [[3, 0], [1, 4]], fill, 5), [h1, fill]))
+    cases.append((lambda: take_rows(h1, [[2, 0], [1, 0]]), [h1]))  # distinct rows: scattered by assignment
+    # linear: a 2-D weight over batch axes, a stacked weight, a bias narrower than the output
+    bias2 = parameter(rng.uniform(-1, 1, 2))
+    cases.append((lambda: linear(h1, m2, bias2), [h1, m2, bias2]))
+    w3 = parameter(rng.uniform(-1, 1, (2, 4, 5)))
+    b3 = parameter(rng.uniform(-1, 1, (2, 5)))
+    cases.append((lambda: linear(h1, w3, b3), [h1, w3, b3]))
+    w6 = parameter(rng.uniform(-1, 1, (4, 6)))
+    cases.append((lambda: linear(a, w6, bias2), [a, w6, bias2]))
+    cases.append((lambda: linear(a, w6), [a, w6]))
+    cases.append((lambda: stack([a, b, a]), [a, b]))
+    cases.append((lambda: take(h1, 1), [h1]))
 
     for fn, params in cases:
         for p in params:
@@ -325,6 +340,22 @@ def test_check_gradients_samples_large_parameter_sets():
     assert report.max_relative_error < 1e-5
 
 
+def test_check_gradients_judges_unresolvable_gradients_by_absolute_error():
+    # d/dy = 1e-9 sits below what central differences resolve at a loss of 9:
+    # the numeric value is 6% off, but only 7e-11 in absolute terms, which
+    # is small next to the 1e-5 step that floors the denominator
+    x, y = parameter([3.0]), parameter([0.5])
+    report = check_gradients(lambda p: tsum(mul(p["x"], p["x"])) + tsum(mul(p["y"], 1e-9)), {"x": x, "y": y})
+    assert report.passed() and report.per_parameter_errors["y"] < 1e-5
+
+    def skewed(params):  # the tape's gradient is 0.1% larger than the value's
+        out = tsum(mul(params["x"], params["x"]))
+        out.data = np.asarray(0.999 * float((params["x"].data ** 2).sum()))
+        return out
+
+    assert not check_gradients(skewed, {"x": x}).passed()
+
+
 def test_check_gradients_rejects_nonfinite_loss():
     x = parameter([1.0])
 
@@ -358,6 +389,59 @@ def test_flop_counter_counts_matmul():
     with FlopCounter() as fc:  # a 2-D weight applied to a [2, 6] batch
         matmul(Tensor(np.zeros((2, 6, 3, 4))), Tensor(np.zeros((4, 5))))
     assert fc.total == 12 * 2 * 3 * 4 * 5
+
+
+def test_flop_counter_counts_linear_as_matmul_plus_bias_adds():
+    x = Tensor(np.zeros((2, 6, 3, 4)))  # 36 rows
+    for w, b, want in [
+        (np.zeros((4, 5)), None, 2 * 36 * 4 * 5),
+        (np.zeros((4, 5)), np.zeros(5), 2 * 36 * 4 * 5 + 36 * 5),
+        (np.zeros((4, 5)), np.zeros(3), 2 * 36 * 4 * 5 + 36 * 3),  # bias on the first 3 columns
+        (np.zeros((2, 4, 5)), np.zeros((2, 5)), 2 * (2 * 18 * 4 * 5 + 18 * 5)),  # 2 stacked weights
+    ]:
+        with FlopCounter() as fc:
+            linear(x, Tensor(w), None if b is None else Tensor(b))
+        assert fc.total == want
+    with FlopCounter() as fc:
+        take(stack([x, x]), 1)
+    assert fc.total == 0
+
+
+def test_linear_matches_matmul_plus_bias_and_rejects_misfits():
+    rng = np.random.default_rng(10)
+    x, w, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 3))
+    out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+    want = x @ w
+    want[..., :3] += b[:, None, :]
+    assert np.array_equal(out, want)
+    assert np.array_equal(linear(Tensor(x), Tensor(w[0])).data, x @ w[0])
+    for xs, ws, bs in [((2, 3, 4), (5, 6), None), ((3, 3, 4), (2, 4, 5), None),
+                       ((2, 3, 4), (4, 5), (6,)), ((2, 3, 4), (2, 4, 5), (5,)), ((4,), (2, 4, 5), None)]:
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.zeros(xs)), Tensor(np.zeros(ws)), None if bs is None else Tensor(np.zeros(bs)))
+    with pytest.raises(DimensionError):
+        stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
+
+
+def test_training_step_tape_stays_within_budget():
+    # pretrain_small's geometry at batch 8: the ops recorded on the tape that
+    # the loss reaches, i.e. the backward closures one step runs
+    cfg = mini_config(patch_size=8, image_side=32, channels_y=10, enc_dim=64, dec_dim=32,
+                      enc_layers_modality=2, dec_layers=2, num_slots=4, heads=4, dec_heads=4,
+                      proj_dim=32)
+    model = init_model(cfg)
+    rng = np.random.default_rng(11)
+    art = forward(model, rng.standard_normal((8, 2, 32, 32)), rng.standard_normal((8, 10, 32, 32)),
+                  seed=list(range(8)))
+    loss = loss_total(model, art).total_tensor
+    seen, todo, ops = set(), [loss], 0
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            ops += t._backward is not None
+            todo.extend(t._parents)
+    assert ops <= 400, ops
 
 
 def test_tnsr_roundtrip(tmp_path):
@@ -399,21 +483,23 @@ def test_block_file_roundtrip_and_labelled_errors(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b'{"format": "F", "n": 2, "version": 1}\n')  # sorted keys
     labelled = lambda header: [("a", (2, 3)), ("b", (4,))]
-    header, got = read_blocks(path, "F", 1, labelled)
+    header, got = read_blocks(path, "F", (1,), labelled)
     assert header["n"] == 2 and all(np.array_equal(x, y) for x, y in zip(got, arrays))
+    assert read_blocks(path, "F", (1, 2), labelled)[0] == header  # any listed version reads
     cases = [
-        (raw, "G", 1, labelled, "not a G file"),
-        (raw, "F", 2, labelled, "unsupported F version 1"),
-        (raw, "F", 1, lambda h: [("a", (3, 2)), ("b", (4,))], "block a has shape"),
-        (raw[:-8], "F", 1, labelled, "block b: truncated"),
-        (raw + b"\0", "F", 1, labelled, "trailing bytes after b"),
-        (raw.split(b"\n")[0], "F", 1, labelled, "missing F header line"),
-        (b"[1]\n", "F", 1, labelled, "F header is not a JSON object"),
+        (raw, "G", (1,), labelled, "not a G file"),
+        (raw, "F", (2, 3), labelled, "unsupported F version 1"),
+        (raw.replace(b'"version": 1', b'"version": true'), "F", (1,), labelled, "unsupported F version True"),
+        (raw, "F", (1,), lambda h: [("a", (3, 2)), ("b", (4,))], "block a has shape"),
+        (raw[:-8], "F", (1,), labelled, "block b: truncated"),
+        (raw + b"\0", "F", (1,), labelled, "trailing bytes after b"),
+        (raw.split(b"\n")[0], "F", (1,), labelled, "missing F header line"),
+        (b"[1]\n", "F", (1,), labelled, "F header is not a JSON object"),
     ]
-    for data, fmt, version, expect, message in cases:
+    for data, fmt, versions, expect, message in cases:
         path.write_bytes(data)
         with pytest.raises(FormatError, match=f"^{path}: {message}"):
-            read_blocks(path, fmt, version, expect)
+            read_blocks(path, fmt, versions, expect)
 
 
 def test_softmax_extreme_logits_stay_normalized():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -33,14 +35,16 @@ def np_gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def reference_moe(z, slot_embeddings, slot_experts, temperature=1.0):
-    """Plain numpy Soft MoE; ``slot_experts[s]`` is the expert of slot s."""
+def reference_moe(z, slot_embeddings, experts, slot_experts, temperature=1.0):
+    """Plain numpy Soft MoE; slot s goes through expert ``slot_experts[s]``
+    of the stacked ``experts``."""
     logits = slot_embeddings @ z.T
     dispatch = np_softmax(logits / temperature, axis=1)
     combine = np_softmax(logits, axis=0)
     slot_vals = dispatch @ z
+    w1, b1, w2, b2 = (t.data for t in (experts.w1, experts.b1, experts.w2, experts.b2))
     expert_out = np.stack([
-        np_gelu(slot_vals[s] @ e.w1.data + e.b1.data) @ e.w2.data + e.b2.data
+        np_gelu(slot_vals[s] @ w1[e] + b1[e]) @ w2[e] + b2[e]
         for s, e in enumerate(slot_experts)
     ])
     return combine.T @ expert_out
@@ -51,7 +55,7 @@ def count_feed_forward_calls(monkeypatch):
     real = softmoe.feed_forward
 
     def counting(x, params):
-        calls.append(x.shape[0])
+        calls.append(math.prod(x.shape[:-1]))  # rows that reach the experts
         return real(x, params)
 
     monkeypatch.setattr(softmoe, "feed_forward", counting)
@@ -141,11 +145,10 @@ def test_identity_experts_reduce_to_combine_weighted_slots():
     rng = np.random.default_rng(5)
     dim = 4
     layer = make_layer(5, dim=dim, hidden=dim, num_slots=2)
-    for e in layer.experts:
-        e.w1.data = np.eye(dim)
-        e.b1.data = np.zeros(dim)
-        e.w2.data = np.eye(dim)
-        e.b2.data = np.zeros(dim)
+    layer.experts.w1.data = np.stack([np.eye(dim)] * 2)
+    layer.experts.b1.data = np.zeros((2, dim))
+    layer.experts.w2.data = np.stack([np.eye(dim)] * 2)
+    layer.experts.b2.data = np.zeros((2, dim))
     z = Tensor(rng.uniform(-1, 1, (5, dim)))
     routing = route(z, layer)
     out = moe_forward(z, layer)
@@ -160,43 +163,39 @@ def test_expert_call_count_is_slot_count(monkeypatch):
     for num_tokens in (16, 49, 196):
         calls.clear()
         moe_forward(Tensor(rng.uniform(-1, 1, (num_tokens, 4))), layer)
-        assert calls == [1, 1, 1]  # one slot row per call, independent of the token count
+        assert calls == [3]  # one call with one row per slot, independent of the token count
 
 
 def test_moe_forward_matches_step_by_step_oracle():
     # tiny integer-ish parameters, evaluated independently with plain numpy
     dim = 2
     slots = parameter(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    experts = [
-        FeedForwardParams(w1=parameter(np.array([[1.0, 0.0], [0.0, 2.0]])),
-                          b1=parameter(np.array([0.5, 0.0])),
-                          w2=parameter(np.array([[1.0, 1.0], [0.0, 1.0]])),
-                          b2=parameter(np.array([0.0, -1.0]))),
-        FeedForwardParams(w1=parameter(np.array([[2.0, 0.0], [1.0, 1.0]])),
-                          b1=parameter(np.array([0.0, 0.25])),
-                          w2=parameter(np.array([[1.0, 0.0], [1.0, 1.0]])),
-                          b2=parameter(np.array([1.0, 0.0]))),
-    ]
+    experts = FeedForwardParams(
+        w1=parameter(np.array([[[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [1.0, 1.0]]])),
+        b1=parameter(np.array([[0.5, 0.0], [0.0, 0.25]])),
+        w2=parameter(np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])),
+        b2=parameter(np.array([[0.0, -1.0], [1.0, 0.0]])),
+    )
     layer = SoftMoELayerParams(slot_embeddings=slots, experts=experts, temperature=1.0)
     z_data = np.array([[1.0, 2.0], [0.0, 1.0]])
     out = moe_forward(Tensor(z_data), layer)
-    assert rel_err(out.data, reference_moe(z_data, slots.data, experts)) < 1e-12
+    assert rel_err(out.data, reference_moe(z_data, slots.data, experts, [0, 1])) < 1e-12
 
 
 def test_extra_slots_wrap_around_to_the_first_experts():
     rng = np.random.default_rng(12)
-    layer = moe_block(12, enc_dim=4, expert_hidden=5, num_slots=3, num_experts=2,
+    layer = moe_block(12, enc_dim=4, expert_hidden=5, num_slots=4, num_experts=2,
                       route_temperature=0.5).moe
     # O(1) weights so that every slot and expert leaves a distinct mark
-    for e in layer.experts:
-        for t in (e.w1, e.b1, e.w2, e.b2):
-            t.data = rng.standard_normal(t.shape)
-    layer.slot_embeddings.data = rng.standard_normal((3, 4))
+    e = layer.experts
+    for t in (e.w1, e.b1, e.w2, e.b2):
+        t.data = rng.standard_normal(t.shape)
+    layer.slot_embeddings.data = rng.standard_normal((4, 4))
     z = rng.standard_normal((6, 4))
     out = moe_forward(Tensor(z), layer).data
-    e0, e1 = layer.experts
-    assert rel_err(out, reference_moe(z, layer.slot_embeddings.data, [e0, e1, e0], 0.5)) < 1e-12
-    assert rel_err(out, reference_moe(z, layer.slot_embeddings.data, [e0, e1, e1], 0.5)) > 1e-3
+    slots = layer.slot_embeddings.data
+    assert rel_err(out, reference_moe(z, slots, e, [0, 1, 0, 1], 0.5)) < 1e-12
+    assert rel_err(out, reference_moe(z, slots, e, [0, 0, 1, 1], 0.5)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +208,8 @@ def test_block_with_zeroed_output_branches_is_identity():
     block = moe_block(7, enc_dim=4, expert_hidden=4, num_slots=2)
     block.attention.wo.data = np.zeros((4, 4))
     block.attention.bo.data = np.zeros(4)
-    for e in block.moe.experts:
-        e.w2.data = np.zeros((4, 4))
-        e.b2.data = np.zeros(4)
+    block.moe.experts.w2.data = np.zeros((2, 4, 4))
+    block.moe.experts.b2.data = np.zeros((2, 4))
     z = rng.uniform(-1, 1, (5, 4))
     out = block_forward(Tensor(z), block)
     assert np.array_equal(out.data, z)
@@ -219,10 +217,11 @@ def test_block_with_zeroed_output_branches_is_identity():
 
 def reference_attention(z, p):
     """Plain numpy, one head at a time; head h owns column block h of q, k, v."""
-    q = z @ p.wq.data + p.bq.data
-    k = z @ p.wk.data
-    v = z @ p.wv.data + p.bv.data
-    hd = z.shape[1] // p.heads
+    d = z.shape[1]
+    q = z @ p.wqvk.data[:, :d] + p.bqv.data[:d]
+    v = z @ p.wqvk.data[:, d:2 * d] + p.bqv.data[d:]
+    k = z @ p.wqvk.data[:, 2 * d:]
+    hd = d // p.heads
     outs = []
     for h in range(p.heads):
         cols = slice(h * hd, (h + 1) * hd)
@@ -238,7 +237,7 @@ def test_attention_matches_per_head_reference(heads, tokens):
     rng = np.random.default_rng(11)
     params = moe_block(11, enc_dim=8, heads=heads).attention
     # weights large enough that every head attends sharply and differently
-    for t in (params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo):
+    for t in (params.wqvk, params.bqv, params.wo, params.bo):
         t.data = rng.standard_normal(t.shape)
     z = rng.standard_normal((tokens, 8))
     out = attention_forward(Tensor(z), params)
@@ -282,8 +281,7 @@ def test_moe_block_gradient_check():
     collect("norm2", block.norm2)
     params["slots"] = block.moe.slot_embeddings
     block.moe.slot_embeddings.data = rng.uniform(-0.5, 0.5, (2, 4))
-    for i, e in enumerate(block.moe.experts):
-        collect(f"expert{i}", e)
+    collect("experts", block.moe.experts)
     block.norm1.gain.data = np.ones(4)
     block.norm2.gain.data = np.ones(4)
 

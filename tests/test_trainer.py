@@ -54,6 +54,24 @@ def test_adamw_decoupled_weight_decay():
     assert abs(p.data[0] - (2.0 - 0.1 * 0.5 * 2.0)) < 1e-12
 
 
+def test_adamw_updates_in_place_bit_identically_to_the_plain_expression():
+    rng = np.random.default_rng(2)
+    p = parameter(rng.standard_normal((3, 4)))
+    data = p.data
+    opt = AdamW({"p": p}, lr=1e-2, weight_decay=0.1)
+    ref, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+    for t in range(1, 6):
+        g = p.grad = rng.standard_normal((3, 4))
+        lr = 1e-2 / t
+        opt.step(lr=lr)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        update = (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        ref = ref - lr * (update + 0.1 * ref)
+        assert np.array_equal(p.data, ref) and np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
+    assert p.data is data  # no new parameter array per step
+
+
 def test_split_validation_fraction():
     ids = [f"p{i}" for i in range(40)]
     train_ids, val_ids = split_validation(ids, 0.05, seed=0)
