@@ -42,7 +42,6 @@ from .numerics import (
 )
 from .sampler import (
     ArchiveEntry,
-    Chromosome,
     ClassRaster,
     DescribedEntry,
     GaConfig,
@@ -53,6 +52,7 @@ from .sampler import (
     sample_archive,
     selection_fitness,
     stratify,
+    unit_vectors,
 )
 from .softmoe import (
     MoeBlockParams,

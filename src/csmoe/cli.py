@@ -34,7 +34,7 @@ from .model import (
     load_checkpoint,
     load_section,
 )
-from .numerics import check_gradients, load_tnsr, save_tnsr, truncated_normal
+from .numerics import atomic_write, check_gradients, load_tnsr, save_tnsr, truncated_normal
 from .sampler import GaConfig, load_archive, load_grid, sample_archive, write_selection
 from .tokenizer import MaskPair, split_tile
 from .trainer import TrainerConfig, load_pairs, run_pretraining, synthesize_pairs
@@ -176,6 +176,13 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _write_report(path, report):
+    """A report's JSON, indented with sorted keys, written atomically."""
+    with atomic_write(path, "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_sample(args) -> int:
     overrides = {
         "target_size": args.target, "generations": args.iters,
@@ -188,9 +195,7 @@ def _cmd_sample(args) -> int:
     selection, report = sample_archive(archive, climate, thematic, ga, baseline=args.baseline)
     write_selection(args.out, selection)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_report(args.report, report)
     print(f"selected {report.total_selected} of {report.total_described} described entries "
           f"across {len(report.strata)} strata -> {args.out}")
     return 0
@@ -211,9 +216,7 @@ def _cmd_split_tiles(args) -> int:
         patches, report = split_tile(tile, args.patch, sentinel)
         for i, patch in enumerate(patches):
             save_tnsr(out_dir / f"{tile_path.stem}_p{i:04d}.tnsr", patch)
-        with open(out_dir / f"{tile_path.stem}_report.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_report(out_dir / f"{tile_path.stem}_report.json", report)
         total += report.kept
     print(f"kept {total} patches from {len(tiles)} tiles -> {out_dir}")
     return 0
@@ -303,7 +306,7 @@ def _cmd_grad_check(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0 if report.passed(args.tolerance) else 2
@@ -377,7 +380,7 @@ def _cmd_eval_retrieval(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0
@@ -388,7 +391,7 @@ def _cmd_flops(args) -> int:
     prof = profile(run.model)
     text = json.dumps(prof.to_dict(), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
     print()

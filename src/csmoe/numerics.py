@@ -821,21 +821,28 @@ def read_header(fh, path, kind: str) -> dict:
     return header
 
 
-def write_blocks(path, header: dict, arrays):
-    """Write the header line and one TNSR1 block per array to ``<path>.tmp``,
-    then rename it over ``path``: a killed writer never leaves a torn file
-    (there is no fsync, so this does not guard against power loss)."""
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open ``<path>.tmp`` for writing and rename it over ``path`` when the
+    block ends: a killed writer never leaves a torn file, only the previous
+    one (there is no fsync, so this does not guard against power loss)."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for array in arrays:
-                write_tnsr(fh, array)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_blocks(path, header: dict, arrays):
+    """Write the header line and one TNSR1 block per array, atomically."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for array in arrays:
+            write_tnsr(fh, array)
 
 
 def read_blocks(path, fmt: str, versions, expect):

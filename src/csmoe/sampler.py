@@ -7,16 +7,17 @@ partitions the survivors into joint (climate, thematic) strata and, inside
 every stratum larger than the target count, runs a genetic algorithm over
 binary selection masks whose fitness rewards spatially dispersed picks:
 the entropy of the pairwise great-circle distance distribution plus the
-log of the mean pairwise distance. Fitness reads only the selected points'
-coordinates, so a stratum of n entries costs O(n) memory, not an n x n
-distance matrix. Tournament(2) selection, uniform crossover, bit-flip
-mutation, elitism of one, and random prune/augment repair to the 90-110%
-size band are the operators.
-"""
+log of the mean pairwise distance. Entries become unit vectors once per
+stratum; fitness takes one chord and one arcsin per selected pair, never an
+n x n distance matrix, so a stratum of n entries costs O(n) memory. The
+population, one [P, n] bool matrix, evolves by tournament(2) selection,
+uniform crossover, bit-flip mutation, elitism of one, and random
+prune/augment repair to the 90-110% size band."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .numerics import read_header
+from .numerics import atomic_write, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
 
@@ -135,6 +136,14 @@ def pair_distances(lons, lats) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
 
+def unit_vectors(lons, lats) -> np.ndarray:
+    """[3, n] rows x, y, z: each (lon, lat) point as a vector on the unit sphere."""
+    lam = np.radians(np.asarray(lons, dtype=np.float64))
+    phi = np.radians(np.asarray(lats, dtype=np.float64))
+    cos_phi = np.cos(phi)
+    return np.stack([cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)])
+
+
 # ---------------------------------------------------------------------------
 # Genetic algorithm
 # ---------------------------------------------------------------------------
@@ -165,26 +174,41 @@ def mutation_rate(target_size: int, stratum_size: int) -> float:
     return target_size / (stratum_size * 25.0)
 
 
-@dataclass
-class Chromosome:
-    bits: np.ndarray  # bool mask over the stratum's entries
-    fitness: float = float("-inf")
+@functools.lru_cache(maxsize=32)
+def _strict_upper(m: int) -> np.ndarray:
+    """Read-only [m, m] mask of i < j; it compresses row-major, as ``pair_distances`` orders pairs."""
+    mask = np.triu(np.ones((m, m), dtype=bool), 1)
+    mask.flags.writeable = False  # every caller shares it
+    return mask
 
 
-def selection_fitness(lons: np.ndarray, lats: np.ndarray, selected: np.ndarray) -> float:
+def selection_fitness(unit: np.ndarray, selected: np.ndarray) -> float:
     """Entropy of the selected points' normalized pairwise-distance distribution
-    plus the log of their mean pairwise distance; -inf for degenerate selections."""
+    plus the log of their mean pairwise distance; -inf for degenerate selections.
+
+    ``unit`` holds the stratum's ``unit_vectors``. Each of the N selected pairs
+    is d = 2R asin(c/2) km apart, c^2 summed from coordinate differences (2 - 2
+    cos would cancel for nearby points). With T = sum d, S = sum_{d>0} d log d,
+    fitness is 2 log T - S/T - log N: one arcsin and one log per pair.
+    """
     idx = np.flatnonzero(selected) if selected.dtype == bool else np.asarray(selected)
     if idx.size < 2:
         return float("-inf")
-    d = pair_distances(lons[idx], lats[idx])
+    x, y, z = unit[:, idx]
+    chord2 = x[:, None] - x
+    chord2 *= chord2
+    for c in (y, z):
+        diff = c[:, None] - c
+        diff *= diff
+        chord2 += diff
+    d = 0.5 * np.sqrt(chord2[_strict_upper(idx.size)])
+    np.arcsin(np.minimum(d, 1.0, out=d), out=d)
+    d *= 2.0 * EARTH_RADIUS_KM
     total = d.sum()
     if total <= 0.0:
         return float("-inf")
-    p = d / total
-    nz = p > 0
-    entropy = float(-(p[nz] * np.log(p[nz])).sum())
-    return entropy + float(np.log(d.mean()))
+    pos = d[d > 0.0]
+    return float(2.0 * np.log(total) - pos.dot(np.log(pos)) / total - np.log(d.size))
 
 
 def repair(bits: np.ndarray, target_size: int, rng: np.random.Generator):
@@ -206,73 +230,49 @@ def repair(bits: np.ndarray, target_size: int, rng: np.random.Generator):
     return bits
 
 
-def _tournament(population, rng: np.random.Generator) -> Chromosome:
-    i, j = rng.integers(0, len(population), size=2)
-    return population[i] if population[i].fitness >= population[j].fitness else population[j]
-
-
-def _uniform_crossover(a: np.ndarray, b: np.ndarray, rate: float, rng: np.random.Generator):
-    swap = rng.random(a.size) < rate
-    c1, c2 = a.copy(), b.copy()
-    c1[swap], c2[swap] = b[swap], a[swap]
-    return c1, c2
-
-
-def _mutate(bits: np.ndarray, rate: float, rng: np.random.Generator):
-    flips = rng.random(bits.size) < rate
-    bits[flips] = ~bits[flips]
-    return bits
-
-
 def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
     """Select a spatially dispersed subset of one stratum.
 
     Strata no larger than the target are fully retained. Returns
     (selected entries, best fitness, best-fitness-per-generation trace).
     """
-    n = len(stratum)
+    n, size = len(stratum), cfg.population_size
     if n <= cfg.target_size:
         return list(stratum), float("nan"), []
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    lons = np.array([d.entry.center[0] for d in stratum])
-    lats = np.array([d.entry.center[1] for d in stratum])
+    unit = unit_vectors(*np.array([d.entry.center for d in stratum]).T)
     rate = mutation_rate(cfg.target_size, n)
-
-    def fresh() -> Chromosome:
-        bits = np.zeros(n, dtype=bool)
-        bits[rng.choice(n, size=cfg.target_size, replace=False)] = True
-        return Chromosome(bits, selection_fitness(lons, lats, bits))
-
-    population = [fresh() for _ in range(cfg.population_size)]
-    best = max(population, key=lambda c: c.fitness)
-    best = Chromosome(best.bits.copy(), best.fitness)
-    trace = []
-    stagnant = 0
+    pop = np.zeros((size, n), dtype=bool)  # one selection mask per row
+    for row in pop:
+        row[rng.choice(n, size=cfg.target_size, replace=False)] = True
+    fit = np.array([selection_fitness(unit, row) for row in pop])
+    top = int(np.argmax(fit))  # the first of equal maxima
+    best, best_fitness = pop[top], float(fit[top])
+    trace, stagnant = [], 0
     for _ in range(cfg.generations):
-        elite = max(population, key=lambda c: c.fitness)
-        offspring = [Chromosome(elite.bits.copy(), elite.fitness)]
-        while len(offspring) < cfg.population_size:
-            p1 = _tournament(population, rng)
-            p2 = _tournament(population, rng)
-            for child_bits in _uniform_crossover(p1.bits, p2.bits, cfg.crossover_rate, rng):
-                if len(offspring) == cfg.population_size:
-                    break
-                child_bits = _mutate(child_bits, rate, rng)
-                child_bits = repair(child_bits, cfg.target_size, rng)
-                offspring.append(Chromosome(child_bits, selection_fitness(lons, lats, child_bits)))
-        population = offspring
-        gen_best = max(population, key=lambda c: c.fitness)
-        if gen_best.fitness > best.fitness:
-            best = Chromosome(gen_best.bits.copy(), gen_best.fitness)
+        kids, kid_fit = [pop[top]], [fit[top]]  # elitism(1)
+        while len(kids) < size:
+            i, j = rng.integers(0, size, 2)  # two tournaments of two
+            a = pop[i if fit[i] >= fit[j] else j]
+            i, j = rng.integers(0, size, 2)
+            b = pop[i if fit[i] >= fit[j] else j]
+            swapped = (a ^ b) & (rng.random(n) < cfg.crossover_rate)  # uniform crossover
+            for child in (a ^ swapped, b ^ swapped)[:size - len(kids)]:
+                child ^= rng.random(n) < rate
+                kids.append(repair(child, cfg.target_size, rng))
+                kid_fit.append(selection_fitness(unit, child))
+        pop, fit = np.array(kids), np.array(kid_fit)
+        top = int(np.argmax(fit))
+        if fit[top] > best_fitness:
+            best, best_fitness = pop[top], float(fit[top])
             stagnant = 0
         else:
             stagnant += 1
-        trace.append(best.fitness)
+        trace.append(best_fitness)
         if cfg.stagnation_limit and stagnant >= cfg.stagnation_limit:
             break
-    selected = [stratum[i] for i in np.flatnonzero(best.bits)]
-    return selected, best.fitness, trace
+    return [stratum[i] for i in np.flatnonzero(best)], best_fitness, trace
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +413,8 @@ def load_archive(path):
 
 
 def write_selection(path, selection):
-    """CSV id,u,v,stratum_fitness for the selected entries."""
-    with open(path, "w", newline="") as fh:
+    """CSV id,u,v,stratum_fitness for the selected entries, written atomically."""
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "u", "v", "stratum_fitness"])
         for d, fitness in selection:

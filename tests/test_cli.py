@@ -11,9 +11,8 @@ import pytest
 from csmoe.cli import main
 from csmoe.model import load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
-from csmoe.sampler import ClassRaster, save_grid
 
-from util import mini_config
+from util import mini_config, write_sampling_inputs
 
 
 def write_mini_run_config(path, **trainer_overrides):
@@ -31,24 +30,6 @@ def write_mini_run_config(path, **trainer_overrides):
     }
     Path(path).write_text(json.dumps(cfg))
     return path
-
-
-def write_sampling_inputs(tmp_path, n_entries=160):
-    rng = np.random.default_rng(0)
-    lines = ["id,lon_min,lat_min,lon_max,lat_max"]
-    for i in range(n_entries):
-        lon = float(rng.uniform(0.2, 9.8))
-        lat = float(rng.uniform(0.2, 9.8))
-        lines.append(f"t{i:03d},{lon},{lat},{lon},{lat}")
-    archive = tmp_path / "archive.csv"
-    archive.write_text("\n".join(lines) + "\n")
-    raster = ClassRaster(lat_max=10.0, lon_min=0.0, dlat=10.0, dlon=10.0,
-                         grid=np.array([[1]], dtype=np.uint16), nodata=0)
-    climate = tmp_path / "climate.grid"
-    thematic = tmp_path / "thematic.grid"
-    save_grid(climate, raster)
-    save_grid(thematic, raster)
-    return archive, climate, thematic
 
 
 # ---------------------------------------------------------------------------

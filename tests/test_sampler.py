@@ -23,6 +23,7 @@ from csmoe.sampler import (
     save_grid,
     selection_fitness,
     stratify,
+    unit_vectors,
     write_selection,
 )
 
@@ -192,27 +193,80 @@ def test_pair_distances_bit_identical_to_dense_upper_triangle(n):
 # ---------------------------------------------------------------------------
 
 
+def fitness_oracle(lons, lats):
+    """Entropy of the normalized pair distances plus the log of their mean,
+    from ``pair_distances``: the formula ``selection_fitness`` rearranges."""
+    d = pair_distances(lons, lats)
+    p = d / d.sum()
+    nz = p > 0
+    return float(-(p[nz] * np.log(p[nz])).sum()) + float(np.log(d.mean()))
+
+
 def test_fitness_equidistant_points():
-    # three points 120 degrees apart on the equator are mutually equidistant
-    lons, lats = np.array([0.0, 120.0, -120.0]), np.zeros(3)
-    dist = haversine((lons[0], lats[0]), (lons[1], lats[1]))
-    fit = selection_fitness(lons, lats, np.array([True, True, True]))
-    assert rel_err(fit, math.log(3.0) + math.log(dist)) < 1e-9
+    # N pairs of one distance d: entropy log N plus log mean log d
+    cases = [
+        ([0.0, 120.0, -120.0], [0.0, 0.0, 0.0]),  # 120 degrees apart on the equator
+        ([-158.0, 22.0], [23.0, -23.0]),  # antipodal: the rounded chord exceeds 2 and is clipped
+        ([0.0, 1e-7], [0.0, 0.0]),  # 1e-7 degrees apart along the equator
+        ([0.0, 0.0], [0.0, 1e-7]),  # and along a meridian
+    ]
+    for lons, lats in cases:
+        lons, lats = np.array(lons), np.array(lats)
+        n_pairs = lons.size * (lons.size - 1) // 2
+        dist = haversine((lons[0], lats[0]), (lons[1], lats[1]))
+        fit = selection_fitness(unit_vectors(lons, lats), np.ones(lons.size, dtype=bool))
+        assert rel_err(math.exp(fit - math.log(n_pairs)), dist) < 1e-9
+    unit = unit_vectors(*cases[1])
+    assert 0.5 * math.sqrt(((unit[:, 0] - unit[:, 1]) ** 2).sum()) > 1.0  # so arcsin needs the clip
+
+
+def test_fitness_nearby_points_keep_their_digits():
+    # a chord of 1e-7 degrees from 2 - 2 cos would round to 0; the summed
+    # coordinate differences keep it to within the unit vectors' own rounding
+    # (about 1e-16 of a 1.7e-9 chord), so 1e-6 here rather than 1e-9
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        lon, lat, angle = rng.uniform(-180, 180), rng.uniform(-85, 85), rng.uniform(0, 2 * np.pi)
+        lons = np.array([lon, lon + 1e-7 * math.cos(angle)])
+        lats = np.array([lat, lat + 1e-7 * math.sin(angle)])
+        fit = selection_fitness(unit_vectors(lons, lats), np.array([True, True]))
+        assert rel_err(math.exp(fit), haversine((lons[0], lats[0]), (lons[1], lats[1]))) < 1e-6
 
 
 def test_fitness_degenerate_selections():
     zeros = np.zeros(4)  # all points coincide
-    assert selection_fitness(zeros, zeros, np.ones(4, dtype=bool)) == float("-inf")
-    lons = np.array([0.0, 1.0])
-    assert selection_fitness(lons, np.zeros(2), np.array([True, False])) == float("-inf")
+    assert selection_fitness(unit_vectors(zeros, zeros), np.ones(4, dtype=bool)) == float("-inf")
+    lons, lats = np.array([12.3, 12.3, 50.0]), np.array([45.6, 45.6, 0.0])  # a coincident pair
+    assert selection_fitness(unit_vectors(lons, lats), np.array([True, True, False])) == float("-inf")
+    assert selection_fitness(unit_vectors(lons, lats), np.array([0, 1])) == float("-inf")
+    unit = unit_vectors(np.array([0.0, 1.0]), np.zeros(2))
+    assert selection_fitness(unit, np.array([True, False])) == float("-inf")
 
 
 def test_fitness_distance_scaling_shifts_by_log_two():
     # collinear equator points: doubling the longitude gaps doubles every distance
     lons, lats, every = np.array([0.0, 10.0, 30.0, 35.0]), np.zeros(4), np.ones(4, dtype=bool)
-    base = selection_fitness(lons, lats, every)
-    doubled = selection_fitness(2 * lons, lats, every)
+    base = selection_fitness(unit_vectors(lons, lats), every)
+    doubled = selection_fitness(unit_vectors(2 * lons, lats), every)
     assert abs((doubled - base) - math.log(2.0)) < 1e-9
+
+
+def test_fitness_matches_pair_distances_oracle():
+    def check(lons, lats, idx):
+        mask = np.zeros(lons.size, dtype=bool)
+        mask[idx] = True
+        got = selection_fitness(unit_vectors(lons, lats), mask)
+        assert rel_err(got, fitness_oracle(lons[mask], lats[mask])) < 1e-12
+
+    rng = np.random.default_rng(12)
+    for seed in range(10):  # criterion 7's strata, selections of 90-110 points
+        srng = np.random.default_rng(100 + seed)
+        lons = np.concatenate([srng.normal(10.0, 0.2, 450), srng.uniform(-170, 170, 50)])
+        lats = np.concatenate([srng.normal(45.0, 0.2, 450), srng.uniform(-60, 60, 50)])
+        for _ in range(20):
+            check(lons, lats, rng.choice(500, size=int(rng.integers(90, 111)), replace=False))
+        lons[1], lats[1] = lons[0], lats[0]  # one zero distance among the pairs
+        check(lons, lats, np.arange(100))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +358,26 @@ def test_evolve_deterministic():
     b, fb, _ = evolve_stratum(stratum, cfg, rng=np.random.default_rng(11))
     assert [d.entry.id for d in a] == [d.entry.id for d in b]
     assert fa == fb
+
+
+#: ids that evolve_stratum selected for clustered_stratum(4), 150 generations, seed 0
+GOLDEN_IDS = [
+    0, 1, 14, 25, 29, 56, 57, 58, 62, 78, 84, 100, 107, 112, 124, 128, 137, 143, 158, 159, 160,
+    167, 169, 176, 182, 185, 202, 208, 211, 222, 231, 232, 234, 241, 250, 264, 270, 273, 275,
+    276, 282, 283, 286, 288, 292, 293, 302, 312, 319, 321, 329, 332, 341, 365, 383, 385, 389,
+    397, 398, 400, 404, 411, 442, 443, 444, 450, 451, 452, 453, 454, 456, 457, 458, 459, 460,
+    461, 463, 464, 465, 466, 467, 468, 469, 470, 471, 472, 473, 474, 475, 476, 477, 478, 479,
+    480, 481, 482, 483, 484, 485, 486, 488, 489, 490, 491, 492, 493, 494, 495, 497, 499,
+]
+
+
+def test_evolve_golden_selection():
+    # pins the order of every random draw: a faster GA must select the same ids
+    cfg = GaConfig(target_size=100, generations=150, seed=0)
+    selected, fitness, trace = evolve_stratum(clustered_stratum(4), cfg)
+    assert [int(d.entry.id[1:]) for d in selected] == GOLDEN_IDS
+    assert len(trace) == 150
+    assert rel_err(fitness, 17.02105413943255) < 1e-12
 
 
 def test_evolve_beats_random_selection():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 import csmoe.numerics as numerics
 import csmoe.trainer as trainer
+from csmoe.cli import main
 from csmoe.errors import DataError, EvaluationError, FormatError
 from csmoe.model import init_model, save_checkpoint
 from csmoe.numerics import Tensor, parameter, save_tnsr
@@ -22,7 +24,7 @@ from csmoe.trainer import (
     train,
 )
 
-from util import mini_config, rel_err
+from util import mini_config, rel_err, write_sampling_inputs
 
 
 def test_cosine_lr_shape():
@@ -215,3 +217,37 @@ def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, 
         assert len(written) == k
     assert {path: path.read_bytes() for path in (ckpt, state)} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.opt"]
+
+    # the sample command's selection CSV, killed after k rows, then its
+    # report, killed after k characters of JSON
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    archive, climate, thematic = write_sampling_inputs(inputs)
+    out, rep = tmp_path / "sel.csv", tmp_path / "rep.json"
+    argv = ["sample", "--archive", str(archive), "--climate", str(climate), "--thematic", str(thematic),
+            "--out", str(out), "--report", str(rep), "--iters", "5", "--pop", "4", "--seed"]
+    assert main(argv + ["1"]) == 0
+    before = {path: path.read_bytes() for path in (out, rep)}
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.writer, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == k:
+                raise KeyboardInterrupt("killed after writing rows")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:k])
+        raise KeyboardInterrupt("killed while writing the report")
+
+    for module, attr, fake, target in ((csv, "writer", FailingWriter, out), (json, "dump", failing_dump, rep)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, fake)
+            with pytest.raises(KeyboardInterrupt):
+                main(argv + ["2"])  # another seed: other bytes
+        assert target.read_bytes() == before[target]
+    assert not list(tmp_path.glob("*.tmp"))

@@ -57,3 +57,25 @@ def decoder_block(seed=0, **overrides):
     from csmoe.model import init_model
 
     return init_model(mini_config(seed=seed, **overrides)).decoder["x"][0]
+
+
+def write_sampling_inputs(tmp_path, n_entries=160):
+    """A uniform archive CSV of ``n_entries`` points and two one-class GRID1
+    rasters covering them; returns the three paths."""
+    from csmoe.sampler import ClassRaster, save_grid
+
+    rng = np.random.default_rng(0)
+    lines = ["id,lon_min,lat_min,lon_max,lat_max"]
+    for i in range(n_entries):
+        lon = float(rng.uniform(0.2, 9.8))
+        lat = float(rng.uniform(0.2, 9.8))
+        lines.append(f"t{i:03d},{lon},{lat},{lon},{lat}")
+    archive = tmp_path / "archive.csv"
+    archive.write_text("\n".join(lines) + "\n")
+    raster = ClassRaster(lat_max=10.0, lon_min=0.0, dlat=10.0, dlon=10.0,
+                         grid=np.array([[1]], dtype=np.uint16), nodata=0)
+    climate = tmp_path / "climate.grid"
+    thematic = tmp_path / "thematic.grid"
+    save_grid(climate, raster)
+    save_grid(thematic, raster)
+    return archive, climate, thematic
