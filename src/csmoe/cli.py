@@ -331,32 +331,50 @@ def _load_labels(path) -> dict:
     return labels
 
 
+#: files read and images embedded per pass: one full-mask ``encode`` of a
+#: stacked [B, C, H, W] chunk turns every per-image GEMV into a GEMM, and
+#: only the chunk's activations are held at once
+_EMBED_CHUNK = 16
+
+
+def _is_image(path, arr, model, modality: str) -> bool:
+    """True for a rank-3 image the checkpoint can embed, False for a rank-1
+    embedding; anything else is a DataError naming the file."""
+    if arr.ndim == 1:
+        return False
+    if arr.ndim != 3:
+        raise DataError(f"{path}: expected rank-1 embedding or rank-3 image, got rank {arr.ndim}")
+    if model is None:
+        raise DataError(f"{path} holds an image; pass --checkpoint to embed it")
+    cfg = model.cfg
+    want = (cfg.channels(modality), cfg.image_side, cfg.image_side)
+    if arr.shape != want:
+        raise DataError(f"{path}: image shape {list(arr.shape)} does not match the checkpoint's "
+                        f"{list(want)} for modality {modality!r}")
+    return True
+
+
 def _load_embeddings(directory, modality: str, model, strategy: str):
     root = Path(directory)
     files = sorted(root.glob("*.tnsr"))
     if not files:
         raise DataError(f"no *.tnsr files under {root}")
-    ids, rows = [], []
-    for path in files:
-        arr = load_tnsr(path)
-        if arr.ndim == 1:
-            vec = arr
-        elif arr.ndim == 3:
-            if model is None:
-                raise DataError(f"{path} holds an image; pass --checkpoint to embed it")
+    rows = []
+    for lo in range(0, len(files), _EMBED_CHUNK):
+        chunk = [load_tnsr(path) for path in files[lo:lo + _EMBED_CHUNK]]
+        images = [i for i, arr in enumerate(chunk) if _is_image(files[lo + i], arr, model, modality)]
+        if images:
             cfg = model.cfg
             full = MaskPair(masked=np.array([], dtype=np.int64),
                             unmasked=np.arange(cfg.num_patches), ratio=cfg.mask_ratio, seed=0)
-            seq = encode(model, arr, full, modality)
-            vec = build_embedding(seq, strategy, projection=model.proj)
-        else:
-            raise DataError(f"{path}: expected rank-1 embedding or rank-3 image, got rank {arr.ndim}")
-        ids.append(path.stem)
-        rows.append(np.asarray(vec, dtype=np.float64))
+            seq = encode(model, np.stack([chunk[i] for i in images]), full, modality)
+            for i, vec in zip(images, build_embedding(seq, strategy, projection=model.proj)):
+                chunk[i] = vec
+        rows += chunk
     width = {r.shape[0] for r in rows}
     if len(width) != 1:
         raise DataError(f"{root}: embeddings have mixed widths {sorted(width)}")
-    return ids, np.stack(rows)
+    return [path.stem for path in files], np.stack(rows)
 
 
 def _cmd_eval_retrieval(args) -> int:
@@ -369,6 +387,10 @@ def _cmd_eval_retrieval(args) -> int:
     if missing:
         raise DataError(f"{args.labels}: no labels for ids: {', '.join(sorted(set(missing))[:5])}")
     ranked = retrieve(q_emb, g_emb, args.k, query_ids=q_ids, gallery_ids=g_ids)
+    for qid, row in zip(q_ids, ranked):
+        if not row:
+            raise DataError(f"query {qid} has no gallery candidates left: "
+                            f"every gallery item shares its id")
     query_labels = [labels[i] for i in q_ids]
     retrieved_labels = [[labels[g_ids[j]] for j in row] for row in ranked]
     f1 = dataset_retrieval_f1(query_labels, retrieved_labels, min(args.k, min(len(r) for r in ranked)))

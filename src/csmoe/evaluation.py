@@ -39,24 +39,27 @@ FLOP_CONVENTION = (
 # ---------------------------------------------------------------------------
 
 
-#: gallery rows normalised per pass: each block and its squares stay in a
-#: core's cache, so a large gallery is read from memory once per call
-#: instead of three times; the per-row arithmetic is the same as one pass
-_NORM_ROWS = 128
+#: queries ranked per pass: one block's [rows, N] similarities and partition
+#: indices bound the memory of a call whatever the number of queries
+_QUERY_ROWS = 128
 
 
 def retrieve(query_emb: np.ndarray, gallery_emb: np.ndarray, k: int,
              query_ids=None, gallery_ids=None):
     """Cosine-ranked gallery indices per query, best first.
 
-    Ties break toward the lower gallery index; a gallery item sharing a
-    query's id is never returned for that query. Only the head of each
-    ranking is sorted: a partition cuts every row at k plus the largest
-    number of gallery items sharing a query's id, and every item tied with
-    the cut joins the sort, so the result equals a full stable sort's.
+    The gallery is never normalised: each call reads it once for its [N]
+    inverse row norms, and a block of at most ``_QUERY_ROWS`` unit-length
+    queries is multiplied with it as given, one GEMM whose [rows, N] result
+    is scaled by those inverse norms in place. Ties break toward the lower
+    gallery index; a gallery item sharing a query's id is never returned for
+    that query. Only the head of each ranking is sorted: a partition cuts
+    every row at k plus the largest number of gallery items sharing a
+    query's id, and every item tied with the cut joins the sort, so the
+    result equals a full stable sort's.
     """
     q = np.asarray(query_emb, dtype=np.float64)
-    g = np.ascontiguousarray(gallery_emb, dtype=np.float64)  # rows reduce alike in any block
+    g = np.asarray(gallery_emb, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise DimensionError(f"embedding widths differ: {q.shape} vs {g.shape}")
     if g.shape[0] == 0:
@@ -64,24 +67,34 @@ def retrieve(query_emb: np.ndarray, gallery_emb: np.ndarray, k: int,
     if k < 1:
         raise ParameterError(f"retrieval depth must be >= 1, got {k}")
     qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-300)
-    gn = np.empty_like(g)
-    for lo in range(0, g.shape[0], _NORM_ROWS):
-        rows = g[lo:lo + _NORM_ROWS]
-        np.divide(rows, np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-300),
-                  out=gn[lo:lo + _NORM_ROWS])
-    neg = -(qn @ gn.T)
-    by_id = query_ids is not None and gallery_ids is not None
-    if by_id:
+    # einsum reduces each row without an [N, d] temporary of squares
+    neg_inv = -1.0 / np.maximum(np.sqrt(np.einsum("ij,ij->i", g, g)), 1e-300)
+    if query_ids is None or gallery_ids is None:
+        query_ids = gallery_ids = None
+        cut = min(g.shape[0], k)
+    else:
         counts = Counter(gallery_ids)
+        cut = min(g.shape[0], k + max((counts[i] for i in query_ids), default=0))
         gallery_ids = np.asarray(gallery_ids, dtype=object)
-    cut = min(g.shape[0], k + (max((counts[i] for i in query_ids), default=0) if by_id else 0))
+    ranked = []
+    for lo in range(0, q.shape[0], _QUERY_ROWS):
+        neg = qn[lo:lo + _QUERY_ROWS] @ g.T
+        np.multiply(neg, neg_inv, out=neg)
+        ids = None if query_ids is None else query_ids[lo:lo + _QUERY_ROWS]
+        ranked += _rank_rows(neg, cut, k, ids, gallery_ids)
+    return ranked
+
+
+def _rank_rows(neg, cut: int, k: int, query_ids, gallery_ids):
+    """``retrieve``'s ranking of each row of negated similarities [rows, N];
+    a call of its own, so a block's arrays are freed before the next one's."""
     part = np.argpartition(neg, cut - 1, axis=1)
     bound = np.take_along_axis(neg, part[:, cut - 1:cut], axis=1)[:, 0]
     ranked = []
     for i, row in enumerate(neg):
         head = np.flatnonzero(~(row > bound[i]))  # NaN similarities join and sort last
         head = head[np.lexsort((head, row[head]))]
-        if by_id:  # object arrays compare ids with Python's !=, as a per-item check would
+        if gallery_ids is not None:  # object arrays compare ids with Python's !=, as a per-item check would
             head = head[gallery_ids[head] != query_ids[i]]
         ranked.append(head[:k].tolist())
     return ranked

@@ -516,26 +516,27 @@ def forward(model: CsmoeModel, image_x, image_y, seed,
 
 
 def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
-    """Collapse an encoded [(T), d] sequence (CLS first) into one vector.
+    """Collapse an encoded [..., T, d] sequence (CLS first) into one vector
+    [..., d] per sequence; a [T, d] sequence gives one [d] vector.
 
     Strategies: avg_wo_cls, avg_all, only_cls, norm_cls, norm_proj_cls.
     """
     arr = tokens.data if isinstance(tokens, Tensor) else np.asarray(tokens, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DimensionError(f"expected a non-empty [T, d] sequence, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-2] == 0:
+        raise DimensionError(f"expected a non-empty [..., T, d] sequence, got shape {arr.shape}")
     if strategy not in EMBEDDING_STRATEGIES:
         raise ParameterError(f"unknown embedding strategy {strategy!r}")
     if strategy == "avg_wo_cls":
-        if arr.shape[0] < 2:
+        if arr.shape[-2] < 2:
             raise DimensionError("avg_wo_cls needs at least one non-CLS row")
-        return arr[1:].mean(axis=0)
+        return arr[..., 1:, :].mean(axis=-2)
     if strategy == "avg_all":
-        return arr.mean(axis=0)
-    cls = arr[0]
+        return arr.mean(axis=-2)
+    cls = arr[..., 0, :]
     if strategy == "only_cls":
         return cls.copy()
-    norm = np.linalg.norm(cls)
-    if norm == 0.0:
+    norm = np.linalg.norm(cls, axis=-1, keepdims=True)
+    if (norm == 0.0).any():
         raise DimensionError("CLS row has zero norm, cannot normalize")
     normed = cls / norm
     if strategy == "norm_cls":
@@ -544,7 +545,7 @@ def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
         raise ParameterError("norm_proj_cls needs the projection head")
     w, b = projection
     out = normed @ w.data + b.data
-    return out / np.linalg.norm(out)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -793,7 +793,7 @@ def read_tnsr(fh) -> np.ndarray:
 
 
 def save_tnsr(path, array: np.ndarray):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         write_tnsr(fh, array)
 
 

@@ -460,7 +460,7 @@ def save_grid(path, raster: ClassRaster):
         "dlat": raster.dlat, "dlon": raster.dlon,
         "rows": rows, "cols": cols, "nodata": raster.nodata,
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(raster.grid, dtype="<u2").tobytes())

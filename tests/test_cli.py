@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csmoe.cli import main
-from csmoe.model import load_checkpoint, save_checkpoint
+from csmoe.cli import _load_embeddings, main
+from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
+from csmoe.tokenizer import MaskPair
 
 from util import mini_config, write_sampling_inputs
 
@@ -579,6 +581,65 @@ def test_eval_retrieval_with_images_and_checkpoint(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["f1_percent"] == 100.0
+
+
+@pytest.mark.parametrize("strategy", ["avg_wo_cls", "avg_all", "only_cls", "norm_cls", "norm_proj_cls"])
+def test_eval_retrieval_embeds_chunks_like_single_images(tmp_path, strategy):
+    # 20 files span two chunks; rank-1 embeddings sit between the images and
+    # every file keeps its sorted place
+    model = init_model(mini_config())
+    full = MaskPair(masked=np.array([], dtype=np.int64), unmasked=np.arange(model.cfg.num_patches),
+                    ratio=model.cfg.mask_ratio, seed=0)
+
+    def one_image(image):
+        return build_embedding(encode(model, image, full, "y"), strategy, projection=model.proj)
+
+    rng = np.random.default_rng(8)
+    width = one_image(rng.standard_normal((3, 16, 16))).shape[0]
+    directory = tmp_path / "mixed"
+    directory.mkdir()
+    files = {f"f{i:02d}": rng.standard_normal(width if i % 3 == 1 else (3, 16, 16)) for i in range(20)}
+    for name, arr in files.items():
+        save_tnsr(directory / f"{name}.tnsr", arr)
+    ids, emb = _load_embeddings(directory, "y", model, strategy)
+    assert ids == sorted(files)
+    for row, arr in zip(emb, files.values()):
+        if arr.ndim == 1:
+            assert np.array_equal(row, arr)
+        else:
+            np.testing.assert_allclose(row, one_image(arr), rtol=0, atol=1e-12)
+
+
+def test_eval_retrieval_image_of_another_shape_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(mini_config()), ckpt)
+    qdir = tmp_path / "q"
+    qdir.mkdir()
+    save_tnsr(qdir / "a.tnsr", np.zeros((2, 16, 16)))
+    save_tnsr(qdir / "b.tnsr", np.zeros((3, 16, 16)))  # an S2 image in an S1 directory
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\na,A\nb,A\n")
+    assert main(["eval-retrieval", "--checkpoint", str(ckpt), "--queries", str(qdir),
+                 "--gallery", str(qdir), "--labels", str(labels), "--task", "S1>S1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{qdir / 'b.tnsr'}: image shape [3, 16, 16] does not match the checkpoint's [2, 16, 16]" in err
+
+
+def test_eval_retrieval_query_without_candidates_exits_two(tmp_path, capsys):
+    # the query's only gallery item is its own id: no F1 exists (it used to
+    # print NaN with two numpy warnings and exit 0)
+    write_embedding_dir(tmp_path / "q", {"a": [1.0, 0.0]})
+    write_embedding_dir(tmp_path / "g", {"a": [1.0, 0.0]})
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\na,A\n")
+    out = tmp_path / "res.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
+                     "--gallery", str(tmp_path / "g"), "--labels", str(labels),
+                     "--task", "S1>S1", "--out", str(out)]) == 2
+    assert "query a has no gallery candidates left" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_retrieval_missing_labels(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from csmoe.evaluation import (
     retrieval_f1,
     retrieve,
 )
-from csmoe.evaluation import _NORM_ROWS
 from csmoe.model import CsmoeConfig, forward, init_model, parameter_count
 from csmoe.numerics import FlopCounter
 
@@ -67,8 +68,10 @@ def test_retrieve_self_exclusion_by_id():
 
 
 def brute_force_retrieve(q, g, k, query_ids, gallery_ids):
-    """Sort every allowed gallery index by (-similarity, index), per query."""
-    sims = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+    """Sort every allowed gallery index by (-similarity, index), per query;
+    an all-zero gallery row has similarity 0 with every query."""
+    unit = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    sims = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ unit.T
     ranked = []
     for i in range(len(q)):
         allowed = [j for j in range(len(g)) if query_ids is None or gallery_ids[j] != query_ids[i]]
@@ -83,34 +86,56 @@ def test_retrieve_matches_brute_force_reference(k, with_ids):
     base = rng.integers(-2, 3, (6, 4)).astype(float) + 0.5
     tied = np.tile([[0.3, -1.1, 0.7, 2.0]], (8, 1))
     # rows 6..11 repeat rows 0..5 and rows 12..19 repeat one row: exact ties,
-    # and for the last query the 8-way tie at the top straddles k = 1 and 5
-    gallery = np.concatenate([base, base, tied])
+    # and for the last query the 8-way tie at the top straddles k = 1 and 5;
+    # row 20 is all zeros
+    gallery = np.concatenate([base, base, tied, np.zeros((1, 4))])
     queries = np.concatenate([base[[3, 0]], rng.standard_normal((2, 4)), 2.0 * tied[:1]])
-    gallery_ids = [f"g{j}" for j in range(20)]
+    gallery_ids = [f"g{j}" for j in range(21)]
     gallery_ids[9] = "g3"  # a query id present twice in the gallery
     # the third and fourth exclude nothing; the last excludes one tied row
     query_ids = ["g3", "g0", "absent", "also-absent", "g15"]
     qids, gids = (query_ids, gallery_ids) if with_ids else (None, None)
     ranked = retrieve(queries, gallery, k, query_ids=qids, gallery_ids=gids)
     assert ranked == brute_force_retrieve(queries, gallery, k, qids, gids)
-    if with_ids and k >= 20:  # exclusions leave three queries fewer than k items
-        assert [len(r) for r in ranked] == [18, 19, 20, 20, 19]
+    if with_ids and k >= 20:  # exclusions leave queries fewer than k items
+        assert [len(r) for r in ranked] == [min(k, n) for n in (19, 20, 21, 21, 20)]
 
 
 def test_retrieve_gallery_spanning_several_normalisation_blocks():
-    # the gallery is normalised in row blocks: rankings, ties between equal
-    # rows in different blocks included, equal those of a one-pass computation,
-    # for a row-major and a column-major gallery
+    # 300 queries are ranked in several blocks against 389 gallery rows:
+    # rankings, ties between equal-direction rows far apart included, equal
+    # those of a one-pass computation, for a row-major and a column-major
+    # gallery; the tied direction is queried in the first and the last block
     rng = np.random.default_rng(11)
-    n = 3 * _NORM_ROWS + 5
+    n = 389
     gallery = rng.standard_normal((n, 16))
-    gallery[[1, _NORM_ROWS + 2, 2 * _NORM_ROWS + 7, n - 1]] = gallery[0] * [[1.0], [2.0], [0.5], [4.0]]
-    queries = np.concatenate([gallery[:1], rng.standard_normal((3, 16))])
+    gallery[[1, 130, 263, n - 1]] = gallery[0] * [[1.0], [2.0], [0.5], [4.0]]
+    queries = rng.standard_normal((300, 16))
+    queries[[0, 299]] = gallery[0]
     gallery_ids = [f"g{j}" for j in range(n)]
+    query_ids = [f"g{i + 1}" for i in range(299)] + [f"g{n - 1}"]
     for g in (gallery, np.asfortranarray(gallery)):
-        for qids, gids in ((None, None), (["g1", "x", "y", "z"], gallery_ids)):
+        for qids, gids in ((None, None), (query_ids, gallery_ids)):
             ranked = retrieve(queries, g, 7, query_ids=qids, gallery_ids=gids)
             assert ranked == brute_force_retrieve(queries, gallery, 7, qids, gids)
+
+
+def test_retrieve_memory_is_bounded_by_a_query_block():
+    # 512 queries against a 10 000 x 384 gallery: the [512, N] similarities
+    # alone would take 41 MB
+    rng = np.random.default_rng(5)
+    gallery = rng.standard_normal((10_000, 384))
+    queries = rng.standard_normal((512, 384))
+    gallery_ids = [f"g{j}" for j in range(10_000)]
+    query_ids = gallery_ids[:512]
+    tracemalloc.start()
+    try:
+        ranked = retrieve(queries, gallery, 10, query_ids=query_ids, gallery_ids=gallery_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    assert [len(r) for r in ranked] == [10] * 512
 
 
 def test_retrieve_validation():

@@ -432,6 +432,19 @@ def test_build_embedding_projection_path():
         build_embedding(seq, "norm_proj_cls")
 
 
+def test_build_embedding_batch_axes_match_single_sequences():
+    cfg = mini_config()
+    model = init_model(cfg)
+    seqs = np.random.default_rng(4).standard_normal((2, 3, 5, cfg.enc_dim))
+    for strategy in ("avg_wo_cls", "avg_all", "only_cls", "norm_cls", "norm_proj_cls"):
+        batched = build_embedding(seqs, strategy, projection=model.proj)
+        single = [[build_embedding(s, strategy, projection=model.proj) for s in row] for row in seqs]
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-15)
+    seqs[1, 2, 0] = 0.0  # one zero CLS row in the batch
+    with pytest.raises(DimensionError):
+        build_embedding(seqs, "norm_cls")
+
+
 def test_build_embedding_rejects_empty():
     with pytest.raises(DimensionError):
         build_embedding(np.zeros((0, 4)), "avg_all")

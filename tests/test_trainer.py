@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from csmoe.cli import main
 from csmoe.errors import DataError, EvaluationError, FormatError
 from csmoe.model import init_model, save_checkpoint
 from csmoe.numerics import Tensor, parameter, save_tnsr
+from csmoe.sampler import ClassRaster, save_grid
 from csmoe.trainer import (
     AdamW,
     TrainerConfig,
@@ -250,4 +252,37 @@ def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, 
             with pytest.raises(KeyboardInterrupt):
                 main(argv + ["2"])  # another seed: other bytes
         assert target.read_bytes() == before[target]
+
+    # a TNSR1 file (split-tiles patches, synthesized pairs) and a GRID1
+    # raster, each rewritten by a writer killed after k bytes
+    class KilledAfterKBytes:
+        def __init__(self, path, mode, **kwargs):
+            self.fh, self.left = open(path, mode, **kwargs), k
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:self.left])
+            if len(data) > self.left:
+                raise KeyboardInterrupt("killed while writing")
+            self.left -= len(data)
+
+    raster = ClassRaster(lat_max=10.0, lon_min=0.0, dlat=1.0, dlon=1.0,
+                         grid=np.arange(6, dtype=np.uint16).reshape(2, 3), nodata=0)
+    tnsr, grid = tmp_path / "p.tnsr", tmp_path / "c.grid"
+    monkeypatch.undo()  # the real write_tnsr again
+    save_tnsr(tnsr, np.zeros((2, 3)))
+    save_grid(grid, raster)
+    before = {path: path.read_bytes() for path in (tnsr, grid)}
+    for save in (lambda: save_tnsr(tnsr, np.ones((2, 3))),
+                 lambda: save_grid(grid, replace(raster, grid=raster.grid + 1))):
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "open", KilledAfterKBytes, raising=False)
+            with pytest.raises(KeyboardInterrupt):
+                save()
+    assert {path: path.read_bytes() for path in (tnsr, grid)} == before
     assert not list(tmp_path.glob("*.tmp"))
