@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="directory of *.tnsr tiles")
     p.add_argument("--output", required=True, help="directory for kept patches and reports")
     p.add_argument("--patch", type=int, default=120)
-    p.add_argument("--sentinel", default="nan", help="invalid-pixel value (default NaN)")
+    p.add_argument("--sentinel", type=float, default="nan", help="invalid-pixel value (default NaN)")
 
     p = sub.add_parser("pretrain-toy", parents=[config],
                        help="mini-batch pretraining on paired TNSR1 images")
@@ -202,7 +202,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_split_tiles(args) -> int:
-    sentinel = float(args.sentinel)
     in_dir, out_dir = Path(args.input), Path(args.output)
     if not in_dir.is_dir():
         raise DataError(f"--input {in_dir} is not a directory")
@@ -213,7 +212,7 @@ def _cmd_split_tiles(args) -> int:
     total = 0
     for tile_path in tiles:
         tile = load_tnsr(tile_path)
-        patches, report = split_tile(tile, args.patch, sentinel)
+        patches, report = split_tile(tile, args.patch, args.sentinel)
         for i, patch in enumerate(patches):
             save_tnsr(out_dir / f"{tile_path.stem}_p{i:04d}.tnsr", patch)
         _write_report(out_dir / f"{tile_path.stem}_report.json", report)
@@ -322,6 +321,8 @@ def _load_labels(path) -> dict:
         if reader.fieldnames != ["id", "labels"]:
             raise DataError(f"{path}: expected header id,labels")
         for row in reader:
+            if row["labels"] is None:
+                raise DataError(f"{path}: row {reader.line_num} has no labels field")
             parts = [s for s in row["labels"].split(";") if s]
             if not parts:
                 raise DataError(f"{path}: empty label set for id {row['id']}")

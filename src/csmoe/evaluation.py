@@ -1,4 +1,4 @@
-"""Retrieval scoring, probe metrics, and parameter/FLOP/capacity accounting.
+"""Retrieval scoring and parameter/FLOP/capacity accounting.
 
 FLOP convention (documented in every profile): 2 ops per multiply-accumulate
 with bias adds counted once per output element, 5 ops per softmax or
@@ -11,7 +11,6 @@ be cross-checked against an instrumented run.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -122,98 +121,6 @@ def dataset_retrieval_f1(query_label_list, retrieved_label_lists, k: int) -> flo
         retrieval_f1(ql, rl, k) for ql, rl in zip(query_label_list, retrieved_label_lists)
     ]
     return 100.0 * float(np.mean(scores))
-
-
-# ---------------------------------------------------------------------------
-# Probe metrics
-# ---------------------------------------------------------------------------
-
-
-def train_linear_probe(embeddings: np.ndarray, truths, task: str, num_classes: int,
-                       epochs: int = 50, lr: float = 1e-3, seed: int = 0) -> np.ndarray:
-    """Fit one linear layer on frozen embeddings and return its scores.
-
-    Full-batch AdamW with a logistic loss per class (multilabel) or a
-    softmax cross-entropy (multiclass); the backbone never moves.
-    """
-    from .numerics import Tensor, backward, linear, mul, parameter, softmax, texp, tlog, tmean, tsum
-    from .trainer import AdamW
-
-    emb = np.asarray(embeddings, dtype=np.float64)
-    n, d = emb.shape
-    if task == "multilabel":
-        target = np.zeros((n, num_classes))
-        for i, labels in enumerate(truths):
-            for lab in labels:
-                target[i, lab] = 1.0
-    elif task == "multiclass":
-        target = np.eye(num_classes)[np.asarray(truths, dtype=np.int64)]
-    else:
-        raise ParameterError(f"task must be 'multilabel' or 'multiclass', got {task!r}")
-    rng = np.random.default_rng(seed)
-    weight = parameter(rng.normal(0.0, 0.01, (d, num_classes)))
-    bias = parameter(np.zeros(num_classes))
-    x = Tensor(emb)
-    t = Tensor(target)
-    opt = AdamW({"w": weight, "b": bias}, lr=lr, weight_decay=0.0)
-    for _ in range(epochs):
-        logits = linear(x, weight, bias)
-        if task == "multilabel":
-            # per-class binary cross-entropy, probabilities clamped away from 0/1
-            probs = Tensor(1.0) / (Tensor(1.0) + texp(-logits))
-            eps = 1e-12
-            loss = -tmean(mul(t, tlog(probs + eps)) + mul(Tensor(1.0) - t, tlog(Tensor(1.0) - probs + eps)))
-        else:
-            loss = -tmean(tsum(mul(tlog(softmax(logits, axis=1)), t), axis=1))
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-    return emb @ weight.data + bias.data
-
-
-def _average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
-    order = np.argsort(-scores, kind="stable")
-    hits = positives[order]
-    ranks = np.flatnonzero(hits) + 1
-    precisions = np.cumsum(hits)[ranks - 1] / ranks
-    return float(precisions.mean())
-
-
-def probe_metrics(scores: np.ndarray, truths, task: str) -> float:
-    """Macro metrics in percent: mean average precision for multilabel
-    probing, average per-class accuracy (macro recall) for multiclass.
-
-    Classes with no positives are excluded from the macro mean with a
-    warning.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] < 2:
-        raise DimensionError(f"expected [N, C>=2] scores, got shape {scores.shape}")
-    n, c = scores.shape
-    if task == "multilabel":
-        mask = np.zeros((n, c), dtype=bool)
-        for i, labels in enumerate(truths):
-            for lab in labels:
-                mask[i, lab] = True
-        values = []
-        for j in range(c):
-            if not mask[:, j].any():
-                warnings.warn(f"class {j} has no positives; excluded from mAP")
-                continue
-            values.append(_average_precision(scores[:, j], mask[:, j]))
-        return 100.0 * float(np.mean(values))
-    if task == "multiclass":
-        truth = np.asarray(truths, dtype=np.int64)
-        pred = np.argmax(scores, axis=1)
-        values = []
-        for j in range(c):
-            members = truth == j
-            if not members.any():
-                warnings.warn(f"class {j} has no members; excluded from AA")
-                continue
-            values.append(float((pred[members] == j).mean()))
-        return 100.0 * float(np.mean(values))
-    raise ParameterError(f"task must be 'multilabel' or 'multiclass', got {task!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ class LossBreakdown:
     rep: float
     ent: float
     total: float
-    lambda_rep: float
-    gamma_ent: float
-    tau_mi: float
-    eps_ent: float
     total_tensor: Tensor = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
@@ -180,7 +176,5 @@ def loss_total(
     total = umr + cmr + mi + lambda_rep * rep + gamma_ent * ent
     return LossBreakdown(
         umr=umr.item(), cmr=cmr.item(), mi=mi.item(), rep=rep.item(), ent=ent.item(),
-        total=total.item(),
-        lambda_rep=lambda_rep, gamma_ent=gamma_ent, tau_mi=tau_mi, eps_ent=eps_ent,
-        total_tensor=total,
+        total=total.item(), total_tensor=total,
     )

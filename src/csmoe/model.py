@@ -303,10 +303,6 @@ def parameter_manifest(cfg: CsmoeConfig):
     return list(entries.values())
 
 
-def parameter_count(cfg: CsmoeConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in parameter_manifest(cfg))
-
-
 def convert_v1(cfg: CsmoeConfig, arrays) -> list:
     """Arrays of the v1 tensors, in v1 order -> the v2 tensors, in manifest
     order; the one conversion for v1 checkpoints and v1 optimizer moments."""

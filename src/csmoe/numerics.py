@@ -142,14 +142,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -162,9 +156,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data) -> Tensor:
@@ -691,6 +682,10 @@ def check_gradients(
     (or ``max_checked``), in which case a seeded uniform sample of elements
     is checked instead. ``loss_fn`` must be deterministic in ``params``.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ParameterError(f"step must be finite and > 0, got {step}")
+    if max_checked < 1:
+        raise ParameterError(f"max_checked must be >= 1, got {max_checked}")
     zero_grads(params)
     loss = loss_fn(params)
     value = loss.item()

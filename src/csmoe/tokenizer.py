@@ -101,12 +101,6 @@ def unpatchify(patches: PatchSet) -> np.ndarray:
     )
 
 
-def tokens_to_image(tokens: np.ndarray, patch_size: int, grid, channels: int) -> np.ndarray:
-    """Reassemble a [P, patch^2*C] token array (e.g. a reconstruction)."""
-    ps = PatchSet(Tensor(tokens), patch_size, tuple(grid), channels)
-    return unpatchify(ps)
-
-
 def sample_masks(num_patches: int, ratio: float, seed) -> MaskPair:
     """A uniformly random masked subset of round-half-up(ratio * P) indices.
 

@@ -8,6 +8,7 @@ replays exactly the steps a longer run would have taken.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DataError, EvaluationError, FormatError, ParameterError
 from .losses import loss_total
 from .model import CsmoeModel, convert_v1, forward, manifest_header, save_checkpoint
-from .numerics import backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
+from .numerics import atomic_write, backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
 OPT_VERSION = 2  # the checkpoint's layout version; version 1 files still load
@@ -291,14 +292,36 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     return optimizer, records
 
 
+def _log_through(log_path, step: int, epoch: int) -> str:
+    """The leading records of the loss log at ``log_path`` up to ``step``
+    and ``epoch``: reading stops at the first line that is not a record of
+    an earlier step or epoch (a torn line, or one a killed resume wrote
+    after the checkpoint)."""
+    kept = []
+    with contextlib.suppress(FileNotFoundError), open(log_path, errors="replace") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line)
+                if not (record.get("step", 0) <= step and record.get("epoch", 0) <= epoch):
+                    break
+            except (ValueError, AttributeError, TypeError):  # not a JSON object of numbers
+                break
+            kept.append(line)
+    return "".join(kept)
+
+
 def run_pretraining(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
                     checkpoint_path, log_path, loss_kwargs: dict = None,
                     resume_from=None):
-    """Train, then write the checkpoint and its optimizer sidecar."""
+    """Train, then write the checkpoint and its optimizer sidecar. A resume
+    first cuts the loss log back to the checkpoint's step, then appends."""
     optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     start_epoch = 0
     if resume_from is not None:
         start_epoch = load_optimizer_state(str(resume_from) + ".opt", optimizer, model)
+        kept = _log_through(log_path, optimizer.step_count, start_epoch)
+        with atomic_write(log_path, "w") as fh:
+            fh.write(kept)
     with open(log_path, "a" if resume_from else "w") as log_fh:
         _, records = train(model, pairs, tcfg, seed, loss_kwargs=loss_kwargs,
                            log_fh=log_fh, start_epoch=start_epoch, optimizer=optimizer)

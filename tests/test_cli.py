@@ -324,6 +324,31 @@ def test_pretrain_resume_bit_exact(tmp_path):
     assert ckpt_resumed.read_bytes() == ckpt_full.read_bytes()
 
 
+def test_resume_cuts_the_loss_log_back_to_the_checkpoint(tmp_path):
+    tiny = json.loads((DATA / "tiny.json").read_text())
+
+    def run(epochs, name, log, *extra):
+        tiny["trainer"].update(epochs=epochs, schedule_epochs=4, val_fraction=0.34)
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(tiny))
+        assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(tmp_path / "data"),
+                     "--checkpoint", str(tmp_path / f"{name}.ckpt"), "--log", str(log),
+                     "--seed", "0", *extra]) == 0
+
+    full_log, log = tmp_path / "full.jsonl", tmp_path / "half.jsonl"
+    run(4, "full", full_log, "--synthesize", "6")
+    run(2, "half", log)
+    # 4 training pairs in batches of 2 and a validation record per epoch
+    lines = full_log.read_text().splitlines(keepends=True)
+    assert len(lines) == 12 and log.read_text() == "".join(lines[:6])
+    # a killed resume left two step records and a torn one behind
+    with open(log, "a") as fh:
+        fh.write("".join(lines[6:8]) + lines[8][:len(lines[8]) // 2])
+    run(4, "resumed", log, "--resume", str(tmp_path / "half.ckpt"))
+    assert log.read_bytes() == full_log.read_bytes()
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
+
+
 @pytest.mark.parametrize("corruption", ["moment_shape", "trailing_bytes", "truncated", "no_step"])
 def test_pretrain_resume_rejects_corrupt_optimizer_state(tmp_path, capsys, corruption):
     cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=1)
@@ -656,11 +681,13 @@ def test_eval_retrieval_rejects_repeated_label_id(tmp_path, capsys):
     write_embedding_dir(tmp_path / "q", {"q1": [1.0, 0.0]})
     write_embedding_dir(tmp_path / "g", {"g1": [1.0, 0.0]})
     labels = tmp_path / "labels.csv"
-    labels.write_text("id,labels\nq1,A\ng1,B\nq1,C\n")
-    assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
-                 "--gallery", str(tmp_path / "g"), "--labels", str(labels),
-                 "--task", "S1>S1"]) == 2
-    assert f"{labels}: repeated id q1" in capsys.readouterr().err
+    for text, message in [("id,labels\nq1,A\ng1,B\nq1,C\n", "repeated id q1"),
+                          ("id,labels\nq1,A\ng1\n", "row 3 has no labels field")]:
+        labels.write_text(text)
+        assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
+                     "--gallery", str(tmp_path / "g"), "--labels", str(labels),
+                     "--task", "S1>S1"]) == 2
+        assert f"{labels}: {message}" in capsys.readouterr().err
 
 
 def test_sample_with_no_covered_entries(tmp_path):
@@ -722,3 +749,39 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         outputs[threads] = {name: (work / name).read_bytes()
                                    for name in ("m.ckpt", "m.ckpt.opt", "log.jsonl", "report.json")}
     assert outputs["1"] == outputs["2"]
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["label_row_without_labels", "sentinel_not_a_number",
+                                  "grad_check_step_zero", "grad_check_step_nan",
+                                  "grad_check_max_checked_zero"])
+def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
+    emb = tmp_path / "emb"
+    write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\na,A\nb\n")
+    cfg = str(write_mini_run_config(tmp_path / "cfg.json"))
+    argv, code, message = {
+        "label_row_without_labels": (
+            ["eval-retrieval", "--queries", str(emb), "--gallery", str(emb),
+             "--labels", str(labels), "--task", "S1>S1"], 2, f"{labels}: row 3 has no labels field"),
+        "sentinel_not_a_number": (
+            ["split-tiles", "--input", str(emb), "--output", str(tmp_path / "out"), "--sentinel", "abc"],
+            1, "argument --sentinel: invalid float value: 'abc'"),
+        "grad_check_step_zero": (["grad-check", "--config", cfg, "--step", "0"], 2,
+                                 "step must be finite and > 0, got 0.0"),
+        "grad_check_step_nan": (["grad-check", "--config", cfg, "--step", "nan"], 2,
+                                "step must be finite and > 0, got nan"),
+        "grad_check_max_checked_zero": (["grad-check", "--config", cfg, "--max-checked", "0"], 2,
+                                        "max_checked must be >= 1, got 0"),
+    }[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+    assert message in proc.stderr
+    assert not (tmp_path / "out").exists()

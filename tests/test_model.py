@@ -13,7 +13,6 @@ from csmoe.model import (
     load_checkpoint,
     load_section,
     manifest_header,
-    parameter_count,
     parameter_manifest,
     save_checkpoint,
 )
@@ -153,13 +152,6 @@ def test_cross_sensor_blocks_shared_by_reference():
     shared.data[0, 0] = 123.0
     # the same object is observed through both modality paths
     assert model.enc_shared[0].attention.wqvk.data[0, 0] == 123.0
-
-
-def test_parameter_count_matches_runtime_enumeration():
-    for cfg in (mini_config(), mini_config(patch_size=4, num_slots=4, num_experts=2, proj_dim=4)):
-        model = init_model(cfg)
-        runtime = sum(p.size for p in model.params.values())
-        assert parameter_count(cfg) == runtime
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from csmoe.tokenizer import (
     positional_embedding,
     sample_masks,
     split_tile,
-    tokens_to_image,
     unpatchify,
 )
 
@@ -59,12 +58,6 @@ def test_patchify_roundtrip_random_shapes():
 def test_patchify_rejects_indivisible_sides():
     with pytest.raises(DimensionError):
         patchify(np.zeros((1, 6, 6)), 4)
-
-
-def test_tokens_to_image_matches_unpatchify():
-    img = np.random.default_rng(2).standard_normal((2, 6, 6))
-    ps = patchify(img, 3)
-    assert np.array_equal(tokens_to_image(ps.tokens.data, 3, ps.grid, 2), img)
 
 
 # ---------------------------------------------------------------------------
