@@ -154,6 +154,13 @@ def test_cross_sensor_blocks_shared_by_reference():
     assert model.enc_shared[0].attention.wqvk.data[0, 0] == 123.0
 
 
+def test_parameter_count_matches_runtime_enumeration():
+    for cfg in (mini_config(), mini_config(patch_size=4, num_slots=4, num_experts=2, proj_dim=4)):
+        model = init_model(cfg)
+        runtime = sum(p.size for p in model.params.values())
+        assert sum(int(np.prod(shape)) for _, shape, _ in parameter_manifest(cfg)) == runtime
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
