@@ -11,12 +11,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CsmoeError, DataError
+from .errors import ConfigError, CsmoeError, DataError, ParameterError, require
 from .evaluation import dataset_retrieval_f1, profile, retrieve
 from .losses import (
     DEFAULT_EPS_ENT,
@@ -49,8 +49,11 @@ class LossSettings:
     mi_include_positive: bool = False
     norm_pix: bool = False
 
-    def to_kwargs(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        require([
+            (self.tau_mi > 0, f"tau_mi must be > 0, got {self.tau_mi}"),
+            (self.eps_ent >= 0, f"eps_ent must be >= 0, got {self.eps_ent}"),
+        ], ParameterError)
 
 
 @dataclass
@@ -68,31 +71,42 @@ class RunConfig:
     ga: GaConfig = field(default_factory=GaConfig)
     paths: PathSettings = field(default_factory=PathSettings)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-_SECTIONS = {"model": CsmoeConfig, "loss": LossSettings, "trainer": TrainerConfig,
-             "ga": GaConfig, "paths": PathSettings}
-
-
-def load_run_config(path=None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config sections: {sorted(unknown)}")
-    return RunConfig(**{name: load_section(_SECTIONS[name], section, f"{path}: section '{name}'")
-                        for name, section in data.items()})
+def load_run_config(path=None, overrides=()) -> RunConfig:
+    """The run configuration: the JSON file at ``path`` (every default when
+    None) with ``overrides`` merged over its sections before any section is
+    built. An override is a (flag, "section.key", value) triple from the
+    command line, so a flag's value meets the same checks as the file's and
+    an error names the flag as well as the key."""
+    data = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except FileNotFoundError as exc:
+            raise DataError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        unknown = set(data) - set(_SECTIONS)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config sections: {sorted(unknown)}")
+    flags = {name: [] for name in _SECTIONS}
+    for flag, dotted, value in overrides:
+        name, key = dotted.split(".")
+        section = data.setdefault(name, {})
+        if isinstance(section, dict):  # otherwise load_section rejects the section
+            section[key] = value
+        flags[name].append(flag)
+    source = "" if path is None else f"{path}: "
+    return RunConfig(**{
+        name: load_section(cls, data.get(name, {}), f"{source}section '{name}'"
+                           + (f" with {', '.join(flags[name])}" if flags[name] else ""))
+        for name, cls in _SECTIONS.items()})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,13 +132,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--thematic", required=True, help="GRID1 thematic raster")
     p.add_argument("--out", required=True, help="selection CSV to write")
     p.add_argument("--report", help="sampling report JSON to write")
-    p.add_argument("--target", type=int, help="samples to keep per stratum")
-    p.add_argument("--iters", type=int, help="GA generations")
-    p.add_argument("--pop", type=int, help="GA population size")
-    p.add_argument("--rc", type=float, help="per-gene crossover swap probability")
+    p.add_argument("--target", type=int, dest="ga.target_size", metavar="TARGET",
+                   help="samples to keep per stratum")
+    p.add_argument("--iters", type=int, dest="ga.generations", metavar="ITERS", help="GA generations")
+    p.add_argument("--pop", type=int, dest="ga.population_size", metavar="POP", help="GA population size")
+    p.add_argument("--rc", type=float, dest="ga.crossover_rate", metavar="RC",
+                   help="per-gene crossover swap probability")
     p.add_argument("--baseline", action="store_true",
                    help="also report an equal-size random selection per stratum")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="model.seed,ga.seed", metavar="SEED")
 
     p = sub.add_parser("split-tiles", help="cut TNSR1 tiles into training patches")
     p.add_argument("--input", required=True, help="directory of *.tnsr tiles")
@@ -134,25 +150,27 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pretrain-toy", parents=[config],
                        help="mini-batch pretraining on paired TNSR1 images")
-    p.add_argument("--data-dir", help="directory of <id>_x.tnsr/<id>_y.tnsr pairs")
-    p.add_argument("--checkpoint", help="checkpoint path to write")
-    p.add_argument("--log", help="JSON-lines loss log to write")
+    p.add_argument("--data-dir", dest="paths.data_dir", metavar="DATA_DIR",
+                   help="directory of <id>_x.tnsr/<id>_y.tnsr pairs")
+    p.add_argument("--checkpoint", dest="paths.checkpoint", metavar="CHECKPOINT",
+                   help="checkpoint path to write")
+    p.add_argument("--log", dest="paths.log", metavar="LOG", help="JSON-lines loss log to write")
     p.add_argument("--synthesize", type=int, metavar="N",
                    help="generate N synthetic pairs into --data-dir first")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--norm-pix", action="store_true",
+    p.add_argument("--epochs", type=int, dest="trainer.epochs", metavar="EPOCHS")
+    p.add_argument("--norm-pix", action="store_true", dest="loss.norm_pix",
                    help="normalize reconstruction targets per token")
-    p.add_argument("--mi-include-positive", action="store_true",
+    p.add_argument("--mi-include-positive", action="store_true", dest="loss.mi_include_positive",
                    help="include the positive pair in the contrastive denominator")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="model.seed,ga.seed", metavar="SEED")
 
     p = sub.add_parser("grad-check", parents=[config], help="finite-difference check of the total loss")
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--max-checked", type=int, default=1024)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="model.seed,ga.seed", metavar="SEED")
 
     p = sub.add_parser("eval-retrieval", help="uni/cross-modal retrieval F1")
     p.add_argument("--checkpoint", help="model checkpoint (needed for image inputs)")
@@ -168,7 +186,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("flops", parents=[config], help="parameter/FLOP/C2C profile of a configuration")
     p.add_argument("--out", help="JSON profile path")
 
+    # a config-backed flag's dest names the comma-separated "section.key" fields it sets
+    for p in sub.choices.values():
+        p.set_defaults(config_flags={a.dest: a.option_strings[0] for a in p._actions if "." in a.dest})
     return parser
+
+
+def _run_config(args) -> RunConfig:
+    """``--config`` with every config-backed flag that was given merged over
+    it; a flag left unset holds None (a store_true flag False)."""
+    overrides = [(flag, dotted, value) for dest, flag in getattr(args, "config_flags", {}).items()
+                 if (value := getattr(args, dest)) is not None and value is not False
+                 for dotted in dest.split(",")]
+    return load_run_config(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +213,18 @@ def _write_report(path, report):
         fh.write("\n")
 
 
+def _print_json(payload, out, indent=2):
+    """Print ``payload`` as JSON with sorted keys; with ``out``, also write
+    it there, newline-terminated, atomically."""
+    text = json.dumps(payload, indent=indent, sort_keys=True)
+    if out:
+        with atomic_write(out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_sample(args) -> int:
-    overrides = {
-        "target_size": args.target, "generations": args.iters,
-        "population_size": args.pop, "crossover_rate": args.rc, "seed": args.seed,
-    }
-    ga = replace(load_run_config(args.config).ga, **{k: v for k, v in overrides.items() if v is not None})
+    ga = _run_config(args).ga
     archive = load_archive(args.archive)
     climate = load_grid(args.climate)
     thematic = load_grid(args.thematic)
@@ -221,50 +257,26 @@ def _cmd_split_tiles(args) -> int:
     return 0
 
 
-def _resolve_seed(run: RunConfig, arg_seed):
-    if arg_seed is not None:
-        if arg_seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {arg_seed}")
-        run.model.seed = arg_seed
-        run.ga.seed = arg_seed
-        return arg_seed
-    return run.model.seed
-
-
 def _cmd_pretrain(args) -> int:
-    run = load_run_config(args.config)
-    seed = _resolve_seed(run, args.seed)
-    if args.epochs is not None:
-        run.trainer.epochs = args.epochs
-    if args.norm_pix:
-        run.loss.norm_pix = True
-    if args.mi_include_positive:
-        run.loss.mi_include_positive = True
-    data_dir = args.data_dir or run.paths.data_dir
-    ckpt = args.checkpoint or run.paths.checkpoint
-    log = args.log or run.paths.log
-    for name, value in (("--data-dir", data_dir), ("--checkpoint", ckpt), ("--log", log)):
+    run = _run_config(args)
+    seed, paths = run.model.seed, run.paths
+    for name, value in zip(("--data-dir", "--checkpoint", "--log"), astuple(paths)):
         if not value:
             raise DataError(f"{name} is required (flag or paths section of the config)")
+    if args.resume == "":
+        raise DataError("--resume needs a checkpoint path, got an empty string")
     if args.synthesize:
-        synthesize_pairs(data_dir, args.synthesize, run.model, seed)
-    if args.resume:
-        model = load_checkpoint(args.resume)
-    else:
-        model = init_model(run.model)
-    pairs = load_pairs(data_dir, model.cfg)
-    records = run_pretraining(
-        model, pairs, run.trainer, seed,
-        checkpoint_path=ckpt, log_path=log,
-        loss_kwargs=run.loss.to_kwargs(),
-        resume_from=args.resume,
-    )
+        synthesize_pairs(paths.data_dir, args.synthesize, run.model, seed)
+    model = init_model(run.model) if args.resume is None else load_checkpoint(args.resume)
+    records = run_pretraining(model, load_pairs(paths.data_dir, model.cfg), run.trainer, seed,
+                              checkpoint_path=paths.checkpoint, log_path=paths.log,
+                              loss_kwargs=asdict(run.loss), resume_from=args.resume)
     train_records = [r for r in records if "step" in r]
     if train_records:
         print(f"trained {len(train_records)} steps: total {train_records[0]['total']:.6f} "
-              f"-> {train_records[-1]['total']:.6f}; checkpoint {ckpt}")
+              f"-> {train_records[-1]['total']:.6f}; checkpoint {paths.checkpoint}")
     else:
-        print(f"no training steps run; checkpoint {ckpt}")
+        print(f"no training steps run; checkpoint {paths.checkpoint}")
     return 0
 
 
@@ -274,9 +286,8 @@ GRAD_CHECK_STD = 0.3
 
 
 def _cmd_grad_check(args) -> int:
-    run = load_run_config(args.config)
-    seed = _resolve_seed(run, args.seed)
-    cfg = run.model
+    run = _run_config(args)
+    cfg, seed = run.model, run.model.seed
     model = init_model(cfg)
     rng = np.random.default_rng(seed + 1)
     for p in model.params.values():
@@ -291,7 +302,7 @@ def _cmd_grad_check(args) -> int:
 
     def loss_fn(params):
         art = forward(model, xs, ys, seed=[seed + 10, seed + 11])
-        return loss_total(model, art, **run.loss.to_kwargs()).total_tensor
+        return loss_total(model, art, **asdict(run.loss)).total_tensor
 
     report = check_gradients(loss_fn, model.params, step=args.step,
                              max_checked=args.max_checked, sample_seed=seed)
@@ -303,11 +314,7 @@ def _cmd_grad_check(args) -> int:
         "passed": report.passed(args.tolerance),
         "per_parameter_errors": dict(sorted(report.per_parameter_errors.items())),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _print_json(payload, args.out)
     return 0 if report.passed(args.tolerance) else 2
 
 
@@ -323,6 +330,9 @@ def _load_labels(path) -> dict:
         for row in reader:
             if row["labels"] is None:
                 raise DataError(f"{path}: row {reader.line_num} has no labels field")
+            if None in row:
+                raise DataError(f"{path}: row {reader.line_num} has {2 + len(row[None])} fields, "
+                                f"not 2: join labels with ';'")
             parts = [s for s in row["labels"].split(";") if s]
             if not parts:
                 raise DataError(f"{path}: empty label set for id {row['id']}")
@@ -401,22 +411,13 @@ def _cmd_eval_retrieval(args) -> int:
         "n_queries": len(q_ids),
         "k": args.k,
     }
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _print_json(payload, args.out, indent=None)
     return 0
 
 
 def _cmd_flops(args) -> int:
-    run = load_run_config(args.config)
-    prof = profile(run.model)
-    text = json.dumps(prof.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        with atomic_write(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    prof = profile(_run_config(args).model)
+    _print_json(prof.to_dict(), args.out)
     print()
     print(f"{'component':<16}{'params':>14}{'flops':>16}")
     for row in prof.breakdown:
@@ -443,17 +444,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.dump_config:
-            run = load_run_config(args.config)
-            print(json.dumps(run.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(asdict(_run_config(args)), indent=2, sort_keys=True))
             return 0
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except CsmoeError as exc:
-        print(f"csmoe: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CsmoeError, OSError) as exc:
         print(f"csmoe: error: {exc}", file=sys.stderr)
         return 2
 

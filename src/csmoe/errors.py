@@ -31,3 +31,10 @@ class EvaluationError(CsmoeError):
 
 class NormalizationError(CsmoeError):
     """A vector that must be normalized has zero length."""
+
+
+def require(checks, error=ConfigError):
+    """Raise ``error`` with the message of the first failing (ok, message) check."""
+    for ok, message in checks:
+        if not ok:
+            raise error(message)

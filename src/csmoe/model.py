@@ -16,11 +16,12 @@ artifact then carries the same axes in front of its documented shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, ParameterError
+from .errors import ConfigError, DimensionError, FormatError, ParameterError, require
 from .numerics import (
     Tensor,
     concat_rows,
@@ -88,23 +89,20 @@ class CsmoeConfig:
             self.expert_hidden = self.enc_dim
         if self.dec_hidden == 0:
             self.dec_hidden = self.dec_dim
-        self.validate()
-
-    def validate(self):
-        checks = [
-            (self.image_side % self.patch_size == 0,
-             f"image side {self.image_side} not divisible by patch size {self.patch_size}"),
-            (self.enc_dim % self.heads == 0,
-             f"encoder dim {self.enc_dim} not divisible by {self.heads} heads"),
-            (self.dec_dim % self.dec_heads == 0,
-             f"decoder dim {self.dec_dim} not divisible by {self.dec_heads} heads"),
-            (self.enc_dim % 4 == 0, "encoder dim must be divisible by 4"),
-            (self.dec_dim % 4 == 0, "decoder dim must be divisible by 4"),
-            (self.enc_layers_modality >= 1, "need at least one modality-specific encoder layer"),
-            (self.enc_layers_shared >= 1, "need at least one cross-sensor encoder layer"),
-            (self.dec_layers >= 1, "need at least one decoder layer"),
-            (self.num_slots >= 1, "need at least one slot"),
-            (self.num_experts >= 1, "need at least one expert"),
+        require([
+            (self.patch_size >= 1 and self.image_side >= 1 and self.image_side % self.patch_size == 0,
+             f"image_side {self.image_side} is not a positive multiple of patch_size {self.patch_size}"),
+            (self.heads >= 1 and self.enc_dim % self.heads == 0,
+             f"enc_dim {self.enc_dim} not divisible by {self.heads} heads"),
+            (self.dec_heads >= 1 and self.dec_dim % self.dec_heads == 0,
+             f"dec_dim {self.dec_dim} not divisible by {self.dec_heads} dec_heads"),
+            (self.enc_dim >= 4 and self.enc_dim % 4 == 0,
+             f"enc_dim must be a positive multiple of 4, got {self.enc_dim}"),
+            (self.dec_dim >= 4 and self.dec_dim % 4 == 0,
+             f"dec_dim must be a positive multiple of 4, got {self.dec_dim}"),
+            (min(self.enc_layers_modality, self.enc_layers_shared, self.dec_layers) >= 1,
+             "enc_layers_modality, enc_layers_shared and dec_layers must be >= 1"),
+            (min(self.num_slots, self.num_experts) >= 1, "num_slots and num_experts must be >= 1"),
             (self.num_experts < 1 or self.num_slots % self.num_experts == 0,
              f"num_slots {self.num_slots} is not a multiple of num_experts {self.num_experts}: "
              f"every expert takes the same number of slots"),
@@ -112,14 +110,11 @@ class CsmoeConfig:
              f"expert_hidden must be >= 0 (0 means enc_dim), got {self.expert_hidden}"),
             (self.dec_hidden >= 1, f"dec_hidden must be >= 0 (0 means dec_dim), got {self.dec_hidden}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (self.channels_x >= 1 and self.channels_y >= 1, "channel counts must be >= 1"),
-            (0.0 < self.mask_ratio < 1.0, f"mask ratio {self.mask_ratio} outside (0, 1)"),
-            (self.route_temperature > 0, "routing temperature must be > 0"),
-            (self.proj_dim >= 1, "projection dim must be >= 1"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ConfigError(msg)
+            (self.channels_x >= 1 and self.channels_y >= 1, "channels_x and channels_y must be >= 1"),
+            (0.0 < self.mask_ratio < 1.0, f"mask_ratio {self.mask_ratio} outside (0, 1)"),
+            (self.route_temperature > 0, f"route_temperature must be > 0, got {self.route_temperature}"),
+            (self.proj_dim >= 1, f"proj_dim must be >= 1, got {self.proj_dim}"),
+        ])
 
     @property
     def grid(self):
@@ -137,9 +132,6 @@ class CsmoeConfig:
     def token_dim(self, modality: str) -> int:
         return self.patch_size * self.patch_size * self.channels(modality)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}
 
@@ -149,7 +141,7 @@ def load_section(cls, data, where: str):
 
     ``data`` must be an object whose keys are fields of ``cls``, each value
     of its default's type: an int field takes an int but not a bool, a float
-    field an int or a float. Any failure, the dataclass's own checks
+    field a finite int or float. Any failure, the dataclass's own checks
     included, is a ConfigError that starts with ``where``.
     """
     if not isinstance(data, dict):
@@ -162,6 +154,8 @@ def load_section(cls, data, where: str):
         kind = type(defaults[key])
         if type(value) not in ((int, float) if kind is float else (kind,)):
             raise ConfigError(f"{where}: key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{where}: key {key!r} must be finite, got {value!r}")
     try:
         return cls(**data)
     except (ConfigError, ParameterError) as exc:
@@ -560,7 +554,7 @@ def save_checkpoint(model: CsmoeModel, path):
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "params": manifest_header(model.cfg),
     }
     write_blocks(path, header, [model.params[name].data for name, _ in header["params"]])

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError
+from .errors import DataError, FormatError, ParameterError, require
 from .numerics import atomic_write, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
@@ -159,14 +159,14 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.crossover_rate <= 1.0:
-            raise ParameterError(f"crossover rate {self.crossover_rate} outside (0, 1]")
-        if self.population_size < 2:
-            raise ParameterError(f"population size must be >= 2, got {self.population_size}")
-        if self.target_size < 1 or self.generations < 1:
-            raise ParameterError("target size and generations must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        require([
+            (self.target_size >= 1, f"target_size must be >= 1, got {self.target_size}"),
+            (self.generations >= 1, f"generations must be >= 1, got {self.generations}"),
+            (self.population_size >= 2, f"population_size must be >= 2, got {self.population_size}"),
+            (0.0 < self.crossover_rate <= 1.0, f"crossover_rate {self.crossover_rate} outside (0, 1]"),
+            (self.stagnation_limit >= 0, f"stagnation_limit must be >= 0, got {self.stagnation_limit}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+        ], ParameterError)
 
 
 def mutation_rate(target_size: int, stratum_size: int) -> float:

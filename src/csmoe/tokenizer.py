@@ -157,25 +157,17 @@ def split_tile(tile, patch_size: int, invalid_sentinel: float = np.nan):
         raise ParameterError(f"patch size must be >= 1, got {patch_size}")
     arr = _as_array(tile)
     c, h, w = arr.shape
-    rows, cols = h // patch_size, w // patch_size
-    small = math.ceil(h / patch_size) * math.ceil(w / patch_size) - rows * cols
-    if np.isnan(invalid_sentinel):
-        def is_invalid(block):
-            return bool(np.isnan(block).any())
-    else:
-        def is_invalid(block):
-            return bool((block == invalid_sentinel).any())
-    kept, invalid = [], 0
-    for r in range(rows):
-        for q in range(cols):
-            block = arr[:, r * patch_size:(r + 1) * patch_size, q * patch_size:(q + 1) * patch_size]
-            if is_invalid(block):
-                invalid += 1
-            else:
-                kept.append(block.copy())
+    p = patch_size
+    rows, cols = h // p, w // p
+    small = math.ceil(h / p) * math.ceil(w / p) - rows * cols
+    blocks = (arr[:, :rows * p, :cols * p].reshape(c, rows, p, cols, p)
+              .transpose(1, 3, 0, 2, 4).reshape(rows * cols, c, p, p))  # raster order
+    hits = np.isnan(blocks) if np.isnan(invalid_sentinel) else blocks == invalid_sentinel
+    bad = hits.any(axis=(1, 2, 3))
+    kept, invalid = list(blocks[~bad]), int(bad.sum())
     report = TileSplitReport(
         tile_shape=(c, h, w),
-        patch_shape=(patch_size, patch_size),
+        patch_shape=(p, p),
         kept=len(kept),
         discarded_small=small,
         discarded_invalid=invalid,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EvaluationError, FormatError, ParameterError
+from .errors import DataError, EvaluationError, FormatError, ParameterError, require
 from .losses import loss_total
 from .model import CsmoeModel, convert_v1, forward, manifest_header, save_checkpoint
 from .numerics import atomic_write, backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
@@ -41,6 +41,17 @@ class TrainerConfig:
     warmup_frac: float = 0.05
     val_fraction: float = 0.05
     schedule_epochs: int = 0  # cosine horizon; 0 means same as epochs
+
+    def __post_init__(self):
+        require([
+            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.batch_size >= 2, f"batch_size must be >= 2, got {self.batch_size}"),
+            (self.lr > 0, f"lr must be > 0, got {self.lr}"),
+            (self.weight_decay >= 0, f"weight_decay must be >= 0, got {self.weight_decay}"),
+            (0.0 <= self.warmup_frac <= 1.0, f"warmup_frac {self.warmup_frac} outside [0, 1]"),
+            (0.0 <= self.val_fraction < 1.0, f"val_fraction {self.val_fraction} outside [0, 1)"),
+            (self.schedule_epochs >= 0, f"schedule_epochs must be >= 0, got {self.schedule_epochs}"),
+        ], ParameterError)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) -> float:
@@ -245,8 +256,6 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     train_ids, val_ids = split_validation([p[0] for p in pairs], tcfg.val_fraction, seed)
     if len(train_ids) < 2:
         raise DataError(f"need at least 2 training pairs after the validation split, got {len(train_ids)}")
-    if tcfg.batch_size < 2:
-        raise ParameterError(f"batch size must be >= 2, got {tcfg.batch_size}")
     full, rem = divmod(len(train_ids), tcfg.batch_size)
     steps_per_epoch = full + (1 if rem >= 2 else 0)  # size-1 tail batches are dropped
     horizon_epochs = tcfg.schedule_epochs or tcfg.epochs
@@ -322,7 +331,7 @@ def run_pretraining(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
         kept = _log_through(log_path, optimizer.step_count, start_epoch)
         with atomic_write(log_path, "w") as fh:
             fh.write(kept)
-    with open(log_path, "a" if resume_from else "w") as log_fh:
+    with open(log_path, "w" if resume_from is None else "a") as log_fh:
         _, records = train(model, pairs, tcfg, seed, loss_kwargs=loss_kwargs,
                            log_fh=log_fh, start_epoch=start_epoch, optimizer=optimizer)
     save_checkpoint(model, checkpoint_path)

@@ -1,15 +1,17 @@
+import argparse
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csmoe.cli import _load_embeddings, main
+from csmoe.cli import _SECTIONS, _build_parser, _load_embeddings, _run_config, main
 from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
 from csmoe.tokenizer import MaskPair
@@ -82,6 +84,13 @@ def test_missing_data_exits_two(tmp_path, capsys):
     ("model", {"dec_hidden": -1}, "dec_hidden"),
     ("model", {"seed": -1}, "seed"),
     ("ga", {"seed": -1}, "seed"),
+    ("trainer", {"val_fraction": 2.0}, "val_fraction"),
+    ("trainer", {"epochs": -1}, "epochs"),
+    ("trainer", {"lr": -1.0}, "lr"),
+    ("trainer", {"lr": float("inf")}, "lr"),  # written as Infinity
+    ("trainer", {"batch_size": 1}, "batch_size"),
+    ("loss", {"tau_mi": 0.0}, "tau_mi"),
+    ("loss", {"tau_mi": float("nan")}, "tau_mi"),  # written as NaN
 ])
 @pytest.mark.parametrize("command", ["flops", "pretrain-toy", "grad-check"])
 def test_run_config_the_model_cannot_use_exits_two_naming_the_key(tmp_path, capsys, command, section,
@@ -98,8 +107,17 @@ def test_run_config_the_model_cannot_use_exits_two_naming_the_key(tmp_path, caps
     assert not (tmp_path / "m.ckpt").exists()
 
 
-@pytest.mark.parametrize("command", ["pretrain-toy", "grad-check", "sample"])
-def test_negative_seed_exits_two(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param("pretrain-toy", "--seed", "-1", "seed must be >= 0, got -1", id="pretrain-toy"),
+    pytest.param("grad-check", "--seed", "-1", "seed must be >= 0, got -1", id="grad-check"),
+    pytest.param("sample", "--seed", "-1", "seed must be >= 0, got -1", id="sample"),
+    pytest.param("sample", "--pop", "1", "population_size must be >= 2, got 1", id="sample-pop"),
+    pytest.param("sample", "--rc", "0", "crossover_rate 0.0 outside (0, 1]", id="sample-rc"),
+    pytest.param("sample", "--rc", "nan", "key 'crossover_rate' must be finite, got nan", id="sample-rc-nan"),
+    pytest.param("pretrain-toy", "--epochs", "-1", "epochs must be >= 0, got -1", id="pretrain-toy-epochs"),
+])
+def test_negative_seed_exits_two(tmp_path, capsys, command, flag, value, message):
+    # every config-backed flag meets its field's checks; the error names the flag and the key
     cfg = write_mini_run_config(tmp_path / "cfg.json")
     archive, climate, thematic = write_sampling_inputs(tmp_path)
     extra = {
@@ -108,9 +126,50 @@ def test_negative_seed_exits_two(tmp_path, capsys, command):
         "sample": ["--archive", str(archive), "--climate", str(climate), "--thematic", str(thematic),
                    "--out", str(tmp_path / "sel.csv")],
     }
-    assert main([command, "--config", str(cfg), *extra.get(command, []), "--seed", "-1"]) == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main([command, "--config", str(cfg), *extra.get(command, []), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"with {flag}" in err and message in err, err
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "sel.csv").exists()
+
+
+def test_every_config_flag_overrides_the_field_its_dest_names(tmp_path):
+    # a config-backed flag's dest names the "section.key" fields it sets;
+    # parse each such flag with a value off its default and resolve the run;
+    # a flag left unset keeps the file's value, even a store_true flag
+    def parse(command, argv):
+        return _run_config(_build_parser().parse_args([command, *argv], argparse.Namespace(config=None)))
+
+    sub = next(a for a in _build_parser()._actions if a.choices and "sample" in a.choices)
+    wants, cfg = {}, tmp_path / "cfg.json"
+    for command, parser in sub.choices.items():
+        required = [arg for a in parser._actions if a.required for arg in (a.option_strings[0], "x")]
+        actions = [a for a in parser._actions if "." in a.dest]
+        if not actions:
+            continue
+        for action in actions:
+            flag, targets = action.option_strings[0], [d.split(".") for d in action.dest.split(",")]
+            for section, key in targets:
+                assert key in {f.name for f in fields(_SECTIONS[section])}, f"{command} {flag}: {section}.{key}"
+            default = getattr(_SECTIONS[targets[0][0]](), targets[0][1])
+            if isinstance(default, bool):
+                argv, want = [flag], not default
+            elif isinstance(default, str):
+                argv, want = [flag, str(tmp_path)], str(tmp_path)
+            else:
+                want = default + 1 if isinstance(default, int) else default / 2
+                argv = [flag, str(want)]
+            run = parse(command, [*required, *argv])
+            for section, key in targets:
+                assert getattr(getattr(run, section), key) == want, (command, flag, section, key)
+                wants.setdefault(section, {})[key] = want
+        cfg.write_text(json.dumps(wants))
+        run = parse(command, [*required, "--config", str(cfg)])
+        assert {name: {key: getattr(getattr(run, name), key) for key in keys}
+                for name, keys in wants.items()} == wants, command
+    assert sorted(f"{section}.{key}" for section, keys in wants.items() for key in keys) == [
+        "ga.crossover_rate", "ga.generations", "ga.population_size", "ga.seed", "ga.target_size",
+        "loss.mi_include_positive", "loss.norm_pix", "model.seed", "paths.checkpoint",
+        "paths.data_dir", "paths.log", "trainer.epochs"]
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +741,8 @@ def test_eval_retrieval_rejects_repeated_label_id(tmp_path, capsys):
     write_embedding_dir(tmp_path / "g", {"g1": [1.0, 0.0]})
     labels = tmp_path / "labels.csv"
     for text, message in [("id,labels\nq1,A\ng1,B\nq1,C\n", "repeated id q1"),
-                          ("id,labels\nq1,A\ng1\n", "row 3 has no labels field")]:
+                          ("id,labels\nq1,A\ng1\n", "row 3 has no labels field"),
+                          ("id,labels\nq1,A,B\ng1,B\n", "row 2 has 3 fields, not 2: join labels with ';'")]:
         labels.write_text(text)
         assert main(["eval-retrieval", "--queries", str(tmp_path / "q"),
                      "--gallery", str(tmp_path / "g"), "--labels", str(labels),
@@ -758,7 +818,7 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
 
 @pytest.mark.parametrize("case", ["label_row_without_labels", "sentinel_not_a_number",
                                   "grad_check_step_zero", "grad_check_step_nan",
-                                  "grad_check_max_checked_zero"])
+                                  "grad_check_max_checked_zero", "resume_empty"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -778,6 +838,9 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                 "step must be finite and > 0, got nan"),
         "grad_check_max_checked_zero": (["grad-check", "--config", cfg, "--max-checked", "0"], 2,
                                         "max_checked must be >= 1, got 0"),
+        "resume_empty": (["pretrain-toy", "--config", cfg, "--data-dir", str(emb), "--resume", "",
+                          "--checkpoint", str(tmp_path / "out"), "--log", str(tmp_path / "l.jsonl")], 2,
+                         "--resume needs a checkpoint path, got an empty string"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

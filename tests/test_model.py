@@ -56,6 +56,9 @@ def test_config_validation():
     ("expert_hidden", {"expert_hidden": -1}),
     ("dec_hidden", {"dec_hidden": -8}),
     ("seed", {"seed": -1}),
+    ("patch_size", {"patch_size": 0}),  # no modulo by zero
+    ("image_side", {"image_side": 0}),
+    ("heads", {"heads": 0}),
 ])
 def test_config_rejects_layouts_the_model_cannot_build(key, overrides):
     with pytest.raises(ConfigError, match=key):
@@ -66,10 +69,11 @@ def test_config_rejects_layouts_the_model_cannot_build(key, overrides):
     ("patch_size", 16, True), ("patch_size", True, False), ("patch_size", 16.0, False),
     ("patch_size", "16", False), ("mask_ratio", 0.25, True), ("mask_ratio", "0.5", False),
     ("route_temperature", 2, True), ("route_temperature", False, False), ("seed", None, False),
+    ("mask_ratio", float("nan"), False), ("route_temperature", float("inf"), False),
 ])
 def test_load_section_checks_each_value_against_its_default_type(key, value, ok):
     # an int field takes an int but not a bool or a float; a float field takes
-    # an int or a float
+    # an int or a finite float
     if ok:
         assert getattr(load_section(CsmoeConfig, {key: value}, "cfg.json"), key) == value
     else:

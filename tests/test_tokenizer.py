@@ -183,6 +183,21 @@ def test_split_tile_never_emits_sentinel_or_remainder():
         assert np.isfinite(p).all()
 
 
+@pytest.mark.parametrize("sentinel", [np.nan, 3.0])
+def test_split_tile_keeps_cells_in_raster_order(sentinel):
+    # reference: slice every full cell row by row, keep those without the sentinel
+    rng = np.random.default_rng(6)
+    tile = rng.integers(0, 40, (2, 23, 31)).astype(float)
+    tile[rng.random(tile.shape) < 0.01] = np.nan
+    bad = np.isnan if np.isnan(sentinel) else (lambda b: b == sentinel)
+    cells = [tile[:, r:r + 5, q:q + 5] for r in range(0, 20, 5) for q in range(0, 30, 5)]
+    want = [c for c in cells if not bad(c).any()]
+    patches, report = split_tile(tile, 5, sentinel)
+    assert 0 < len(want) < len(cells) and report.discarded_invalid == len(cells) - len(want)
+    assert len(patches) == len(want) and all(np.array_equal(p, w, equal_nan=True)
+                                             for p, w in zip(patches, want))
+
+
 def test_split_tile_report_roundtrip_dict():
     _, report = split_tile(np.zeros((1, 240, 360)), 120)
     d = report.to_dict()
