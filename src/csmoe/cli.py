@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -258,6 +259,8 @@ def _cmd_split_tiles(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    if args.synthesize is not None and args.synthesize < 0:
+        raise ParameterError(f"--synthesize must be >= 0, got {args.synthesize}")
     run = _run_config(args)
     seed, paths = run.model.seed, run.paths
     for name, value in zip(("--data-dir", "--checkpoint", "--log"), astuple(paths)):
@@ -286,6 +289,8 @@ GRAD_CHECK_STD = 0.3
 
 
 def _cmd_grad_check(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ParameterError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     run = _run_config(args)
     cfg, seed = run.model, run.model.seed
     model = init_model(cfg)

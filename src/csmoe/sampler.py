@@ -1,9 +1,10 @@
 """Descriptor-driven spatial sampling of a geolocated image archive.
 
-Stage one associates each archive entry's bounding-box center with a
-climate class and a thematic land-cover class via point lookups into two
-north-up class rasters; entries covered by both rasters survive. Stage two
-partitions the survivors into joint (climate, thematic) strata and, inside
+The archive is two columns, tile ids and [n, 4] bounding boxes. Stage one
+gives every box center a climate class and a thematic land-cover class by
+one batched point lookup into each of two north-up class rasters; entries
+covered by both rasters survive. Stage two partitions the survivors into
+joint (climate, thematic) strata, one lexsort of the code columns, and, inside
 every stratum larger than the target count, runs a genetic algorithm over
 binary selection masks whose fitness rewards spatially dispersed picks:
 the entropy of the pairwise great-circle distance distribution plus the
@@ -34,7 +35,7 @@ GA_OPERATORS = "tournament(2) + uniform crossover + bit-flip mutation + elitism(
 
 
 # ---------------------------------------------------------------------------
-# Rasters and archive entries
+# Rasters, the archive and its descriptors
 # ---------------------------------------------------------------------------
 
 
@@ -54,56 +55,46 @@ class ClassRaster:
             raise ParameterError(f"raster cell sizes must be positive, got ({self.dlat}, {self.dlon})")
 
 
-def lookup(raster: ClassRaster, lon: float, lat: float):
-    """Class code at a point, or None when outside the extent or nodata."""
-    row = math.floor((raster.lat_max - lat) / raster.dlat)
-    col = math.floor((lon - raster.lon_min) / raster.dlon)
+def lookup(raster: ClassRaster, lon, lat) -> np.ndarray:
+    """int64 class codes at (lon, lat) points; -1 outside the extent or on nodata."""
+    row = np.floor((raster.lat_max - np.asarray(lat, dtype=np.float64)) / raster.dlat)
+    col = np.floor((np.asarray(lon, dtype=np.float64) - raster.lon_min) / raster.dlon)
     rows, cols = raster.grid.shape
-    if not (0 <= row < rows and 0 <= col < cols):
-        return None
-    code = int(raster.grid[row, col])
-    return None if code == raster.nodata else code
+    inside = (0 <= row) & (row < rows) & (0 <= col) & (col < cols)  # False for NaN too
+    codes = np.full(inside.shape, -1, dtype=np.int64)
+    codes[inside] = raster.grid[row[inside].astype(np.int64), col[inside].astype(np.int64)]
+    codes[codes == raster.nodata] = -1
+    return codes
 
 
 @dataclass(frozen=True)
-class ArchiveEntry:
-    id: str
-    lon_min: float
-    lat_min: float
-    lon_max: float
-    lat_max: float
+class Archive:
+    """Tile ids and their [n, 4] boxes (lon_min, lat_min, lon_max, lat_max), row for row."""
+
+    ids: list
+    boxes: np.ndarray
 
     @property
-    def center(self):
-        return (0.5 * (self.lon_min + self.lon_max), 0.5 * (self.lat_min + self.lat_max))
+    def centers(self) -> np.ndarray:
+        """[n, 2] (lon, lat) box centers."""
+        b = self.boxes
+        return np.stack([0.5 * (b[:, 0] + b[:, 2]), 0.5 * (b[:, 1] + b[:, 3])], axis=1)
 
 
-@dataclass(frozen=True)
-class DescribedEntry:
-    entry: ArchiveEntry
-    climate: int
-    thematic: int
+def generate_descriptors(archive: Archive, climate: ClassRaster, thematic: ClassRaster):
+    """(u, v): the climate and thematic codes at each box center, -1 where
+    a raster does not cover it."""
+    lon, lat = archive.centers.T
+    return lookup(climate, lon, lat), lookup(thematic, lon, lat)
 
 
-def generate_descriptors(archive, climate: ClassRaster, thematic: ClassRaster):
-    """Evaluate both rasters at each entry's bbox center; keep entries
-    covered by both, preserving archive order."""
-    described = []
-    for entry in archive:
-        lon, lat = entry.center
-        u = lookup(climate, lon, lat)
-        v = lookup(thematic, lon, lat)
-        if u is not None and v is not None:
-            described.append(DescribedEntry(entry=entry, climate=u, thematic=v))
-    return described
-
-
-def stratify(described):
-    """Partition by joint (climate, thematic) descriptor, keys sorted."""
-    strata = {}
-    for d in described:
-        strata.setdefault((d.climate, d.thematic), []).append(d)
-    return dict(sorted(strata.items()))
+def stratify(u: np.ndarray, v: np.ndarray) -> dict:
+    """{(u, v): ascending archive indices} over the rows both rasters cover,
+    keys sorted."""
+    covered = np.flatnonzero((u >= 0) & (v >= 0))
+    order = covered[np.lexsort((v[covered], u[covered]))]  # stable: indices stay ascending
+    starts = np.flatnonzero(np.diff(u[order]) | np.diff(v[order])) + 1
+    return {(int(u[idx[0]]), int(v[idx[0]])): idx for idx in np.split(order, starts) if idx.size}
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +221,18 @@ def repair(bits: np.ndarray, target_size: int, rng: np.random.Generator):
     return bits
 
 
-def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
-    """Select a spatially dispersed subset of one stratum.
+def evolve_stratum(centers: np.ndarray, cfg: GaConfig, rng: np.random.Generator = None):
+    """Select a spatially dispersed subset of one stratum's [n, 2] (lon, lat) centers.
 
     Strata no larger than the target are fully retained. Returns
-    (selected entries, best fitness, best-fitness-per-generation trace).
+    (ascending selected row indices, best fitness, best-fitness-per-generation trace).
     """
-    n, size = len(stratum), cfg.population_size
+    n, size = len(centers), cfg.population_size
     if n <= cfg.target_size:
-        return list(stratum), float("nan"), []
+        return np.arange(n), float("nan"), []
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    unit = unit_vectors(*np.array([d.entry.center for d in stratum]).T)
+    unit = unit_vectors(*np.asarray(centers, dtype=np.float64).T)
     rate = mutation_rate(cfg.target_size, n)
     pop = np.zeros((size, n), dtype=bool)  # one selection mask per row
     for row in pop:
@@ -272,7 +263,7 @@ def evolve_stratum(stratum, cfg: GaConfig, rng: np.random.Generator = None):
         trace.append(best_fitness)
         if cfg.stagnation_limit and stagnant >= cfg.stagnation_limit:
             break
-    return [stratum[i] for i in np.flatnonzero(best)], best_fitness, trace
+    return np.flatnonzero(best), best_fitness, trace
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +287,8 @@ class SamplingReport:
         return asdict(self)
 
 
-def _mean_pairwise(entries) -> float:
-    if len(entries) < 2:
-        return 0.0
-    lons = np.array([d.entry.center[0] for d in entries])
-    lats = np.array([d.entry.center[1] for d in entries])
-    return float(pair_distances(lons, lats).mean())
+def _mean_pairwise(centers: np.ndarray) -> float:
+    return float(pair_distances(*centers.T).mean()) if len(centers) >= 2 else 0.0
 
 
 def _stratum_rng(seed: int, key, salt: int = 0) -> np.random.Generator:
@@ -309,41 +296,38 @@ def _stratum_rng(seed: int, key, salt: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(u, v, salt)))
 
 
-def _evolve_one(key, entries, cfg: GaConfig, baseline: bool):
-    selected, fitness, _ = evolve_stratum(entries, cfg, rng=_stratum_rng(cfg.seed, key))
+def _evolve_one(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
+    """Evolve one stratum; returns (selected rows of ``centers``, report dict)."""
+    n = len(centers)
+    selected, fitness, _ = evolve_stratum(centers, cfg, rng=_stratum_rng(cfg.seed, key))
     info = {
         "climate": key[0],
         "thematic": key[1],
-        "stratum_size": len(entries),
+        "stratum_size": n,
         "selected": len(selected),
         "fitness": fitness,
-        "mean_pairwise_km": _mean_pairwise(selected),
-        "mutation_rate": (
-            mutation_rate(cfg.target_size, len(entries)) if len(entries) > cfg.target_size else 0.0
-        ),
+        "mean_pairwise_km": _mean_pairwise(centers[selected]),
+        "mutation_rate": mutation_rate(cfg.target_size, n) if n > cfg.target_size else 0.0,
     }
     if baseline:
-        rng = _stratum_rng(cfg.seed, key, salt=1)
-        if len(entries) > len(selected):
-            pick = rng.choice(len(entries), size=len(selected), replace=False)
-            random_subset = [entries[i] for i in np.sort(pick)]
-        else:
-            random_subset = list(entries)
-        info["baseline_mean_pairwise_km"] = _mean_pairwise(random_subset)
+        pick = np.arange(n)  # a fully kept stratum is its own random subset
+        if n > len(selected):
+            pick = np.sort(_stratum_rng(cfg.seed, key, salt=1).choice(n, size=len(selected), replace=False))
+        info["baseline_mean_pairwise_km"] = _mean_pairwise(centers[pick])
     return selected, info
 
 
-def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: GaConfig,
+def sample_archive(archive: Archive, climate: ClassRaster, thematic: ClassRaster, cfg: GaConfig,
                    baseline: bool = False):
     """Descriptor generation, stratification, per-stratum evolution, union.
 
     Returns (selection, SamplingReport) where the selection is a list of
-    (DescribedEntry, stratum fitness) in sorted stratum order. Per-stratum
+    (id, u, v, stratum fitness) rows in sorted stratum order. Per-stratum
     RNG streams derive from (seed, climate, thematic), so results do not
     depend on how the archive interleaves its strata.
     """
-    described = generate_descriptors(archive, climate, thematic)
-    strata = stratify(described)
+    strata = stratify(*generate_descriptors(archive, climate, thematic))
+    centers = archive.centers
     report = SamplingReport(
         operators=GA_OPERATORS,
         target_size=cfg.target_size,
@@ -351,14 +335,13 @@ def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: Ga
         population_size=cfg.population_size,
         crossover_rate=cfg.crossover_rate,
         seed=cfg.seed,
-        total_described=len(described),
+        total_described=sum(idx.size for idx in strata.values()),
     )
     selection = []
-    for key, entries in strata.items():
-        selected, info = _evolve_one(key, entries, cfg, baseline)
+    for (u, v), idx in strata.items():
+        selected, info = _evolve_one((u, v), centers[idx], cfg, baseline)
         report.strata.append(info)
-        for d in selected:
-            selection.append((d, info["fitness"]))
+        selection += [(archive.ids[i], u, v, info["fitness"]) for i in idx[selected]]
     report.total_selected = len(selection)
     return selection, report
 
@@ -370,46 +353,52 @@ def sample_archive(archive, climate: ClassRaster, thematic: ClassRaster, cfg: Ga
 ARCHIVE_HEADER = ["id", "lon_min", "lat_min", "lon_max", "lat_max"]
 
 
-def _entry_problems(e: ArchiveEntry, seen_ids) -> str:
-    lons, lats = (e.lon_min, e.lon_max), (e.lat_min, e.lat_max)
+def _row_problems(eid: str, box, seen_ids) -> str:
+    lon_min, lat_min, lon_max, lat_max = box
+    lons, lats = (lon_min, lon_max), (lat_min, lat_max)
     checks = [
-        (all(math.isfinite(v) for v in lons + lats), "coordinates must be finite"),
+        (all(math.isfinite(v) for v in box), "coordinates must be finite"),
         (all(-180.0 <= v <= 180.0 for v in lons), f"lon {lons} outside [-180, 180]"),
         (all(-90.0 <= v <= 90.0 for v in lats), f"lat {lats} outside [-90, 90]"),
-        (e.lon_min <= e.lon_max, f"lon_min {e.lon_min} > lon_max {e.lon_max}"),
-        (e.lat_min <= e.lat_max, f"lat_min {e.lat_min} > lat_max {e.lat_max}"),
-        (e.id not in seen_ids, f"repeated id {e.id!r}"),
+        (lon_min <= lon_max, f"lon_min {lon_min} > lon_max {lon_max}"),
+        (lat_min <= lat_max, f"lat_min {lat_min} > lat_max {lat_max}"),
+        (eid not in seen_ids, f"repeated id {eid!r}"),
     ]
     return "; ".join(msg for ok, msg in checks if not ok)
 
 
-def load_archive(path):
+def load_archive(path) -> Archive:
     """CSV with header id,lon_min,lat_min,lon_max,lat_max.
 
-    Every row needs a unique id and a box of finite degrees with
-    -180 <= lon_min <= lon_max <= 180 and -90 <= lat_min <= lat_max <= 90.
+    Every non-blank row has exactly these 5 fields: a unique id and a box of
+    finite degrees with -180 <= lon_min <= lon_max <= 180 and
+    -90 <= lat_min <= lat_max <= 90. Errors name the row by its line number.
     """
-    entries, seen = [], set()
+    ids, boxes, seen = [], [], set()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ARCHIVE_HEADER:
+        reader = csv.reader(fh)
+        if next(reader, None) != ARCHIVE_HEADER:
             raise DataError(f"{path}: expected header {','.join(ARCHIVE_HEADER)}")
-        for i, row in enumerate(reader):
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            if len(row) != len(ARCHIVE_HEADER):
+                raise DataError(f"{path}: bad row {reader.line_num}: {len(row)} fields, "
+                                f"not {len(ARCHIVE_HEADER)}")
+            eid = row[0]
             try:
-                entry = ArchiveEntry(
-                    id=row["id"],
-                    lon_min=float(row["lon_min"]), lat_min=float(row["lat_min"]),
-                    lon_max=float(row["lon_max"]), lat_max=float(row["lat_max"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: bad row {i + 2}: {exc}") from exc
+                box = [float(x) for x in row[1:]]
+            except ValueError as exc:
+                raise DataError(f"{path}: bad row {reader.line_num}: {exc}") from exc
+            lon_min, lat_min, lon_max, lat_max = box
             # every comparison with NaN is False, so this also rejects non-finite values
-            if not (-180.0 <= entry.lon_min <= entry.lon_max <= 180.0
-                    and -90.0 <= entry.lat_min <= entry.lat_max <= 90.0) or entry.id in seen:
-                raise DataError(f"{path}: bad row {i + 2}: {_entry_problems(entry, seen)}")
-            seen.add(entry.id)
-            entries.append(entry)
-    return entries
+            if not (-180.0 <= lon_min <= lon_max <= 180.0
+                    and -90.0 <= lat_min <= lat_max <= 90.0) or eid in seen:
+                raise DataError(f"{path}: bad row {reader.line_num}: {_row_problems(eid, box, seen)}")
+            seen.add(eid)
+            ids.append(eid)
+            boxes.append(box)
+    return Archive(ids=ids, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4))
 
 
 def write_selection(path, selection):
@@ -417,8 +406,8 @@ def write_selection(path, selection):
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "u", "v", "stratum_fitness"])
-        for d, fitness in selection:
-            writer.writerow([d.entry.id, d.climate, d.thematic, repr(float(fitness))])
+        for eid, u, v, fitness in selection:
+            writer.writerow([eid, u, v, repr(float(fitness))])
 
 
 _GRID_KEYS = {"lat_max", "lon_min", "dlat", "dlon", "rows", "cols", "nodata"}

@@ -18,8 +18,6 @@ from csmoe.losses import loss_ent, loss_mi, loss_rep, loss_total, rec_loss
 from csmoe.model import CsmoeConfig, forward, init_model
 from csmoe.numerics import FlopCounter, Tensor, check_gradients, truncated_normal
 from csmoe.sampler import (
-    ArchiveEntry,
-    DescribedEntry,
     GaConfig,
     evolve_stratum,
     haversine,
@@ -186,21 +184,17 @@ def test_criterion_07_ga_sampling():
         srng = np.random.default_rng(100 + seed)
         lons = np.concatenate([srng.normal(10.0, 0.2, 450), srng.uniform(-170, 170, 50)])
         lats = np.concatenate([srng.normal(45.0, 0.2, 450), srng.uniform(-60, 60, 50)])
-        stratum = [DescribedEntry(ArchiveEntry(f"e{i}", lons[i], lats[i], lons[i], lats[i]), 1, 1)
-                   for i in range(500)]
         cfg = GaConfig(target_size=100, generations=500, population_size=10,
                        crossover_rate=0.5, seed=seed)
-        selected, _, _ = evolve_stratum(stratum, cfg)
-        idx = np.array([int(d.entry.id[1:]) for d in selected])
+        idx, _, _ = evolve_stratum(np.column_stack([lons, lats]), cfg)
         ga_mean = pair_distances(lons[idx], lats[idx]).mean()
         pick = np.random.default_rng(9000 + seed).choice(500, size=idx.size, replace=False)
         rnd_mean = pair_distances(lons[pick], lats[pick]).mean()
         wins += ga_mean > rnd_mean
     # (d) full retention of small strata
-    small = [DescribedEntry(ArchiveEntry(f"s{i}", float(i), 0.0, float(i), 0.0), 1, 1)
-             for i in range(80)]
+    small = np.column_stack([np.arange(80.0), np.zeros(80)])
     kept, _, _ = evolve_stratum(small, GaConfig(target_size=100, generations=10, seed=0))
-    retention_ok = kept == small
+    retention_ok = kept.tolist() == list(range(80))
     elapsed = time.time() - start
     ok = rate_ok and band_ok and wins >= 9 and retention_ok and elapsed < 180.0
     report(7, ok, f"mutation rate 0.0008, repair band [90,110] over 1e4 draws, "

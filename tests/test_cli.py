@@ -271,7 +271,10 @@ def test_sample_rejects_bad_grid_header(tmp_path, capsys, key, value):
     ("t900,5.0,1.0,2.0,2.0", "lon_min 5.0 > lon_max 2.0"),
     ("t900,1.0,3.0,2.0,2.0", "lat_min 3.0 > lat_max 2.0"),
     ("t001,1.0,1.0,1.0,1.0", "repeated id 't001'"),
-], ids=["nan", "inf", "lon-range", "lat-range", "lon-inverted", "lat-inverted", "repeated-id"])
+    ("t900,1.0,1.0,2.0,2.0,99", "6 fields, not 5"),
+    ("t900,1.0,1.0,2.0", "4 fields, not 5"),
+], ids=["nan", "inf", "lon-range", "lat-range", "lon-inverted", "lat-inverted", "repeated-id",
+        "extra-field", "missing-field"])
 def test_sample_rejects_bad_archive_row(tmp_path, capsys, row, problem):
     archive, climate, thematic = write_sampling_inputs(tmp_path, n_entries=4)
     archive.write_text(archive.read_text() + row + "\n")  # header is row 1, so this is row 6
@@ -818,7 +821,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
 
 @pytest.mark.parametrize("case", ["label_row_without_labels", "sentinel_not_a_number",
                                   "grad_check_step_zero", "grad_check_step_nan",
-                                  "grad_check_max_checked_zero", "resume_empty"])
+                                  "grad_check_max_checked_zero", "resume_empty",
+                                  "grad_check_tolerance_nan", "grad_check_tolerance_negative",
+                                  "synthesize_negative"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -841,10 +846,19 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         "resume_empty": (["pretrain-toy", "--config", cfg, "--data-dir", str(emb), "--resume", "",
                           "--checkpoint", str(tmp_path / "out"), "--log", str(tmp_path / "l.jsonl")], 2,
                          "--resume needs a checkpoint path, got an empty string"),
+        "grad_check_tolerance_nan": (["grad-check", "--config", cfg, "--tolerance", "nan",
+                                      "--out", str(tmp_path / "out")], 2,
+                                     "--tolerance must be finite and >= 0, got nan"),
+        "grad_check_tolerance_negative": (["grad-check", "--config", cfg, "--tolerance", "-1",
+                                           "--out", str(tmp_path / "out")], 2,
+                                          "--tolerance must be finite and >= 0, got -1.0"),
+        "synthesize_negative": (["pretrain-toy", "--config", cfg, "--data-dir", str(tmp_path / "out"),
+                                 "--synthesize", "-2", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                 "--log", str(tmp_path / "l.jsonl")], 2, "--synthesize must be >= 0, got -2"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
-    assert message in proc.stderr
+    assert message in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "out").exists()

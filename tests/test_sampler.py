@@ -6,9 +6,8 @@ import pytest
 
 from csmoe.errors import DataError, FormatError, ParameterError
 from csmoe.sampler import (
-    ArchiveEntry,
+    Archive,
     ClassRaster,
-    DescribedEntry,
     GaConfig,
     evolve_stratum,
     generate_descriptors,
@@ -35,24 +34,22 @@ def tiny_raster(codes, lat_max=10.0, lon_min=0.0, dlat=5.0, dlon=5.0, nodata=0):
                        grid=np.asarray(codes, dtype=np.uint16), nodata=nodata)
 
 
-def point_entry(eid, lon, lat):
-    return ArchiveEntry(eid, lon, lat, lon, lat)
+def point_archive(points):
+    """An Archive of zero-size boxes from (id, lon, lat) triples."""
+    ids, lons, lats = zip(*points)
+    return Archive(ids=list(ids), boxes=np.column_stack([lons, lats, lons, lats]))
 
 
 def clustered_stratum(seed, clustered=450, dispersed=50):
+    """[n, 2] (lon, lat) centers: a tight cluster plus dispersed points."""
     rng = np.random.default_rng(seed)
     lons = np.concatenate([rng.normal(10.0, 0.2, clustered), rng.uniform(-170, 170, dispersed)])
     lats = np.concatenate([rng.normal(45.0, 0.2, clustered), rng.uniform(-60, 60, dispersed)])
-    return [
-        DescribedEntry(point_entry(f"e{i}", lons[i], lats[i]), 1, 1)
-        for i in range(clustered + dispersed)
-    ]
+    return np.column_stack([lons, lats])
 
 
-def mean_pairwise_km(entries):
-    lons = np.array([d.entry.center[0] for d in entries])
-    lats = np.array([d.entry.center[1] for d in entries])
-    return pair_distances(lons, lats).mean()
+def mean_pairwise_km(centers):
+    return pair_distances(*centers.T).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -63,74 +60,114 @@ def mean_pairwise_km(entries):
 def test_lookup_origin_cell():
     raster = tiny_raster([[3, 4], [5, 6]])
     # cell (0, 0) spans lat (5, 10], lon [0, 5)
-    assert lookup(raster, lon=2.5, lat=7.5) == 3
-    assert lookup(raster, lon=7.5, lat=2.5) == 6
+    codes = lookup(raster, lon=np.array([2.5, 7.5]), lat=np.array([7.5, 2.5]))
+    assert codes.dtype == np.int64 and codes.tolist() == [3, 6]
 
 
 def test_lookup_outside_extent():
     raster = tiny_raster([[3, 4], [5, 6]])
-    assert lookup(raster, lon=2.5, lat=-2.5) is None  # one cell south
-    assert lookup(raster, lon=-2.5, lat=7.5) is None
-    assert lookup(raster, lon=11.0, lat=7.5) is None
+    # one cell south, one west, beyond the east edge
+    codes = lookup(raster, lon=np.array([2.5, -2.5, 11.0]), lat=np.array([-2.5, 7.5, 7.5]))
+    assert codes.tolist() == [-1, -1, -1]
 
 
 def test_lookup_nodata_is_uncovered():
     raster = tiny_raster([[0, 4], [5, 6]], nodata=0)
-    assert lookup(raster, lon=2.5, lat=7.5) is None
+    assert lookup(raster, lon=np.array([2.5]), lat=np.array([7.5])).tolist() == [-1]
+
+
+def lookup_reference(raster, lon, lat):
+    """One point's code by scalar ``math.floor`` cell arithmetic, -1 if uncovered."""
+    row = math.floor((raster.lat_max - lat) / raster.dlat)
+    col = math.floor((lon - raster.lon_min) / raster.dlon)
+    rows, cols = raster.grid.shape
+    if not (0 <= row < rows and 0 <= col < cols):
+        return -1
+    code = int(raster.grid[row, col])
+    return -1 if code == raster.nodata else code
+
+
+def test_lookup_and_descriptors_match_scalar_floor_reference():
+    rng = np.random.default_rng(21)
+    rows, cols, dlat, dlon, lat_max, lon_min = 7, 9, 0.3, 0.7, 12.5, -33.1
+    climate = tiny_raster(rng.integers(0, 4, (rows, cols)), lat_max, lon_min, dlat, dlon, nodata=0)
+    thematic = tiny_raster(rng.integers(1, 5, (rows, cols)), lat_max, lon_min, dlat, dlon, nodata=3)
+    south, east = lat_max - rows * dlat, lon_min + cols * dlon
+    edge_lats = lat_max - dlat * np.arange(rows + 1)  # every cell edge, both outer ones included
+    edge_lons = lon_min + dlon * np.arange(cols + 1)
+    lons = np.concatenate([
+        rng.uniform(lon_min - 1.0, east + 1.0, 300),  # inside and outside
+        np.repeat(edge_lons, rows + 1), [lon_min - 1e-9, east, east + 1e-9, lon_min, 0.0],
+    ])
+    lats = np.concatenate([
+        rng.uniform(south - 1.0, lat_max + 1.0, 300),
+        np.tile(edge_lats, cols + 1), [lat_max, lat_max + 1e-9, south, south - 1e-9, 95.0],
+    ])
+    for raster in (climate, thematic):
+        assert (raster.grid == raster.nodata).any()
+        want = [lookup_reference(raster, float(x), float(y)) for x, y in zip(lons, lats)]
+        assert lookup(raster, lons, lats).tolist() == want
+    # descriptors at box centers, each center taken as 0.5 * (min + max)
+    half_w, half_h = rng.uniform(0.0, 0.4, lons.size), rng.uniform(0.0, 0.4, lats.size)
+    boxes = np.column_stack([lons - half_w, lats - half_h, lons + half_w, lats + half_h])
+    u, v = generate_descriptors(Archive([f"t{i}" for i in range(lons.size)], boxes), climate, thematic)
+    centers = [(0.5 * (a + c), 0.5 * (b + d)) for a, b, c, d in boxes.tolist()]
+    assert u.tolist() == [lookup_reference(climate, x, y) for x, y in centers]
+    assert v.tolist() == [lookup_reference(thematic, x, y) for x, y in centers]
+    assert (u == -1).any() and (v == -1).any() and ((u > 0) & (v > 0)).any()
 
 
 def test_generate_descriptors_requires_both_rasters():
     climate = tiny_raster([[1, 1], [1, 1]])
     thematic = tiny_raster([[2, 0], [2, 2]], nodata=0)
-    entries = [
-        point_entry("both", 2.0, 7.0),       # covered by both
-        point_entry("climate_only", 7.0, 7.0),  # thematic nodata there
-        point_entry("outside", 40.0, 7.0),    # beyond both extents
-    ]
-    described = generate_descriptors(entries, climate, thematic)
-    assert [d.entry.id for d in described] == ["both"]
-    assert (described[0].climate, described[0].thematic) == (1, 2)
+    archive = point_archive([
+        ("both", 2.0, 7.0),       # covered by both
+        ("climate_only", 7.0, 7.0),  # thematic nodata there
+        ("outside", 40.0, 7.0),    # beyond both extents
+    ])
+    u, v = generate_descriptors(archive, climate, thematic)
+    assert (u.tolist(), v.tolist()) == ([1, 1, -1], [2, -1, -1])
+    strata = stratify(u, v)
+    assert list(strata) == [(1, 2)] and strata[(1, 2)].tolist() == [0]  # only "both"
 
 
 def test_generate_descriptors_hand_checked_tuples():
     climate = tiny_raster([[1, 2], [3, 4]])
     thematic = tiny_raster([[9, 8], [7, 6]])
-    entries = [
-        point_entry("a", 1.0, 9.0),   # cell (0,0)
-        point_entry("b", 6.0, 9.0),   # cell (0,1)
-        point_entry("c", 1.0, 1.0),   # cell (1,0)
-    ]
-    described = generate_descriptors(entries, climate, thematic)
-    got = {d.entry.id: (d.climate, d.thematic) for d in described}
+    archive = point_archive([
+        ("a", 1.0, 9.0),   # cell (0,0)
+        ("b", 6.0, 9.0),   # cell (0,1)
+        ("c", 1.0, 1.0),   # cell (1,0)
+    ])
+    u, v = generate_descriptors(archive, climate, thematic)
+    got = dict(zip(archive.ids, zip(u.tolist(), v.tolist())))
     assert got == {"a": (1, 9), "b": (2, 8), "c": (3, 7)}
 
 
 def test_generate_descriptors_uses_bbox_center():
     climate = tiny_raster([[1, 2], [3, 4]])
     thematic = tiny_raster([[9, 9], [9, 9]])
-    entry = ArchiveEntry("wide", 0.0, 5.0, 10.0, 10.0)  # center (5, 7.5) -> cell (0,1)
-    (d,) = generate_descriptors([entry], climate, thematic)
-    assert d.climate == 2
+    archive = Archive(["wide"], np.array([[0.0, 5.0, 10.0, 10.0]]))  # center (5, 7.5) -> cell (0,1)
+    u, _ = generate_descriptors(archive, climate, thematic)
+    assert u.tolist() == [2]
 
 
 def test_stratify_partition():
     rng = np.random.default_rng(0)
-    described = [
-        DescribedEntry(point_entry(f"e{i}", 0, 0), int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        for i in range(40)
-    ]
-    strata = stratify(described)
-    assert sum(len(v) for v in strata.values()) == 40
+    u, v = rng.integers(1, 3, 40), rng.integers(1, 3, 40)
+    strata = stratify(u, v)
+    assert sum(len(idx) for idx in strata.values()) == 40
     assert list(strata.keys()) == sorted(strata.keys())
-    for (u, v), members in strata.items():
-        assert all(m.climate == u and m.thematic == v for m in members)
+    for (cu, cv), members in strata.items():
+        assert (u[members] == cu).all() and (v[members] == cv).all()
+        assert (np.diff(members) > 0).all()  # archive order
 
 
 def test_stratify_singletons():
-    described = [DescribedEntry(point_entry("a", 0, 0), u, v) for u in (1, 2) for v in (1, 2)]
-    strata = stratify(described)
+    u, v = np.array([1, 1, 2, 2]), np.array([1, 2, 1, 2])
+    strata = stratify(u, v)
     assert len(strata) == 4
-    assert all(len(v) == 1 for v in strata.values())
+    assert all(len(idx) == 1 for idx in strata.values())
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +352,7 @@ def test_evolve_small_stratum_fully_retained():
     stratum = clustered_stratum(0)[:80]
     cfg = GaConfig(target_size=100, generations=50, seed=0)
     selected, fitness, trace = evolve_stratum(stratum, cfg)
-    assert selected == list(stratum)
+    assert selected.tolist() == list(range(80))
     assert math.isnan(fitness) and trace == []
 
 
@@ -324,9 +361,8 @@ def test_evolve_respects_band_and_subset():
     cfg = GaConfig(target_size=100, generations=60, population_size=6, seed=5)
     selected, fitness, trace = evolve_stratum(stratum, cfg)
     assert 90 <= len(selected) <= 110
-    ids = [d.entry.id for d in selected]
-    assert len(set(ids)) == len(ids)
-    assert set(ids) <= {d.entry.id for d in stratum}
+    assert (np.diff(selected) > 0).all()  # distinct rows, ascending
+    assert 0 <= selected[0] and selected[-1] < len(stratum)
     assert np.isfinite(fitness)
 
 
@@ -356,11 +392,11 @@ def test_evolve_deterministic():
     cfg = GaConfig(target_size=100, generations=40, seed=11)
     a, fa, _ = evolve_stratum(stratum, cfg, rng=np.random.default_rng(11))
     b, fb, _ = evolve_stratum(stratum, cfg, rng=np.random.default_rng(11))
-    assert [d.entry.id for d in a] == [d.entry.id for d in b]
+    assert np.array_equal(a, b)
     assert fa == fb
 
 
-#: ids that evolve_stratum selected for clustered_stratum(4), 150 generations, seed 0
+#: rows that evolve_stratum selected for clustered_stratum(4), 150 generations, seed 0
 GOLDEN_IDS = [
     0, 1, 14, 25, 29, 56, 57, 58, 62, 78, 84, 100, 107, 112, 124, 128, 137, 143, 158, 159, 160,
     167, 169, 176, 182, 185, 202, 208, 211, 222, 231, 232, 234, 241, 250, 264, 270, 273, 275,
@@ -375,7 +411,7 @@ def test_evolve_golden_selection():
     # pins the order of every random draw: a faster GA must select the same ids
     cfg = GaConfig(target_size=100, generations=150, seed=0)
     selected, fitness, trace = evolve_stratum(clustered_stratum(4), cfg)
-    assert [int(d.entry.id[1:]) for d in selected] == GOLDEN_IDS
+    assert selected.tolist() == GOLDEN_IDS
     assert len(trace) == 150
     assert rel_err(fitness, 17.02105413943255) < 1e-12
 
@@ -385,8 +421,8 @@ def test_evolve_beats_random_selection():
     cfg = GaConfig(target_size=100, generations=150, seed=0)
     selected, _, _ = evolve_stratum(stratum, cfg)
     rng = np.random.default_rng(99)
-    random_pick = [stratum[i] for i in rng.choice(len(stratum), size=len(selected), replace=False)]
-    assert mean_pairwise_km(selected) > mean_pairwise_km(random_pick)
+    random_pick = stratum[rng.choice(len(stratum), size=len(selected), replace=False)]
+    assert mean_pairwise_km(stratum[selected]) > mean_pairwise_km(random_pick)
 
 
 def test_ga_config_validation():
@@ -405,38 +441,38 @@ def two_strata_setup():
     climate = tiny_raster([[1, 2]], lat_max=10.0, dlat=10.0, dlon=5.0)
     thematic = tiny_raster([[7, 7]], lat_max=10.0, dlat=10.0, dlon=5.0)
     rng = np.random.default_rng(5)
-    entries = []
+    points = []
     for i in range(30):  # stratum (1, 7): small, fully retained
-        entries.append(point_entry(f"a{i}", float(rng.uniform(0, 4.9)), float(rng.uniform(0.1, 9.9))))
+        points.append((f"a{i}", float(rng.uniform(0, 4.9)), float(rng.uniform(0.1, 9.9))))
     for i in range(160):  # stratum (2, 7): sampled down
-        entries.append(point_entry(f"b{i}", float(rng.uniform(5.0, 9.9)), float(rng.uniform(0.1, 9.9))))
-    return entries, climate, thematic
+        points.append((f"b{i}", float(rng.uniform(5.0, 9.9)), float(rng.uniform(0.1, 9.9))))
+    return points, climate, thematic
 
 
 def test_sample_archive_union_and_report():
-    entries, climate, thematic = two_strata_setup()
+    points, climate, thematic = two_strata_setup()
     cfg = GaConfig(target_size=100, generations=30, seed=1)
-    selection, report = sample_archive(entries, climate, thematic, cfg, baseline=True)
+    selection, report = sample_archive(point_archive(points), climate, thematic, cfg, baseline=True)
     assert report.total_described == 190
     sizes = {(s["climate"], s["thematic"]): s for s in report.strata}
     assert sizes[(1, 7)]["selected"] == 30  # full retention
     assert 90 <= sizes[(2, 7)]["selected"] <= 110
     assert report.total_selected == sizes[(1, 7)]["selected"] + sizes[(2, 7)]["selected"]
     assert "baseline_mean_pairwise_km" in sizes[(2, 7)]
-    ids = [d.entry.id for d, _ in selection]
+    ids = [eid for eid, _, _, _ in selection]
     assert len(set(ids)) == len(ids)
 
 
 def test_sample_archive_deterministic_and_order_invariant():
-    entries, climate, thematic = two_strata_setup()
+    points, climate, thematic = two_strata_setup()
     cfg = GaConfig(target_size=100, generations=25, seed=9)
-    sel1, _ = sample_archive(entries, climate, thematic, cfg)
-    sel2, _ = sample_archive(entries, climate, thematic, cfg)
+    sel1, _ = sample_archive(point_archive(points), climate, thematic, cfg)
+    sel2, _ = sample_archive(point_archive(points), climate, thematic, cfg)
     # the b stratum first, the a stratum woven into it; each keeps its order
-    a, b = entries[:30], entries[30:]
+    a, b = points[:30], points[30:]
     interleaved = b[:100] + [e for pair in zip(a, b[100:]) for e in pair] + b[130:]
-    sel3, _ = sample_archive(interleaved, climate, thematic, cfg)
-    as_ids = lambda sel: [d.entry.id for d, _ in sel]
+    sel3, _ = sample_archive(point_archive(interleaved), climate, thematic, cfg)
+    as_ids = lambda sel: [eid for eid, _, _, _ in sel]
     assert as_ids(sel1) == as_ids(sel2) == as_ids(sel3)
 
 
@@ -467,18 +503,40 @@ def test_grid_truncation(tmp_path):
 def test_archive_csv_roundtrip(tmp_path):
     path = tmp_path / "archive.csv"
     path.write_text("id,lon_min,lat_min,lon_max,lat_max\nt1,1.0,2.0,3.0,4.0\n")
-    (entry,) = load_archive(path)
-    assert entry.id == "t1" and entry.center == (2.0, 3.0)
+    archive = load_archive(path)
+    assert archive.ids == ["t1"] and archive.centers.tolist() == [[2.0, 3.0]]
     bad = tmp_path / "bad.csv"
     bad.write_text("id,lon\nx,1\n")
     with pytest.raises(DataError):
         load_archive(bad)
 
 
+@pytest.mark.parametrize("row, fields", [("t2,1.0,2.0,3.0,4.0,99", 6), ("t2,1.0,2.0,3.0", 4), ("t2", 1)],
+                         ids=["extra-field", "missing-field", "id-only"])
+def test_archive_csv_rejects_rows_without_five_fields(tmp_path, row, fields):
+    # line 4 after a blank line: the number is the file's line, not the count of rows
+    path = tmp_path / "archive.csv"
+    path.write_text(f"id,lon_min,lat_min,lon_max,lat_max\nt1,1.0,2.0,3.0,4.0\n\n{row}\n")
+    with pytest.raises(DataError) as err:
+        load_archive(path)
+    assert str(err.value) == f"{path}: bad row 4: {fields} fields, not 5"
+
+
+def test_archive_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "archive.csv"
+    path.write_text("id,lon_min,lat_min,lon_max,lat_max\n\nt1,1.0,2.0,3.0,4.0\n\n\nt2,5,6,7,8\n\n")
+    archive = load_archive(path)
+    assert archive.ids == ["t1", "t2"] and archive.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    path.write_text("id,lon_min,lat_min,lon_max,lat_max\n\nt1,1.0,2.0,3.0,4.0\n\nt1,5,6,7,8\n")
+    with pytest.raises(DataError, match="row 5: repeated id 't1'"):
+        load_archive(path)
+    path.write_text("id,lon_min,lat_min,lon_max,lat_max\n")
+    assert load_archive(path).boxes.shape == (0, 4)
+
+
 def test_write_selection(tmp_path):
-    d = DescribedEntry(point_entry("q", 1.0, 2.0), 3, 4)
     out = tmp_path / "sel.csv"
-    write_selection(out, [(d, 1.5)])
+    write_selection(out, [("q", 3, 4, 1.5)])
     assert out.read_text().splitlines() == ["id,u,v,stratum_fitness", "q,3,4,1.5"]
 
 
