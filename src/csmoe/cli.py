@@ -239,6 +239,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_split_tiles(args) -> int:
+    if args.patch < 1:
+        raise ParameterError(f"--patch must be >= 1, got {args.patch}")
     in_dir, out_dir = Path(args.input), Path(args.output)
     if not in_dir.is_dir():
         raise DataError(f"--input {in_dir} is not a directory")
@@ -394,6 +396,8 @@ def _load_embeddings(directory, modality: str, model, strategy: str):
 
 
 def _cmd_eval_retrieval(args) -> int:
+    if args.k < 1:
+        raise ParameterError(f"--k must be >= 1, got {args.k}")
     q_name, g_name = args.task.split(">")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     labels = _load_labels(args.labels)

@@ -20,6 +20,10 @@ a batch. ``matmul`` and ``linear`` apply a 2-D matrix to every batch
 element, the row ops (``take_rows``, ``scatter_rows``, ``concat_rows``) work
 along axis -2, ``stack`` and ``take`` along a leading axis, and a batched op
 counts exactly batch size x the unbatched cost.
+
+The fused ops ``attention_core`` and ``gelu_ffn`` record one tape node each
+for a chain every transformer block runs; they count, and differentiate, bit
+for bit as that chain of single ops would.
 """
 
 from __future__ import annotations
@@ -438,22 +442,6 @@ def tsqrt(a: Tensor) -> Tensor:
     return _attach(out, (a,), back)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact erf form: 0.5 x (1 + erf(x / sqrt 2))."""
-    from scipy.special import erf  # imported on first use: it is most of the package's import time
-
-    x = a.data
-    e = erf(x * _INV_SQRT2)
-    out = Tensor(0.5 * x * (1.0 + e))
-    _count(gelu_flops(out.size))
-
-    def back(g):
-        d = 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accumulate(a, g * d)
-
-    return _attach(out, (a,), back)
-
-
 def xlog_shifted(a: Tensor, shift: float) -> Tensor:
     """Elementwise x * log(x + shift), defined as 0 where x == 0.
 
@@ -479,18 +467,26 @@ def softmax(x: Tensor, axis: int, temperature: float = 1.0) -> Tensor:
     """exp((x - max)/t) normalized along ``axis``; rows sum to 1."""
     if temperature <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {temperature}")
-    scaled = x.data / temperature
-    shifted = scaled - scaled.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis, temperature)
     out = Tensor(y)
     _count(softmax_flops(out.size))
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot) / temperature)
+        _accumulate(x, _softmax_grad(g, y, axis, temperature))
 
     return _attach(out, (x,), back)
+
+
+def _softmax(x: np.ndarray, axis: int, temperature: float) -> np.ndarray:
+    scaled = x / temperature
+    shifted = scaled - scaled.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, temperature: float) -> np.ndarray:
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot) / temperature
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -523,6 +519,102 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             _accumulate(x, (u - du - xhat * duh) * inv)
 
     return _attach(out, (x, gain, bias), back)
+
+
+# ---------------------------------------------------------------------------
+# Fused ops
+# ---------------------------------------------------------------------------
+
+
+def attention_core(x: Tensor, wqvk: Tensor, bqv: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention up to its output projection, as one op:
+    ``[q | v | k] = x W + b`` (b covers q and v), head h owning columns
+    ``[h d/H, (h + 1) d/H)`` of each, then ``softmax(q k^T / sqrt(d/H)) v``
+    per head, heads side by side again as [..., T, d]. The backward repeats
+    the arithmetic of the ``linear``, ``matmul``, ``mul`` and ``softmax``
+    chain on arrays of the same layout, so gradients match it bit for bit."""
+    x, wqvk, bqv = _as_tensor(x), _as_tensor(wqvk), _as_tensor(bqv)
+    dim = x.shape[-1]
+    if x.ndim < 2 or wqvk.shape != (dim, 3 * dim) or bqv.shape != (2 * dim,):
+        raise DimensionError(f"attention_core: x {x.shape}, wqvk {wqvk.shape} and bqv {bqv.shape} do not fit")
+    if heads < 1 or dim % heads:
+        raise DimensionError(f"width {dim} not divisible by {heads} heads")
+    *lead, tokens, _ = x.shape
+    n, head_dim = len(lead), dim // heads
+    xs = x.data.reshape(-1, dim)
+    qvk = xs @ wqvk.data
+    qvk[..., :2 * dim] += bqv.data
+    split = (n + 1, *range(n), n + 2, n, n + 3)  # [..., T, 3, H, d/H] -> [3, ..., H, T, d/H]
+    merge = (*range(n), n + 1, n, n + 2)  # [..., H, T, d/H] <-> [..., T, H, d/H]
+    q, v, k = qvk.reshape(*lead, tokens, 3, heads, head_dim).transpose(split)
+    scale = 1.0 / np.sqrt(head_dim)
+    weights = _softmax((q @ np.swapaxes(k, -1, -2)) * scale, -1, 1.0)
+    out = Tensor((weights @ v).transpose(merge).reshape(x.shape))
+    rows = xs.shape[0]
+    _count(matmul_flops(rows, dim, 3 * dim) + elementwise_flops(rows * 2 * dim)
+           + math.prod(lead) * heads * (matmul_flops(tokens, head_dim, tokens) + elementwise_flops(tokens * tokens)
+                                        + softmax_flops(tokens * tokens) + matmul_flops(tokens, tokens, head_dim)))
+
+    def back(g):
+        g = g.reshape(*lead, tokens, heads, head_dim).transpose(merge)
+        scores = _softmax_grad(g @ np.swapaxes(v, -1, -2), weights, -1, 1.0) * scale
+        gqvk = np.zeros((3, *lead, heads, tokens, head_dim))
+        gqvk[0] += scores @ k
+        gqvk[1] += np.swapaxes(weights, -1, -2) @ g
+        gqvk[2] += np.swapaxes(np.swapaxes(q, -1, -2) @ scores, -1, -2)
+        gqvk = gqvk.transpose(np.argsort(split)).reshape(-1, 3 * dim)
+        if x.requires_grad:
+            _accumulate(x, (gqvk @ wqvk.data.T).reshape(x.shape))
+        if wqvk.requires_grad:
+            _accumulate(wqvk, xs.T @ gqvk)
+        if bqv.requires_grad:
+            _accumulate(bqv, gqvk[..., :2 * dim].sum(axis=-2))
+
+    return _attach(out, (x, wqvk, bqv), back)
+
+
+def gelu_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``GELU(x W1 + b1) W2 + b2`` as one op, with the exact erf GELU
+    ``0.5 u (1 + erf(u / sqrt 2))``. As in ``linear``, 2-D weights apply to
+    every row of x [..., k]; stacked [E, k, h] / [E, h, k'] weights with
+    [E, h] / [E, k'] biases apply expert e to x[e]."""
+    from scipy.special import erf  # imported on first use: it is most of the package's import time
+
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    lead = w1.shape[:-2]
+    if not (w1.ndim in (2, 3) and x.ndim > len(lead) and x.shape[:len(lead)] == lead
+            and x.shape[-1] == w1.shape[-2] and b1.shape == (*lead, w1.shape[-1])
+            and w2.shape[:-1] == b1.shape and b2.shape == (*lead, w2.shape[-1])):
+        raise DimensionError(f"gelu_ffn: x {x.shape} does not fit weights {w1.shape}, {w2.shape} "
+                             f"and biases {b1.shape}, {b2.shape}")
+    xs = x.data.reshape(*lead, -1, x.shape[-1])
+    pre = xs @ w1.data
+    pre += b1.data[..., None, :]
+    e = erf(pre * _INV_SQRT2)
+    act = 0.5 * pre * (1.0 + e)
+    y = act @ w2.data
+    y += b2.data[..., None, :]
+    out = Tensor(y.reshape(*x.shape[:-1], w2.shape[-1]))
+    (rows, k), (hidden, width) = xs.shape[-2:], w2.shape[-2:]
+    _count(math.prod(lead) * (matmul_flops(rows, k, hidden) + elementwise_flops(rows * hidden)
+                              + matmul_flops(rows, hidden, width) + elementwise_flops(rows * width))
+           + gelu_flops(pre.size))
+
+    def back(g):
+        g = g.reshape(*lead, -1, width)
+        gpre = (g @ np.swapaxes(w2.data, -1, -2)) * (0.5 * (1.0 + e) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT2PI)
+        if x.requires_grad:
+            _accumulate(x, (gpre @ np.swapaxes(w1.data, -1, -2)).reshape(x.shape))
+        if w1.requires_grad:
+            _accumulate(w1, np.swapaxes(xs, -1, -2) @ gpre)
+        if b1.requires_grad:
+            _accumulate(b1, gpre.sum(axis=-2))
+        if w2.requires_grad:
+            _accumulate(w2, np.swapaxes(act, -1, -2) @ g)
+        if b2.requires_grad:
+            _accumulate(b2, g.sum(axis=-2))
+
+    return _attach(out, (x, w1, b1, w2, b2), back)
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,25 @@ Token sequences are [T, d], or [..., T, d] with leading batch axes; every
 function here runs a whole batch in one pass. Routing tables are then
 [..., S, T], and slot ``s`` of every batch element goes through its expert
 in the same single call.
+
+Attention and feed-forward are fused ``numerics`` ops, one tape node each:
+``attention_core`` plus the output ``linear``, and ``gelu_ffn``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError
 from .numerics import (
     Tensor,
-    gelu,
+    attention_core,
+    gelu_ffn,
     layer_norm,
     linear,
     matmul,
-    mul,
     reshape,
     softmax,
-    take,
     transpose,
 )
 
@@ -125,7 +125,7 @@ def route(z: Tensor, params: SoftMoELayerParams) -> RoutingTensors:
 def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
     """GELU(x W1 + b1) W2 + b2, applied to each row of x; with stacked
     [E, ...] weights, expert e applies to x[e]."""
-    return linear(gelu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+    return gelu_ffn(x, params.w1, params.b1, params.w2, params.b2)
 
 
 def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None) -> Tensor:
@@ -151,24 +151,11 @@ def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None
 def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
     """Standard multi-head scaled dot-product self-attention over all tokens.
 
-    Head ``h`` owns columns ``[h * d/H, (h + 1) * d/H)`` of q, k and v; all
-    heads run as one batch along a head axis placed after the batch axes.
-    One ``linear`` computes q, v and k side by side.
+    Head ``h`` owns columns ``[h * d/H, (h + 1) * d/H)`` of q, k and v; one
+    ``attention_core`` runs every head from the q/v/k projection to the
+    merged heads, then the output ``linear``.
     """
-    *lead, tokens, dim = z.shape
-    heads = params.heads
-    if dim % heads:
-        raise DimensionError(f"width {dim} not divisible by {heads} heads")
-    head_dim = dim // heads
-    n = len(lead)
-    qvk = reshape(linear(z, params.wqvk, params.bqv), (*lead, tokens, 3, heads, head_dim))
-    qvk = transpose(qvk, (n + 1, *range(n), n + 2, n, n + 3))  # [3, ..., H, T, d/H]
-    q, v, k = (take(qvk, i) for i in range(3))
-    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim))  # [..., H, T, T]
-    weights = softmax(scores, axis=-1)
-    swap = (*range(n), n + 1, n, n + 2)  # [..., H, T, d/H] -> [..., T, H, d/H]
-    merged = reshape(transpose(matmul(weights, v), swap), (*lead, tokens, dim))
-    return linear(merged, params.wo, params.bo)
+    return linear(attention_core(z, params.wqvk, params.bqv, params.heads), params.wo, params.bo)
 
 
 def block_forward(z: Tensor, params: MoeBlockParams, routing_sink: list = None) -> Tensor:

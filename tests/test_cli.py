@@ -823,7 +823,8 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "grad_check_step_zero", "grad_check_step_nan",
                                   "grad_check_max_checked_zero", "resume_empty",
                                   "grad_check_tolerance_nan", "grad_check_tolerance_negative",
-                                  "synthesize_negative"])
+                                  "synthesize_negative", "split_tiles_patch_zero",
+                                  "split_tiles_patch_negative", "eval_retrieval_k_zero"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -855,6 +856,14 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         "synthesize_negative": (["pretrain-toy", "--config", cfg, "--data-dir", str(tmp_path / "out"),
                                  "--synthesize", "-2", "--checkpoint", str(tmp_path / "m.ckpt"),
                                  "--log", str(tmp_path / "l.jsonl")], 2, "--synthesize must be >= 0, got -2"),
+        "split_tiles_patch_zero": (["split-tiles", "--input", str(emb), "--output", str(tmp_path / "out"),
+                                    "--patch", "0"], 2, "--patch must be >= 1, got 0"),
+        "split_tiles_patch_negative": (["split-tiles", "--input", str(emb), "--output", str(tmp_path / "out"),
+                                        "--patch", "-3"], 2, "--patch must be >= 1, got -3"),
+        # checked before the (missing) checkpoint, the labels or any embedding is read
+        "eval_retrieval_k_zero": (["eval-retrieval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                                   "--queries", str(emb), "--gallery", str(emb), "--labels", str(labels),
+                                   "--task", "S1>S1", "--k", "0"], 2, "--k must be >= 1, got 0"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

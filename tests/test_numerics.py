@@ -6,15 +6,19 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+import csmoe.numerics as numerics
 from csmoe.errors import DimensionError, EvaluationError, FormatError, ParameterError
 from csmoe.numerics import (
     FlopCounter,
     Tensor,
+    attention_core,
     backward,
     check_gradients,
     concat_rows,
-    gelu,
+    gelu_ffn,
+    gelu_flops,
     layer_norm,
     linear,
     load_tnsr,
@@ -23,6 +27,7 @@ from csmoe.numerics import (
     parameter,
     read_blocks,
     read_tnsr,
+    reshape,
     save_tnsr,
     scatter_rows,
     softmax,
@@ -209,7 +214,9 @@ def test_op_gradients_against_finite_differences():
     cases.append((lambda: texp(a), [a]))
     cases.append((lambda: tlog(a + 2.0), [a]))
     cases.append((lambda: tsqrt(a + 2.0), [a]))
-    cases.append((lambda: gelu(a), [a]))
+    f1, f2 = parameter(rng.uniform(-1, 1, (4, 5))), parameter(rng.uniform(-1, 1, (5, 2)))
+    fb1, fb2 = parameter(rng.uniform(-1, 1, 5)), parameter(rng.uniform(-1, 1, 2))
+    cases.append((lambda: gelu_ffn(a, f1, fb1, f2, fb2), [a, f1, fb1, f2, fb2]))
     cases.append((lambda: xlog_shifted(a + 2.0, 1e-6), [a]))
     cases.append((lambda: softmax(a, axis=1, temperature=0.6), [a]))
     cases.append((lambda: tsum(a, axis=1, keepdims=True), [a]))
@@ -242,6 +249,13 @@ def test_op_gradients_against_finite_differences():
     cases.append((lambda: linear(a, w6), [a, w6]))
     cases.append((lambda: stack([a, b, a]), [a, b]))
     cases.append((lambda: take(h1, 1), [h1]))
+    # the fused ops: stacked expert weights, and attention over a batch with a narrow q/v bias
+    e1, e2 = parameter(rng.uniform(-1, 1, (2, 4, 5))), parameter(rng.uniform(-1, 1, (2, 5, 3)))
+    eb1, eb2 = parameter(rng.uniform(-1, 1, (2, 5))), parameter(rng.uniform(-1, 1, (2, 3)))
+    cases.append((lambda: gelu_ffn(h1, e1, eb1, e2, eb2), [h1, e1, eb1, e2, eb2]))
+    wqvk = parameter(rng.uniform(-1, 1, (4, 12)))
+    bqv = parameter(rng.uniform(-1, 1, 8))
+    cases.append((lambda: attention_core(h1, wqvk, bqv, 2), [h1, wqvk, bqv]))
 
     for fn, params in cases:
         for p in params:
@@ -423,6 +437,110 @@ def test_linear_matches_matmul_plus_bias_and_rejects_misfits():
         stack([Tensor(np.zeros(2)), Tensor(np.zeros(3))])
 
 
+# ---------------------------------------------------------------------------
+# fused ops against the chains of single ops they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_gelu(a: Tensor) -> Tensor:
+    """The single GELU op ``gelu_ffn`` absorbed: 0.5 x (1 + erf(x / sqrt 2))."""
+    x = a.data
+    e = erf(x * numerics._INV_SQRT2)
+    out = Tensor(0.5 * x * (1.0 + e))
+    numerics._count(gelu_flops(out.size))
+
+    def back(g):
+        numerics._accumulate(a, g * (0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) * numerics._INV_SQRT2PI))
+
+    return numerics._attach(out, (a,), back)
+
+
+def chain_attention_core(z, wqvk, bqv, heads):
+    """Projection, head split, scores, softmax, weights @ v and head merge
+    as 13 single ops."""
+    *lead, tokens, dim = z.shape
+    head_dim, n = dim // heads, len(lead)
+    qvk = reshape(linear(z, wqvk, bqv), (*lead, tokens, 3, heads, head_dim))
+    q, v, k = (take(transpose(qvk, (n + 1, *range(n), n + 2, n, n + 3)), i) for i in range(3))
+    weights = softmax(mul(matmul(q, transpose(k)), 1.0 / np.sqrt(head_dim)), axis=-1)
+    return reshape(transpose(matmul(weights, v), (*range(n), n + 1, n, n + 2)), (*lead, tokens, dim))
+
+
+def chain_gelu_ffn(x, w1, b1, w2, b2):
+    return linear(reference_gelu(linear(x, w1, b1)), w2, b2)
+
+
+def run_op(fn, inputs, seed):
+    """Output, FLOP count and input gradients of a random weighted sum of fn()."""
+    for t in inputs:
+        t.grad = None
+    with FlopCounter() as fc:
+        out = fn()
+    backward(tsum(mul(out, Tensor(np.random.default_rng(seed).standard_normal(out.shape)))))
+    return out, fc.total, [t.grad for t in inputs]
+
+
+def assert_same_op(fused, chain, inputs, seed=0):
+    out, flops, grads = run_op(fused, inputs, seed)
+    want, want_flops, want_grads = run_op(chain, inputs, seed)
+    assert out._parents == tuple(inputs)  # one tape node, straight from the inputs
+    assert np.array_equal(out.data, want.data)
+    assert flops == want_flops
+    for got, ref in zip(grads, want_grads):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["unbatched", "B", "E-B"])
+def test_attention_core_equals_the_chain_it_fuses(lead, heads):
+    rng = np.random.default_rng(heads)
+    z = parameter(rng.standard_normal((*lead, 5, 8)))
+    wqvk = parameter(rng.standard_normal((8, 24)) / 2)
+    bqv = parameter(rng.standard_normal(16))  # q and v only: narrower than the 24 outputs
+    assert_same_op(lambda: attention_core(z, wqvk, bqv, heads),
+                   lambda: chain_attention_core(z, wqvk, bqv, heads), [z, wqvk, bqv])
+
+
+@pytest.mark.parametrize("x_shape, w1_shape", [((5, 4), (4, 6)), ((3, 5, 4), (4, 6)),
+                                               ((2, 5, 4), (2, 4, 6)), ((2, 3, 5, 4), (2, 4, 6))],
+                         ids=["unbatched", "B", "E", "E-B"])
+def test_gelu_ffn_equals_the_chain_it_fuses(x_shape, w1_shape):
+    rng = np.random.default_rng(len(x_shape))
+    lead = w1_shape[:-2]
+    x = parameter(rng.standard_normal(x_shape))
+    w1, b1 = parameter(rng.standard_normal(w1_shape)), parameter(rng.standard_normal((*lead, 6)))
+    w2, b2 = parameter(rng.standard_normal((*lead, 6, 3))), parameter(rng.standard_normal((*lead, 3)))
+    assert_same_op(lambda: gelu_ffn(x, w1, b1, w2, b2), lambda: chain_gelu_ffn(x, w1, b1, w2, b2),
+                   [x, w1, b1, w2, b2])
+
+
+def test_fused_ops_pass_check_gradients():
+    rng = np.random.default_rng(13)
+    att = {"z": parameter(rng.uniform(-1, 1, (2, 3, 4))), "wqvk": parameter(rng.uniform(-1, 1, (4, 12))),
+           "bqv": parameter(rng.uniform(-1, 1, 8))}
+    ffn = {"x": parameter(rng.uniform(-1, 1, (2, 3, 4))), "w1": parameter(rng.uniform(-1, 1, (2, 4, 5))),
+           "b1": parameter(rng.uniform(-1, 1, (2, 5))), "w2": parameter(rng.uniform(-1, 1, (2, 5, 4))),
+           "b2": parameter(rng.uniform(-1, 1, (2, 4)))}
+    w = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
+    for params, fn in [(att, lambda p: attention_core(p["z"], p["wqvk"], p["bqv"], 2)),
+                       (ffn, lambda p: gelu_ffn(p["x"], p["w1"], p["b1"], p["w2"], p["b2"]))]:
+        report = check_gradients(lambda p: tsum(mul(fn(p), w)), params)
+        assert report.checked_elements == sum(t.size for t in params.values())
+        assert report.passed(1e-6), report.per_parameter_errors
+
+
+def test_fused_ops_reject_misfits():
+    for *shapes, heads in [((3, 4), (4, 12), (8,), 3), ((3, 4), (4, 8), (8,), 2),
+                           ((3, 4), (4, 12), (12,), 2), ((4,), (4, 12), (8,), 2)]:
+        with pytest.raises(DimensionError):
+            attention_core(*(Tensor(np.zeros(s)) for s in shapes), heads)
+    for shapes in [((3, 4), (5, 6), (6,), (6, 4), (4,)), ((3, 4), (4, 6), (5,), (6, 4), (4,)),
+                   ((3, 4), (4, 6), (6,), (5, 4), (4,)), ((3, 4), (4, 6), (6,), (6, 4), (3,)),
+                   ((3, 3, 4), (2, 4, 6), (2, 6), (2, 6, 4), (2, 4))]:
+        with pytest.raises(DimensionError):
+            gelu_ffn(*(Tensor(np.zeros(s)) for s in shapes))
+
+
 def test_training_step_tape_stays_within_budget():
     # pretrain_small's geometry at batch 8: the ops recorded on the tape that
     # the loss reaches, i.e. the backward closures one step runs
@@ -441,7 +559,8 @@ def test_training_step_tape_stays_within_budget():
             seen.add(id(t))
             ops += t._backward is not None
             todo.extend(t._parents)
-    assert ops <= 400, ops
+    # each attention is one attention_core and one linear, each feed-forward one gelu_ffn
+    assert ops == 234, ops
 
 
 def test_tnsr_roundtrip(tmp_path):
@@ -510,7 +629,7 @@ def test_softmax_extreme_logits_stay_normalized():
 
 
 def test_import_cli_leaves_scipy_special_unloaded():
-    # scipy.special is most of the package's import time and only gelu uses it
+    # scipy.special is most of the package's import time and only gelu_ffn uses it
     code = "import sys, csmoe.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
