@@ -17,7 +17,7 @@ x = Tensor(rng.uniform(-1, 1, (5, 3)))
 # Forward: logits -> softmax -> cross-entropy against fixed targets.
 targets = np.eye(4)[rng.integers(0, 4, 5)]
 probs = softmax(matmul(x, w), axis=1)
-loss = -tmean(tsum(mul(tlog(probs), Tensor(targets)), axis=1))
+loss = tmean(tsum(mul(tlog(probs), Tensor(targets)), axis=1)) * -1.0
 print(f"toy cross-entropy: {loss.item():.6f}")
 
 # Reverse sweep: every op recorded its parents and a backward closure.
@@ -25,8 +25,8 @@ backward(loss)
 print(f"dL/dw has shape {w.grad.shape}, largest entry {np.abs(w.grad).max():.4f}")
 
 # The built-in checker perturbs each element by +-h and compares.
-report = check_gradients(lambda p: -tmean(tsum(mul(tlog(softmax(matmul(x, p['w']), axis=1)),
-                                                   Tensor(targets)), axis=1)),
+report = check_gradients(lambda p: tmean(tsum(mul(tlog(softmax(matmul(x, p['w']), axis=1)),
+                                                  Tensor(targets)), axis=1)) * -1.0,
                          {"w": w}, step=1e-5)
 print(f"gradient check: max relative error {report.max_relative_error:.2e} "
       f"over {report.checked_elements} elements")

@@ -5,7 +5,7 @@
 import numpy as np
 
 from csmoe.model import CsmoeConfig, init_model, forward, build_embedding
-from csmoe.losses import loss_total
+from csmoe.losses import LossSettings, loss_total
 from csmoe.numerics import backward
 
 cfg = CsmoeConfig(
@@ -34,7 +34,7 @@ print(f"routing tables per modality path: {len(art.routing['x'])}")
 
 # The five-term objective; the breakdown identity total = umr+cmr+mi+l*rep+g*ent
 # holds to machine precision.
-breakdown = loss_total(model, art, lambda_rep=0.01, gamma_ent=0.01)
+breakdown = loss_total(model, art, LossSettings(lambda_rep=0.01, gamma_ent=0.01))
 for name in ("umr", "cmr", "mi", "rep", "ent", "total"):
     print(f"  {name:>5}: {getattr(breakdown, name):+.6f}")
 

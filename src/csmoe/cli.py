@@ -17,18 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CsmoeError, DataError, ParameterError, require
+from .errors import ConfigError, CsmoeError, DataError, ParameterError
 from .evaluation import dataset_retrieval_f1, profile, retrieve
-from .losses import (
-    DEFAULT_EPS_ENT,
-    DEFAULT_GAMMA_ENT,
-    DEFAULT_LAMBDA_REP,
-    DEFAULT_TAU_MI,
-    loss_total,
-)
+from .losses import LossSettings, loss_total
 from .model import (
+    EMBEDDING_STRATEGIES,
+    MODALITIES,
     CsmoeConfig,
     build_embedding,
+    check_image,
     encode,
     forward,
     init_model,
@@ -39,22 +36,6 @@ from .numerics import atomic_write, check_gradients, load_tnsr, save_tnsr, trunc
 from .sampler import GaConfig, load_archive, load_grid, sample_archive, write_selection
 from .tokenizer import MaskPair, split_tile
 from .trainer import TrainerConfig, load_pairs, run_pretraining, synthesize_pairs
-
-
-@dataclass
-class LossSettings:
-    lambda_rep: float = DEFAULT_LAMBDA_REP
-    gamma_ent: float = DEFAULT_GAMMA_ENT
-    tau_mi: float = DEFAULT_TAU_MI
-    eps_ent: float = DEFAULT_EPS_ENT
-    mi_include_positive: bool = False
-    norm_pix: bool = False
-
-    def __post_init__(self):
-        require([
-            (self.tau_mi > 0, f"tau_mi must be > 0, got {self.tau_mi}"),
-            (self.eps_ent >= 0, f"eps_ent must be >= 0, got {self.eps_ent}"),
-        ], ParameterError)
 
 
 @dataclass
@@ -180,7 +161,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True, help="CSV id,labels with ;-joined class codes")
     p.add_argument("--task", required=True, choices=["S1>S1", "S1>S2", "S2>S1", "S2>S2"])
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--strategy", default="only_cls",
+    p.add_argument("--strategy", default="only_cls", choices=EMBEDDING_STRATEGIES,
                    help="embedding strategy for image inputs (default only_cls)")
     p.add_argument("--out", help="JSON result path")
 
@@ -207,21 +188,18 @@ def _run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_report(path, report):
-    """A report's JSON, indented with sorted keys, written atomically."""
-    with atomic_write(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+def _write_json(payload, out, indent=2, echo=False):
+    """``payload`` as JSON with sorted keys and a closing newline, written
+    atomically to ``out`` when given, then to stdout when ``echo``."""
+    def dump(fh):
+        json.dump(payload, fh, indent=indent, sort_keys=True)
         fh.write("\n")
 
-
-def _print_json(payload, out, indent=2):
-    """Print ``payload`` as JSON with sorted keys; with ``out``, also write
-    it there, newline-terminated, atomically."""
-    text = json.dumps(payload, indent=indent, sort_keys=True)
     if out:
         with atomic_write(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+            dump(fh)
+    if echo:
+        dump(sys.stdout)
 
 
 def _cmd_sample(args) -> int:
@@ -231,8 +209,7 @@ def _cmd_sample(args) -> int:
     thematic = load_grid(args.thematic)
     selection, report = sample_archive(archive, climate, thematic, ga, baseline=args.baseline)
     write_selection(args.out, selection)
-    if args.report:
-        _write_report(args.report, report)
+    _write_json(report.to_dict(), args.report)
     print(f"selected {report.total_selected} of {report.total_described} described entries "
           f"across {len(report.strata)} strata -> {args.out}")
     return 0
@@ -254,7 +231,7 @@ def _cmd_split_tiles(args) -> int:
         patches, report = split_tile(tile, args.patch, args.sentinel)
         for i, patch in enumerate(patches):
             save_tnsr(out_dir / f"{tile_path.stem}_p{i:04d}.tnsr", patch)
-        _write_report(out_dir / f"{tile_path.stem}_report.json", report)
+        _write_json(report.to_dict(), out_dir / f"{tile_path.stem}_report.json")
         total += report.kept
     print(f"kept {total} patches from {len(tiles)} tiles -> {out_dir}")
     return 0
@@ -275,7 +252,7 @@ def _cmd_pretrain(args) -> int:
     model = init_model(run.model) if args.resume is None else load_checkpoint(args.resume)
     records = run_pretraining(model, load_pairs(paths.data_dir, model.cfg), run.trainer, seed,
                               checkpoint_path=paths.checkpoint, log_path=paths.log,
-                              loss_kwargs=asdict(run.loss), resume_from=args.resume)
+                              loss=run.loss, resume_from=args.resume)
     train_records = [r for r in records if "step" in r]
     if train_records:
         print(f"trained {len(train_records)} steps: total {train_records[0]['total']:.6f} "
@@ -300,16 +277,12 @@ def _cmd_grad_check(args) -> int:
     for p in model.params.values():
         p.data = truncated_normal(rng, p.shape, GRAD_CHECK_STD)
     data_rng = np.random.default_rng(seed + 2)
-    draws = [
-        (data_rng.standard_normal((cfg.channels_x, cfg.image_side, cfg.image_side)),
-         data_rng.standard_normal((cfg.channels_y, cfg.image_side, cfg.image_side)))
-        for _ in range(2)
-    ]
+    draws = [[data_rng.standard_normal(cfg.image_shape(m)) for m in MODALITIES] for _ in range(2)]
     xs, ys = (np.stack(images) for images in zip(*draws))
 
     def loss_fn(params):
         art = forward(model, xs, ys, seed=[seed + 10, seed + 11])
-        return loss_total(model, art, **asdict(run.loss)).total_tensor
+        return loss_total(model, art, run.loss).total_tensor
 
     report = check_gradients(loss_fn, model.params, step=args.step,
                              max_checked=args.max_checked, sample_seed=seed)
@@ -321,7 +294,7 @@ def _cmd_grad_check(args) -> int:
         "passed": report.passed(args.tolerance),
         "per_parameter_errors": dict(sorted(report.per_parameter_errors.items())),
     }
-    _print_json(payload, args.out)
+    _write_json(payload, args.out, echo=True)
     return 0 if report.passed(args.tolerance) else 2
 
 
@@ -356,19 +329,18 @@ _EMBED_CHUNK = 16
 
 
 def _is_image(path, arr, model, modality: str) -> bool:
-    """True for a rank-3 image the checkpoint can embed, False for a rank-1
-    embedding; anything else is a DataError naming the file."""
+    """True for a rank-3 image the checkpoint can embed (``check_image``),
+    False for a finite rank-1 embedding; anything else is a DataError naming
+    the file."""
     if arr.ndim == 1:
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: embedding has non-finite values")
         return False
     if arr.ndim != 3:
         raise DataError(f"{path}: expected rank-1 embedding or rank-3 image, got rank {arr.ndim}")
     if model is None:
         raise DataError(f"{path} holds an image; pass --checkpoint to embed it")
-    cfg = model.cfg
-    want = (cfg.channels(modality), cfg.image_side, cfg.image_side)
-    if arr.shape != want:
-        raise DataError(f"{path}: image shape {list(arr.shape)} does not match the checkpoint's "
-                        f"{list(want)} for modality {modality!r}")
+    check_image(path, arr, model.cfg, modality)
     return True
 
 
@@ -420,13 +392,13 @@ def _cmd_eval_retrieval(args) -> int:
         "n_queries": len(q_ids),
         "k": args.k,
     }
-    _print_json(payload, args.out, indent=None)
+    _write_json(payload, args.out, indent=None, echo=True)
     return 0
 
 
 def _cmd_flops(args) -> int:
     prof = profile(_run_config(args).model)
-    _print_json(prof.to_dict(), args.out)
+    _write_json(prof.to_dict(), args.out, echo=True)
     print()
     print(f"{'component':<16}{'params':>14}{'flops':>16}")
     for row in prof.breakdown:
@@ -453,7 +425,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.dump_config:
-            print(json.dumps(asdict(_run_config(args)), indent=2, sort_keys=True))
+            _write_json(asdict(_run_config(args)), None, echo=True)
             return 0
         if not args.command:
             parser.print_usage(sys.stderr)

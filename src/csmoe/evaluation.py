@@ -10,7 +10,6 @@ be cross-checked against an instrumented run.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -25,6 +24,7 @@ from .numerics import (
     matmul_flops,
     softmax_flops,
 )
+from .tokenizer import masked_count
 
 FLOP_CONVENTION = (
     "2 ops per multiply-accumulate (bias adds 1/element), softmax and "
@@ -202,8 +202,7 @@ def _plain_block_flops(t: int, cfg: CsmoeConfig) -> int:
 def forward_flops(cfg: CsmoeConfig):
     """Analytic op count of one paired forward; returns (total, per-component)."""
     p = cfg.num_patches
-    masked = int(math.floor(cfg.mask_ratio * p + 0.5))
-    t = (p - masked) + 1  # unmasked tokens + CLS
+    t = (p - masked_count(p, cfg.mask_ratio)) + 1  # unmasked tokens + CLS
     comp = {}
     for m in MODALITIES:
         comp[f"embed_{m}"] = matmul_flops(p, cfg.token_dim(m), cfg.enc_dim) + elementwise_flops(p * cfg.enc_dim)

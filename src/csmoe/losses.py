@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormalizationError, ParameterError
+from .errors import NormalizationError, ParameterError, require
 from .model import MODALITIES, CsmoeModel, ForwardArtifacts
 from .numerics import (
     Tensor,
@@ -35,10 +35,24 @@ from .numerics import (
     xlog_shifted,
 )
 
-DEFAULT_LAMBDA_REP = 0.01
-DEFAULT_GAMMA_ENT = 0.01
-DEFAULT_TAU_MI = 0.5
-DEFAULT_EPS_ENT = 1e-8
+
+@dataclass(frozen=True)
+class LossSettings:
+    """The weights and constants of the five-term objective: a run's
+    ``loss`` config section, and ``loss_total``'s one settings argument."""
+
+    lambda_rep: float = 0.01
+    gamma_ent: float = 0.01
+    tau_mi: float = 0.5
+    eps_ent: float = 1e-8
+    mi_include_positive: bool = False
+    norm_pix: bool = False
+
+    def __post_init__(self):
+        require([
+            (self.tau_mi > 0, f"tau_mi must be > 0, got {self.tau_mi}"),
+            (self.eps_ent >= 0, f"eps_ent must be >= 0, got {self.eps_ent}"),
+        ], ParameterError)
 
 
 @dataclass
@@ -140,7 +154,7 @@ def loss_rep(slot_embeddings: Tensor) -> Tensor:
     return tsum(mul(gram, gram)) * (-1.0 / gram.size)
 
 
-def loss_ent(dispatch: Tensor, eps: float = DEFAULT_EPS_ENT) -> Tensor:
+def loss_ent(dispatch: Tensor, eps: float) -> Tensor:
     """-(1/(S*P)) sum over dispatch entries of a * log(a + eps); for a
     [..., S, P] batch of tables, the mean of the per-table values."""
     if eps < 0:
@@ -150,30 +164,23 @@ def loss_ent(dispatch: Tensor, eps: float = DEFAULT_EPS_ENT) -> Tensor:
     return tsum(xlog_shifted(dispatch, eps)) * (-1.0 / dispatch.size)
 
 
-def loss_total(
-    model: CsmoeModel,
-    art: ForwardArtifacts,
-    lambda_rep: float = DEFAULT_LAMBDA_REP,
-    gamma_ent: float = DEFAULT_GAMMA_ENT,
-    tau_mi: float = DEFAULT_TAU_MI,
-    eps_ent: float = DEFAULT_EPS_ENT,
-    mi_include_positive: bool = False,
-    norm_pix: bool = False,
-) -> LossBreakdown:
-    """Combine all five terms over one batched forward artifact.
+def loss_total(model: CsmoeModel, art: ForwardArtifacts,
+               settings: LossSettings = LossSettings()) -> LossBreakdown:
+    """Combine all five terms over one batched forward artifact, weighted
+    and configured by ``settings``.
 
     Reconstruction terms average over the batch; the contrastive term uses
     the whole [B] batch at once; slot repulsion averages over every MoE
     layer of the model, and the entropy term over every (sample, layer)
     dispatch table, each in one pass over the stacked tables.
     """
-    umr = loss_umr(art, norm_pix)
-    cmr = loss_cmr(art, norm_pix)
+    umr = loss_umr(art, settings.norm_pix)
+    cmr = loss_cmr(art, settings.norm_pix)
     proj_x, proj_y = (reshape(art.proj_cls[m], (-1, art.proj_cls[m].shape[-1])) for m in MODALITIES)
-    mi = loss_mi(proj_x, proj_y, tau_mi, mi_include_positive)
+    mi = loss_mi(proj_x, proj_y, settings.tau_mi, settings.mi_include_positive)
     rep = loss_rep(stack([layer.slot_embeddings for layer in model.moe_layers()]))
-    ent = loss_ent(stack([r.dispatch for m in MODALITIES for r in art.routing[m]]), eps_ent)
-    total = umr + cmr + mi + lambda_rep * rep + gamma_ent * ent
+    ent = loss_ent(stack([r.dispatch for m in MODALITIES for r in art.routing[m]]), settings.eps_ent)
+    total = umr + cmr + mi + settings.lambda_rep * rep + settings.gamma_ent * ent
     return LossBreakdown(
         umr=umr.item(), cmr=cmr.item(), mi=mi.item(), rep=rep.item(), ent=ent.item(),
         total=total.item(), total_tensor=total,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, ParameterError, require
+from .errors import ConfigError, DataError, DimensionError, FormatError, ParameterError, require
 from .numerics import (
     Tensor,
     concat_rows,
@@ -132,8 +132,24 @@ class CsmoeConfig:
     def token_dim(self, modality: str) -> int:
         return self.patch_size * self.patch_size * self.channels(modality)
 
+    def image_shape(self, modality: str) -> tuple:
+        """[C, H, W] of one image of ``modality``."""
+        return (self.channels(modality), self.image_side, self.image_side)
+
 
 _TYPE_NAMES = {bool: "a bool", int: "an int", float: "a number", str: "a string"}
+
+
+def check_image(path, arr: np.ndarray, cfg: CsmoeConfig, modality: str) -> np.ndarray:
+    """``arr``, the image read from ``path``, if it has ``cfg``'s shape for
+    ``modality`` and only finite pixels; otherwise a DataError naming the file."""
+    want = cfg.image_shape(modality)
+    if arr.shape != want:
+        raise DataError(f"{path}: image shape {list(arr.shape)}, expected {list(want)} "
+                        f"for modality {modality!r}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: image has non-finite pixels")
+    return arr
 
 
 def load_section(cls, data, where: str):
@@ -509,7 +525,7 @@ def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
     """Collapse an encoded [..., T, d] sequence (CLS first) into one vector
     [..., d] per sequence; a [T, d] sequence gives one [d] vector.
 
-    Strategies: avg_wo_cls, avg_all, only_cls, norm_cls, norm_proj_cls.
+    ``strategy`` is one of ``EMBEDDING_STRATEGIES``.
     """
     arr = tokens.data if isinstance(tokens, Tensor) else np.asarray(tokens, dtype=np.float64)
     if arr.ndim < 2 or arr.shape[-2] == 0:

@@ -6,11 +6,9 @@ to its parents together with a backward closure, and ``backward`` calls the
 closures in reverse topological order, visiting every node exactly once and
 passing each closure its output's gradient. A closure holds its parents and
 the arrays it saved, never its own output, so a graph has no reference
-cycles and is freed by reference counting as soon as it is dropped. A graph
-is confined to the thread that built it; independent graphs may run
-concurrently.
+cycles and is freed by reference counting as soon as it is dropped.
 
-Every op reports a deterministic operation count to the innermost active
+Every op reports a deterministic operation count to every active
 ``FlopCounter`` (2 ops per multiply-accumulate, 5 per softmax/norm element,
 10 per GELU element, 1 per plain elementwise op, 0 for data movement).
 
@@ -33,7 +31,6 @@ import json
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +45,7 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # FLOP accounting
 # ---------------------------------------------------------------------------
 
-_flop_ctx = threading.local()
+_flop_counters = []  # the active FlopCounters, outermost first
 
 
 class FlopCounter:
@@ -58,22 +55,17 @@ class FlopCounter:
         self.total = 0
 
     def __enter__(self):
-        stack = getattr(_flop_ctx, "stack", None)
-        if stack is None:
-            stack = _flop_ctx.stack = []
-        stack.append(self)
+        _flop_counters.append(self)
         return self
 
     def __exit__(self, *exc):
-        _flop_ctx.stack.pop()
+        _flop_counters.pop()
         return False
 
 
 def _count(n: int):
-    stack = getattr(_flop_ctx, "stack", None)
-    if stack:
-        for counter in stack:
-            counter.total += n
+    for counter in _flop_counters:
+        counter.total += n
 
 
 # Cost formulas, shared with the analytic profiler so both sides can never
@@ -158,9 +150,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
 
 def parameter(data) -> Tensor:
     """A leaf tensor that accumulates gradients."""
@@ -200,7 +189,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar; gradients land on leaf tensors."""
+    """Reverse-mode sweep from a scalar; gradients land on leaf tensors.
+    An interior node's gradient is dropped once its closure has passed it on."""
     if loss.data.size != 1:
         raise DimensionError(f"backward() needs a scalar loss, got shape {loss.shape}")
     # iterative topological sort over recorded parents
@@ -223,6 +213,7 @@ def backward(loss: Tensor):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(params):
@@ -291,16 +282,6 @@ def div(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _attach(out, (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        _accumulate(a, -g)
-
-    return _attach(out, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -770,9 +751,10 @@ def check_gradients(
     """Compare tape gradients of ``loss_fn(params)`` against central
     differences.
 
-    Every element is checked unless the parameter set exceeds 10^4 elements
-    (or ``max_checked``), in which case a seeded uniform sample of elements
-    is checked instead. ``loss_fn`` must be deterministic in ``params``.
+    Every element is checked unless the parameter set exceeds
+    ``max_checked`` elements, in which case a seeded uniform sample of
+    ``max_checked`` elements is checked instead. ``loss_fn`` must be
+    deterministic in ``params``.
     """
     if not (math.isfinite(step) and step > 0):
         raise ParameterError(f"step must be finite and > 0, got {step}")
@@ -792,10 +774,9 @@ def check_gradients(
     names = list(params.keys())
     sizes = np.array([params[n].size for n in names])
     total = int(sizes.sum())
-    limit = min(max_checked, 10_000)
-    if total > limit:
+    if total > max_checked:
         rng = np.random.default_rng(sample_seed)
-        flat = np.sort(rng.choice(total, size=limit, replace=False))
+        flat = np.sort(rng.choice(total, size=max_checked, replace=False))
     else:
         flat = np.arange(total)
     bounds = np.cumsum(sizes)

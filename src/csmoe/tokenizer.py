@@ -101,8 +101,14 @@ def unpatchify(patches: PatchSet) -> np.ndarray:
     )
 
 
+def masked_count(num_patches: int, ratio: float) -> int:
+    """How many of ``num_patches`` tokens a mask of ``ratio`` hides:
+    ratio * P rounded half up."""
+    return int(math.floor(ratio * num_patches + 0.5))
+
+
 def sample_masks(num_patches: int, ratio: float, seed) -> MaskPair:
-    """A uniformly random masked subset of round-half-up(ratio * P) indices.
+    """A uniformly random masked subset of ``masked_count(P, ratio)`` indices.
 
     A sequence of seeds gives one row per seed, each drawn exactly as that
     seed alone would draw it.
@@ -117,7 +123,7 @@ def sample_masks(num_patches: int, ratio: float, seed) -> MaskPair:
             ratio=ratio,
             seed=tuple(seed),
         )
-    count = int(math.floor(ratio * num_patches + 0.5))
+    count = masked_count(num_patches, ratio)
     perm = np.random.default_rng(seed).permutation(num_patches)
     return MaskPair(
         masked=np.sort(perm[:count]),

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EvaluationError, FormatError, ParameterError, require
-from .losses import loss_total
-from .model import CsmoeModel, convert_v1, forward, manifest_header, save_checkpoint
+from .losses import LossSettings, loss_total
+from .model import MODALITIES, CsmoeModel, check_image, convert_v1, forward, manifest_header, save_checkpoint
 from .numerics import atomic_write, backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
@@ -157,9 +157,8 @@ def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
 def load_pairs(data_dir, cfg):
     """All <id>_x.tnsr / <id>_y.tnsr pairs under data_dir, sorted by id.
 
-    Every image must be finite and shaped [channels, image_side, image_side]
-    for ``cfg`` (channels_x for x, channels_y for y); a DataError names the
-    first file that is not.
+    Every image must meet ``check_image`` for ``cfg``; a DataError names the
+    first file that does not.
     """
     root = Path(data_dir)
     xs = {p.name[:-7]: p for p in root.glob("*_x.tnsr")}
@@ -169,17 +168,8 @@ def load_pairs(data_dir, cfg):
         raise DataError(f"{data_dir}: unpaired ids: {', '.join(unpaired)}")
     if not xs:
         raise DataError(f"{data_dir}: no *_x.tnsr/*_y.tnsr pairs found")
-
-    def image(path, channels):
-        arr = load_tnsr(path)
-        expected = (channels, cfg.image_side, cfg.image_side)
-        if arr.shape != expected:
-            raise DataError(f"{path}: image shape {list(arr.shape)}, expected {list(expected)}")
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: image has non-finite pixels")
-        return arr
-
-    return [(pid, image(xs[pid], cfg.channels_x), image(ys[pid], cfg.channels_y)) for pid in sorted(xs)]
+    return [(pid, check_image(xs[pid], load_tnsr(xs[pid]), cfg, "x"),
+             check_image(ys[pid], load_tnsr(ys[pid]), cfg, "y")) for pid in sorted(xs)]
 
 
 def synthesize_pairs(data_dir, count: int, cfg, seed: int):
@@ -193,15 +183,11 @@ def synthesize_pairs(data_dir, count: int, cfg, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_KEY_SYNTH, i)))
         base = rng.standard_normal((coarse, coarse)).repeat(reps, axis=0).repeat(reps, axis=1)
         base = base[:side, :side]
-
-        def bands(channels):
-            gains = rng.uniform(0.5, 1.5, size=channels)
-            noise = 0.3 * rng.standard_normal((channels, side, side))
-            return gains[:, None, None] * base[None] + noise
-
-        pid = f"synt{i:04d}"
-        save_tnsr(root / f"{pid}_x.tnsr", bands(cfg.channels_x))
-        save_tnsr(root / f"{pid}_y.tnsr", bands(cfg.channels_y))
+        for m in MODALITIES:
+            shape = cfg.image_shape(m)
+            gains = rng.uniform(0.5, 1.5, size=shape[0])
+            noise = 0.3 * rng.standard_normal(shape)
+            save_tnsr(root / f"synt{i:04d}_{m}.tnsr", gains[:, None, None] * base[None] + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,7 @@ def _batch_forward(model: CsmoeModel, by_id: dict, ids, seeds):
 
 
 def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
-          loss_kwargs: dict = None, log_fh=None, start_epoch: int = 0,
+          loss: LossSettings = LossSettings(), log_fh=None, start_epoch: int = 0,
           optimizer: AdamW = None):
     """Run epochs [start_epoch, tcfg.epochs) of mini-batch AdamW training.
 
@@ -251,7 +237,6 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     term or gradient norm raises EvaluationError naming the step (or
     epoch) and the term, before the optimizer moves or the record is logged.
     """
-    loss_kwargs = loss_kwargs or {}
     by_id = {pid: (x, y) for pid, x, y in pairs}
     train_ids, val_ids = split_validation([p[0] for p in pairs], tcfg.val_fraction, seed)
     if len(train_ids) < 2:
@@ -280,7 +265,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
                 continue
             art = _batch_forward(model, by_id, [train_ids[i] for i in chunk],
                                  [_derived_seed(seed, _KEY_MASKS, step, j) for j in range(chunk.size)])
-            breakdown = loss_total(model, art, **loss_kwargs)
+            breakdown = loss_total(model, art, loss)
             _check_finite(breakdown, f"step {step + 1}")
             optimizer.zero_grad()
             backward(breakdown.total_tensor)
@@ -295,7 +280,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
         if len(val_ids) >= 2:
             art = _batch_forward(model, by_id, val_ids,
                                  [_derived_seed(seed, _KEY_VAL_MASKS, epoch, j) for j in range(len(val_ids))])
-            val = loss_total(model, art, **loss_kwargs)
+            val = loss_total(model, art, loss)
             _check_finite(val, f"epoch {epoch + 1} validation")
             emit({"epoch": epoch + 1, "val_total": val.total})
     return optimizer, records
@@ -320,7 +305,7 @@ def _log_through(log_path, step: int, epoch: int) -> str:
 
 
 def run_pretraining(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
-                    checkpoint_path, log_path, loss_kwargs: dict = None,
+                    checkpoint_path, log_path, loss: LossSettings = LossSettings(),
                     resume_from=None):
     """Train, then write the checkpoint and its optimizer sidecar. A resume
     first cuts the loss log back to the checkpoint's step, then appends."""
@@ -332,7 +317,7 @@ def run_pretraining(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
         with atomic_write(log_path, "w") as fh:
             fh.write(kept)
     with open(log_path, "w" if resume_from is None else "a") as log_fh:
-        _, records = train(model, pairs, tcfg, seed, loss_kwargs=loss_kwargs,
+        _, records = train(model, pairs, tcfg, seed, loss=loss,
                            log_fh=log_fh, start_epoch=start_epoch, optimizer=optimizer)
     save_checkpoint(model, checkpoint_path)
     save_optimizer_state(str(checkpoint_path) + ".opt", optimizer, tcfg.epochs, model)

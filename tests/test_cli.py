@@ -709,7 +709,25 @@ def test_eval_retrieval_image_of_another_shape_exits_two(tmp_path, capsys):
     assert main(["eval-retrieval", "--checkpoint", str(ckpt), "--queries", str(qdir),
                  "--gallery", str(qdir), "--labels", str(labels), "--task", "S1>S1"]) == 2
     err = capsys.readouterr().err
-    assert f"{qdir / 'b.tnsr'}: image shape [3, 16, 16] does not match the checkpoint's [2, 16, 16]" in err
+    assert f"{qdir / 'b.tnsr'}: image shape [3, 16, 16], expected [2, 16, 16] for modality 'x'" in err
+
+
+def test_pretrain_and_eval_report_a_wrong_shape_image_alike(tmp_path, capsys):
+    cfg = write_mini_run_config(tmp_path / "cfg.json", epochs=0)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    run = ["pretrain-toy", "--config", str(cfg), "--data-dir", str(data), "--checkpoint", str(ckpt),
+           "--log", str(tmp_path / "l.jsonl"), "--seed", "0"]
+    assert main(run + ["--synthesize", "2"]) == 0
+    bad = data / "synt0000_x.tnsr"
+    save_tnsr(bad, np.zeros((3, 16, 16)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\nz,A\n")
+    capsys.readouterr()
+    message = f"{bad}: image shape [3, 16, 16], expected [2, 16, 16] for modality 'x'"
+    for argv in (run, ["eval-retrieval", "--checkpoint", str(ckpt), "--queries", str(data),
+                       "--gallery", str(data), "--labels", str(labels), "--task", "S1>S1"]):
+        assert main(argv) == 2
+        assert f"csmoe: error: {message}\n" == capsys.readouterr().err
 
 
 def test_eval_retrieval_query_without_candidates_exits_two(tmp_path, capsys):
@@ -824,13 +842,24 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "grad_check_max_checked_zero", "resume_empty",
                                   "grad_check_tolerance_nan", "grad_check_tolerance_negative",
                                   "synthesize_negative", "split_tiles_patch_zero",
-                                  "split_tiles_patch_negative", "eval_retrieval_k_zero"])
+                                  "split_tiles_patch_negative", "eval_retrieval_k_zero",
+                                  "eval_retrieval_nan_embedding", "eval_retrieval_inf_pixel",
+                                  "eval_retrieval_strategy_misspelled"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
     labels = tmp_path / "labels.csv"
     labels.write_text("id,labels\na,A\nb\n")
     cfg = str(write_mini_run_config(tmp_path / "cfg.json"))
+    good_labels = tmp_path / "good_labels.csv"
+    good_labels.write_text("id,labels\na,A\nb,B\n")
+    if case == "eval_retrieval_nan_embedding":
+        write_embedding_dir(tmp_path / "nan", {"a": [1.0, np.nan], "b": [0.0, 1.0]})
+    if case == "eval_retrieval_inf_pixel":
+        save_checkpoint(init_model(mini_config()), tmp_path / "m.ckpt")
+        image = np.zeros((2, 16, 16))
+        image[1, 2, 3] = np.inf
+        write_embedding_dir(tmp_path / "inf", {"a": image, "b": np.ones((2, 16, 16))})
     argv, code, message = {
         "label_row_without_labels": (
             ["eval-retrieval", "--queries", str(emb), "--gallery", str(emb),
@@ -864,6 +893,21 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         "eval_retrieval_k_zero": (["eval-retrieval", "--checkpoint", str(tmp_path / "missing.ckpt"),
                                    "--queries", str(emb), "--gallery", str(emb), "--labels", str(labels),
                                    "--task", "S1>S1", "--k", "0"], 2, "--k must be >= 1, got 0"),
+        "eval_retrieval_nan_embedding": (["eval-retrieval", "--queries", str(tmp_path / "nan"),
+                                          "--gallery", str(emb), "--labels", str(good_labels),
+                                          "--task", "S1>S1", "--out", str(tmp_path / "out")], 2,
+                                         f"{tmp_path / 'nan' / 'a.tnsr'}: embedding has non-finite values"),
+        "eval_retrieval_inf_pixel": (["eval-retrieval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                      "--queries", str(tmp_path / "inf"), "--gallery", str(tmp_path / "inf"),
+                                      "--labels", str(good_labels), "--task", "S1>S1",
+                                      "--out", str(tmp_path / "out")], 2,
+                                     f"{tmp_path / 'inf' / 'a.tnsr'}: image has non-finite pixels"),
+        # a usage error: rejected before the (missing) checkpoint or any input is read
+        "eval_retrieval_strategy_misspelled": (["eval-retrieval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                                                "--queries", str(emb), "--gallery", str(emb),
+                                                "--labels", str(labels), "--task", "S1>S1",
+                                                "--strategy", "onlycls"], 1,
+                                               "argument --strategy: invalid choice: 'onlycls'"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

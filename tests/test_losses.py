@@ -3,6 +3,7 @@ import pytest
 
 from csmoe.errors import NormalizationError, ParameterError
 from csmoe.losses import (
+    LossSettings,
     loss_cmr,
     loss_ent,
     loss_mi,
@@ -159,6 +160,14 @@ def test_mi_matches_brute_force_oracle():
     assert got != got_incl
 
 
+def test_loss_settings_reject_bad_temperature_and_stabilizer():
+    for bad in ({"tau_mi": 0}, {"tau_mi": -0.5}, {"eps_ent": -1e-9}):
+        with pytest.raises(ParameterError):
+            LossSettings(**bad)
+    with pytest.raises(AttributeError):  # frozen: one run's settings cannot drift
+        LossSettings().tau_mi = 0.1
+
+
 def test_mi_rejects_small_batch_and_bad_temperature():
     one = Tensor(np.ones((1, 4)))
     with pytest.raises(ParameterError):
@@ -247,7 +256,7 @@ def test_total_decomposition_identity():
     model = init_model(cfg)
     art = make_batch(cfg, model)
     for lam, gam in ((0.0, 0.0), (0.01, 0.01), (-0.5, 2.0)):
-        b = loss_total(model, art, lambda_rep=lam, gamma_ent=gam)
+        b = loss_total(model, art, LossSettings(lambda_rep=lam, gamma_ent=gam))
         recomposed = b.umr + b.cmr + b.mi + lam * b.rep + gam * b.ent
         assert abs(b.total - recomposed) <= 1e-12
 
@@ -256,7 +265,7 @@ def test_total_weights_off():
     cfg = mini_config()
     model = init_model(cfg)
     art = make_batch(cfg, model)
-    b = loss_total(model, art, lambda_rep=0.0, gamma_ent=0.0)
+    b = loss_total(model, art, LossSettings(lambda_rep=0.0, gamma_ent=0.0))
     assert abs(b.total - (b.umr + b.cmr + b.mi)) <= 1e-12
 
 
@@ -292,6 +301,6 @@ def test_total_zero_under_perfect_reconstruction_and_identical_projections():
     # cancels the numerator exactly at batch size 2
     art.proj_cls["x"].data = np.broadcast_to(shared, (2, 1, 8)).copy()
     art.proj_cls["y"].data = np.broadcast_to(shared, (2, 1, 8)).copy()
-    b = loss_total(model, art, lambda_rep=0.0, gamma_ent=0.0, tau_mi=0.5)
+    b = loss_total(model, art, LossSettings(lambda_rep=0.0, gamma_ent=0.0, tau_mi=0.5))
     assert b.umr == 0.0 and b.cmr == 0.0
     assert abs(b.total) <= 1e-9

@@ -206,7 +206,7 @@ def test_op_gradients_against_finite_differences():
     cases.append((lambda: a - b, [a, b]))
     cases.append((lambda: mul(a, b), [a, b]))
     cases.append((lambda: a / (b + 3.0), [a, b]))
-    cases.append((lambda: -a, [a]))
+    cases.append((lambda: Tensor(0.0) - a, [a]))
     cases.append((lambda: transpose(a), [a]))
     m1 = parameter(rng.uniform(-1, 1, (3, 4)))
     m2 = parameter(rng.uniform(-1, 1, (4, 2)))
@@ -291,6 +291,25 @@ def test_backward_visits_shared_nodes_once():
     assert rel_err(x.grad, [8.0, 16.0]) < 1e-12
 
 
+def test_backward_keeps_leaf_gradients_and_frees_interior_ones():
+    model = init_model(mini_config())
+    rng = np.random.default_rng(2)
+    art = forward(model, rng.standard_normal((2, 2, 16, 16)), rng.standard_normal((2, 3, 16, 16)), seed=[1, 2])
+    loss = loss_total(model, art).total_tensor
+    nodes, todo = {}, [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            todo.extend(node._parents)
+    interior = [n for n in nodes.values() if n._backward is not None]
+    leaves = [n for n in nodes.values() if n._backward is None and n.requires_grad]
+    assert len(interior) > 100 and len(leaves) == len(model.params)
+    backward(loss)
+    assert all(n.grad is not None for n in leaves)
+    assert all(n.grad is None for n in interior)
+
+
 def test_dropped_graph_leaves_no_cyclic_garbage():
     # backward closures never capture their own output, so reference
     # counting alone frees a dropped graph
@@ -335,7 +354,7 @@ def test_check_gradients_softmax_cross_entropy_toy():
 
     def loss_fn(params):
         probs = softmax(matmul(x, params["w"]), axis=1)
-        return -tmean(tsum(mul(tlog(probs), Tensor(onehot)), axis=1))
+        return tmean(tsum(mul(tlog(probs), Tensor(onehot)), axis=1)) * -1.0
 
     report = check_gradients(loss_fn, {"w": w})
     assert report.max_relative_error < 1e-5
@@ -351,6 +370,18 @@ def test_check_gradients_samples_large_parameter_sets():
     report = check_gradients(loss_fn, {"big": big}, max_checked=500, sample_seed=1)
     assert report.checked_elements == 500
     # the 12k-element sum raises the loss scale, so the noise floor sits higher
+    assert report.max_relative_error < 1e-5
+
+
+def test_check_gradients_honours_max_checked_above_ten_thousand():
+    # |gradient| >= 1 everywhere, far above the 15k-element sum's rounding noise
+    big = parameter(np.random.default_rng(8).uniform(0.5, 1.5, 15_000))
+
+    def loss_fn(params):
+        return tsum(mul(params["big"], params["big"]))
+
+    report = check_gradients(loss_fn, {"big": big}, max_checked=12_000, sample_seed=2)
+    assert report.checked_elements == 12_000
     assert report.max_relative_error < 1e-5
 
 

@@ -6,6 +6,7 @@ from csmoe.tokenizer import (
     MaskPair,
     patchify,
     positional_embedding,
+    masked_count,
     sample_masks,
     split_tile,
     unpatchify,
@@ -69,6 +70,12 @@ def test_mask_count_round_half_up():
     pair = sample_masks(49, 0.5, seed=0)
     assert len(pair.masked) == 25  # 24.5 rounds up
     assert len(pair.unmasked) == 24
+
+
+def test_masked_count_rounds_half_up():
+    assert masked_count(49, 0.5) == 25  # 24.5 rounds up
+    assert masked_count(10, 0.25) == 3  # 2.5 rounds up
+    assert masked_count(10, 0.24) == 2
 
 
 def test_mask_determinism():
