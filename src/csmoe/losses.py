@@ -4,11 +4,12 @@ Reconstruction terms are mean squared error over masked token rows only,
 with the source mask governing cross-modal terms. The contrastive term is
 a temperature-scaled cross-entropy over cosine similarities whose
 denominator excludes the positive pair (an opt-in flag restores the more
-common variant that includes it). The two routing regularizers are a slot
-repulsion term over normalized slot embeddings and an entropy term over
-dispatch weights, both implemented exactly as stated, with signed weights
-left to configuration. Every term reads one batched forward artifact: the
-per-sample terms are averaged over its leading [B] axis.
+common variant that includes it); it is taken through shifted log-sum-exps,
+so it stays finite at any temperature > 0. The two routing regularizers are
+a slot repulsion term over normalized slot embeddings and an entropy term
+over dispatch weights, both implemented exactly as stated, with signed
+weights left to configuration. Every term reads one batched forward
+artifact: the per-sample terms are averaged over its leading [B] axis.
 """
 
 from __future__ import annotations
@@ -19,21 +20,7 @@ import numpy as np
 
 from .errors import NormalizationError, ParameterError, require
 from .model import MODALITIES, CsmoeModel, ForwardArtifacts
-from .numerics import (
-    Tensor,
-    l2_normalize_rows,
-    matmul,
-    mul,
-    reshape,
-    stack,
-    take_rows,
-    texp,
-    tlog,
-    tmean,
-    transpose,
-    tsum,
-    xlog_shifted,
-)
+from .numerics import Tensor, contrastive_ce, entropy, masked_mse, reshape, slot_repulsion, stack
 
 
 @dataclass(frozen=True)
@@ -81,9 +68,7 @@ def rec_loss(pred: Tensor, target, mask_indices) -> Tensor:
     idx = np.asarray(mask_indices, dtype=np.int64)
     if idx.size == 0:
         raise ParameterError("reconstruction loss is undefined for an empty mask")
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = take_rows(pred, idx) - take_rows(target, idx)
-    return tmean(mul(diff, diff))
+    return masked_mse(pred, target, idx)
 
 
 def normalize_pixel_targets(tokens: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -130,28 +115,16 @@ def loss_mi(proj_x: Tensor, proj_y: Tensor, temperature: float,
     batch = proj_x.shape[0]
     if batch < 2:
         raise ParameterError(f"contrastive loss needs a batch of >= 2 pairs, got {batch}")
-    xn = l2_normalize_rows(proj_x)
-    yn = l2_normalize_rows(proj_y)
-    sims = matmul(xn, transpose(yn))  # [B, B]; (i, q) = sim(x_i, y_q)
-    e = texp(sims / temperature)
-    eye = Tensor(np.eye(batch))
-    denom_mask = Tensor(np.ones((batch, batch))) if include_positive else Tensor(1.0 - np.eye(batch))
-    pos = tsum(mul(e, eye), axis=1)  # exp(sim(x_i, y_i)/t)
-    xy = tlog(tsum(mul(e, denom_mask), axis=1)) - tlog(pos)  # -log(pos/denominator)
-    yx = tlog(tsum(mul(e, denom_mask), axis=0)) - tlog(pos)
-    return (tsum(xy) + tsum(yx)) / (2.0 * batch)
+    return contrastive_ce(proj_x, proj_y, temperature, include_positive)
 
 
 def loss_rep(slot_embeddings: Tensor) -> Tensor:
     """-(1/S^2) sum of squared inner products of the unit-normalized slots
     [S, d]; for a [..., S, d] stack of slot tables, the mean of the
     per-table values."""
-    norms = np.linalg.norm(slot_embeddings.data, axis=-1)
-    if (norms == 0.0).any():
+    if not np.linalg.norm(slot_embeddings.data, axis=-1).all():
         raise NormalizationError("slot embedding row with zero norm")
-    sn = l2_normalize_rows(slot_embeddings)
-    gram = matmul(sn, transpose(sn))  # [..., S, S]
-    return tsum(mul(gram, gram)) * (-1.0 / gram.size)
+    return slot_repulsion(slot_embeddings)
 
 
 def loss_ent(dispatch: Tensor, eps: float) -> Tensor:
@@ -161,7 +134,7 @@ def loss_ent(dispatch: Tensor, eps: float) -> Tensor:
         raise ParameterError(f"entropy stabilizer must be >= 0, got {eps}")
     if (dispatch.data < 0).any():
         raise ParameterError("dispatch weights must be nonnegative")
-    return tsum(xlog_shifted(dispatch, eps)) * (-1.0 / dispatch.size)
+    return entropy(dispatch, eps)
 
 
 def loss_total(model: CsmoeModel, art: ForwardArtifacts,

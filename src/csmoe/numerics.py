@@ -21,7 +21,9 @@ counts exactly batch size x the unbatched cost.
 
 The fused ops ``attention_core`` and ``gelu_ffn`` record one tape node each
 for a chain every transformer block runs; they count, and differentiate, bit
-for bit as that chain of single ops would.
+for bit as that chain of single ops would. Each training loss term is one op
+too (``masked_mse``, ``contrastive_ce``, ``slot_repulsion``, ``entropy``),
+with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -147,9 +149,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
 
 def parameter(data) -> Tensor:
     """A leaf tensor that accumulates gradients."""
@@ -270,20 +269,6 @@ def mul(a, b) -> Tensor:
     return _attach(out, (a, b), back)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data)
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _attach(out, (a, b), back)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [..., k, n]: both operands share their leading batch
     axes, or one is a 2-D matrix applied to every batch element of the other
@@ -378,77 +363,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _attach(out, (a,), back)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    _count(reduction_flops(a.size) + 1)
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape) / n)
-
-    return _attach(out, (a,), back)
-
-
-def texp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        _accumulate(a, g * y)
-
-    return _attach(out, (a,), back)
-
-
-def tlog(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        _accumulate(a, g / a.data)
-
-    return _attach(out, (a,), back)
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        _accumulate(a, g * 0.5 / r)
-
-    return _attach(out, (a,), back)
-
-
-def xlog_shifted(a: Tensor, shift: float) -> Tensor:
-    """Elementwise x * log(x + shift), defined as 0 where x == 0.
-
-    The x == 0 convention makes entropy-style sums well defined even in the
-    shift -> 0 limit.
-    """
-    x = a.data
-    nz = x != 0.0
-    vals = np.zeros_like(x)
-    vals[nz] = x[nz] * np.log(x[nz] + shift)
-    out = Tensor(vals)
-    _count(2 * out.size)
-
-    def back(g):
-        d = np.zeros_like(x)
-        d[nz] = np.log(x[nz] + shift) + x[nz] / (x[nz] + shift)
-        _accumulate(a, g * d)
-
-    return _attach(out, (a,), back)
-
-
 def softmax(x: Tensor, axis: int, temperature: float = 1.0) -> Tensor:
     """exp((x - max)/t) normalized along ``axis``; rows sum to 1."""
     if temperature <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {temperature}")
-    y = _softmax(x.data, axis, temperature)
+    y = _shifted_exp(x.data / temperature, axis)[1]
     out = Tensor(y)
     _count(softmax_flops(out.size))
 
@@ -458,11 +377,13 @@ def softmax(x: Tensor, axis: int, temperature: float = 1.0) -> Tensor:
     return _attach(out, (x,), back)
 
 
-def _softmax(x: np.ndarray, axis: int, temperature: float) -> np.ndarray:
-    scaled = x / temperature
-    shifted = scaled - scaled.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _shifted_exp(scaled: np.ndarray, axis: int):
+    """(log-sum-exp, softmax) of ``scaled`` along ``axis``, both shifted by
+    the maximum there; entries of -inf drop out of both."""
+    top = scaled.max(axis=axis, keepdims=True)
+    e = np.exp(scaled - top)
+    total = e.sum(axis=axis, keepdims=True)
+    return top + np.log(total), e / total
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, temperature: float) -> np.ndarray:
@@ -529,7 +450,7 @@ def attention_core(x: Tensor, wqvk: Tensor, bqv: Tensor, heads: int) -> Tensor:
     merge = (*range(n), n + 1, n, n + 2)  # [..., H, T, d/H] <-> [..., T, H, d/H]
     q, v, k = qvk.reshape(*lead, tokens, 3, heads, head_dim).transpose(split)
     scale = 1.0 / np.sqrt(head_dim)
-    weights = _softmax((q @ np.swapaxes(k, -1, -2)) * scale, -1, 1.0)
+    weights = _shifted_exp((q @ np.swapaxes(k, -1, -2)) * scale, -1)[1]
     out = Tensor((weights @ v).transpose(merge).reshape(x.shape))
     rows = xs.shape[0]
     _count(matmul_flops(rows, dim, 3 * dim) + elementwise_flops(rows * 2 * dim)
@@ -599,6 +520,106 @@ def gelu_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
 
 
 # ---------------------------------------------------------------------------
+# Loss terms: one op each
+# ---------------------------------------------------------------------------
+
+
+def masked_mse(pred: Tensor, target, idx) -> Tensor:
+    """Mean squared error between rows ``idx`` of ``pred`` and of the
+    constant ``target``, over every selected element. ``idx`` indexes axis
+    -2 as in ``take_rows``: one [M] vector, or per-element [..., M]."""
+    pred, target = _as_tensor(pred), _as_tensor(target).data
+    at = _row_index(idx, pred.shape[:-2])
+    diff = pred.data[at] - target[at]
+    out = Tensor((diff * diff).mean())
+    _count(3 * diff.size + 1)
+
+    def back(g):
+        _accumulate(pred, _rows_grad(pred.shape, idx, diff * (2.0 * g / diff.size)))
+
+    return _attach(out, (pred,), back)
+
+
+def contrastive_ce(a: Tensor, b: Tensor, temperature: float, include_positive: bool = False) -> Tensor:
+    """Symmetric temperature-scaled cross-entropy between paired rows of a
+    and b [B, d], as one op. With ``s = a_n b_n^T / t`` over the unit rows,
+    it is the mean over the B rows and the B columns of ``-log(exp(s_ii) /
+    sum_q exp(s_iq))``; the sum skips ``q = i`` unless ``include_positive``.
+    The skipped entries are -inf before ``exp``, and each log-sum-exp is
+    shifted by the largest entry it sums, so no temperature > 0 overflows.
+    Zero rows produce NaN; callers that must reject them check beforehand."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    batch, dim = a.shape
+    an, a_norm = _unit_rows(a.data)
+    bn, b_norm = _unit_rows(b.data)
+    s = (an @ bn.T) / temperature
+    summed = s.copy()
+    if not include_positive:
+        np.fill_diagonal(summed, -np.inf)
+    lse_row, p_row = _shifted_exp(summed, 1)
+    lse_col, p_col = _shifted_exp(summed, 0)
+    out = Tensor((lse_row.sum() + lse_col.sum() - 2.0 * np.trace(s)) / (2.0 * batch))
+    _count(2 * layer_norm_flops(a.size) + matmul_flops(batch, dim, batch) + 2 * softmax_flops(s.size))
+
+    def back(g):
+        gs = (p_row + p_col - 2.0 * np.eye(batch)) * (g / (2.0 * batch * temperature))
+        if a.requires_grad:
+            _accumulate(a, _unit_rows_grad(gs @ bn, an, a_norm))
+        if b.requires_grad:
+            _accumulate(b, _unit_rows_grad(gs.T @ an, bn, b_norm))
+
+    return _attach(out, (a, b), back)
+
+
+def slot_repulsion(x: Tensor) -> Tensor:
+    """``-(1/n)`` times the sum of squares of the n entries of the Gram
+    matrices ``x_n x_n^T`` of the unit rows of x [..., S, d], as one op.
+    Zero rows produce NaN; callers that must reject them check beforehand."""
+    x = _as_tensor(x)
+    xn, norm = _unit_rows(x.data)
+    gram = xn @ np.swapaxes(xn, -1, -2)
+    scale = -1.0 / gram.size
+    out = Tensor((gram * gram).sum() * scale)
+    *lead, slots, dim = x.shape
+    _count(layer_norm_flops(x.size) + math.prod(lead) * matmul_flops(slots, dim, slots) + 2 * gram.size)
+
+    def back(g):
+        _accumulate(x, _unit_rows_grad((4.0 * scale * g) * (gram @ xn), xn, norm))
+
+    return _attach(out, (x,), back)
+
+
+def entropy(a: Tensor, shift: float) -> Tensor:
+    """``-(1/n)`` times the sum of ``x log(x + shift)`` over the n elements
+    of ``a``, a term taken as 0 where x == 0: that keeps the sum defined in
+    the shift -> 0 limit."""
+    x = a.data
+    nz = x != 0.0
+    vals = np.zeros_like(x)
+    vals[nz] = x[nz] * np.log(x[nz] + shift)
+    out = Tensor(vals.sum() * (-1.0 / x.size))
+    _count(3 * x.size + 1)
+
+    def back(g):
+        d = np.zeros_like(x)
+        d[nz] = np.log(x[nz] + shift) + x[nz] / (x[nz] + shift)
+        _accumulate(a, (g * (-1.0 / x.size)) * d)
+
+    return _attach(out, (a,), back)
+
+
+def _unit_rows(x: np.ndarray):
+    """(rows of x scaled to unit length, their norms [..., 1])."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    return x / norm, norm
+
+
+def _unit_rows_grad(g: np.ndarray, xn: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The gradient of x from ``g``, that of its unit rows ``xn``."""
+    return (g - xn * (g * xn).sum(axis=-1, keepdims=True)) / norm
+
+
+# ---------------------------------------------------------------------------
 # Structural ops (data movement, zero cost)
 # ---------------------------------------------------------------------------
 
@@ -619,20 +640,25 @@ def take_rows(a: Tensor, idx) -> Tensor:
     """Rows ``idx`` along axis -2 (one [r] vector, or per-element [..., r])."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.data[_row_index(idx, a.shape[:-2])])
-    # distinct rows (every model call site) scatter back by assignment;
-    # only repeated rows need the much slower unbuffered np.add.at
-    rows = np.sort(idx % max(a.shape[-2], 1), axis=-1) if idx.ndim else idx
-    distinct = bool((rows[..., 1:] != rows[..., :-1]).all())
 
     def back(g):  # rebuilds the index rather than keep a tracked tuple alive with the graph
-        full = np.zeros(a.shape)
-        if distinct:
-            full[_row_index(idx, a.shape[:-2])] = g
-        else:
-            np.add.at(full, _row_index(idx, a.shape[:-2]), g)
-        _accumulate(a, full)
+        _accumulate(a, _rows_grad(a.shape, idx, g))
 
     return _attach(out, (a,), back)
+
+
+def _rows_grad(shape, idx, g: np.ndarray) -> np.ndarray:
+    """A zero array of ``shape`` with ``g`` added at rows ``idx``: distinct
+    rows (every model call site) by assignment, since only repeated rows
+    need the much slower unbuffered np.add.at."""
+    idx = np.asarray(idx, dtype=np.int64)
+    full = np.zeros(shape)
+    rows = np.sort(idx % max(shape[-2], 1), axis=-1)
+    if (rows[..., 1:] != rows[..., :-1]).all():
+        full[_row_index(idx, shape[:-2])] = g
+    else:
+        np.add.at(full, _row_index(idx, shape[:-2]), g)
+    return full
 
 
 def stack(parts) -> Tensor:
@@ -702,18 +728,6 @@ def scatter_rows(rows: Tensor, idx, fill: Tensor, total: int) -> Tensor:
             _accumulate(fill, g[hole].sum(axis=0).reshape(fill.shape))
 
     return _attach(out, (rows, fill), back)
-
-
-# ---------------------------------------------------------------------------
-# Composites
-# ---------------------------------------------------------------------------
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Rows scaled to unit Euclidean length. Zero rows produce NaN; callers
-    that must reject them check beforehand."""
-    sq = tsum(mul(x, x), axis=-1, keepdims=True)
-    return div(x, tsqrt(sq))
 
 
 # ---------------------------------------------------------------------------
@@ -849,15 +863,23 @@ def read_tnsr(fh) -> np.ndarray:
     version, rank = head[4], head[5]
     if version != _TNSR_VERSION:
         raise FormatError(f"unsupported TNSR version {version}")
-    raw = fh.read(4 * rank)
-    if len(raw) < 4 * rank:
-        raise FormatError("truncated TNSR1 header")
+    raw = _read_exactly(fh, 4 * rank, "truncated TNSR1 header")
     dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    payload = fh.read(8 * count)
-    if len(payload) < 8 * count:
-        raise FormatError("truncated TNSR1 payload")
+    payload = _read_exactly(fh, 8 * math.prod(dims), "truncated TNSR1 payload")
+    if math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max // 8:  # empty, yet too large to shape
+        raise FormatError(f"TNSR1 shape {dims} is too large")
     return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+
+
+def _read_exactly(fh, n: int, message: str) -> bytes:
+    """The next ``n`` bytes of the seekable ``fh``. Raises FormatError with
+    ``message`` before reading when fewer remain, so a header that claims
+    any size never allocates a buffer of that size."""
+    here = fh.tell()
+    if n > fh.seek(0, os.SEEK_END) - here:
+        raise FormatError(message)
+    fh.seek(here)
+    return fh.read(n)
 
 
 def save_tnsr(path, array: np.ndarray):
@@ -867,7 +889,10 @@ def save_tnsr(path, array: np.ndarray):
 
 def load_tnsr(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return read_tnsr(fh)
+        try:
+            return read_tnsr(fh)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

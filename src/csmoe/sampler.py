@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError, require
-from .numerics import atomic_write, read_header
+from .numerics import _read_exactly, atomic_write, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
 
@@ -431,9 +431,7 @@ def load_grid(path) -> ClassRaster:
             if key in ("dlat", "dlon") and header[key] <= 0:
                 raise FormatError(f"{path}: GRID1 header {key} must be positive, got {header[key]!r}")
         rows, cols = header["rows"], header["cols"]
-        payload = fh.read(2 * rows * cols)
-        if len(payload) < 2 * rows * cols:
-            raise FormatError(f"{path}: truncated GRID1 payload")
+        payload = _read_exactly(fh, 2 * rows * cols, f"{path}: truncated GRID1 payload")
         grid = np.frombuffer(payload, dtype="<u2").reshape(rows, cols).copy()
     return ClassRaster(
         lat_max=float(header["lat_max"]), lon_min=float(header["lon_min"]),

@@ -844,7 +844,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "synthesize_negative", "split_tiles_patch_zero",
                                   "split_tiles_patch_negative", "eval_retrieval_k_zero",
                                   "eval_retrieval_nan_embedding", "eval_retrieval_inf_pixel",
-                                  "eval_retrieval_strategy_misspelled"])
+                                  "eval_retrieval_strategy_misspelled", "split_tiles_bad_magic",
+                                  "eval_retrieval_bad_magic", "eval_retrieval_tnsr_count_overflows",
+                                  "sample_grid_payload_overflows"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -860,6 +862,16 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         image = np.zeros((2, 16, 16))
         image[1, 2, 3] = np.inf
         write_embedding_dir(tmp_path / "inf", {"a": image, "b": np.ones((2, 16, 16))})
+    bad_magic = tmp_path / "bad" / "a.tnsr"
+    huge = tmp_path / "huge" / "a.tnsr"  # 2^31 x 2^31 x 4 elements: an int64 product wraps to 0
+    for path, head in ((bad_magic, b"XXXX\x01\x01" + (2).to_bytes(4, "little")),
+                       (huge, b"TNSR\x01\x03" + b"".join(d.to_bytes(4, "little") for d in (2**31, 2**31, 4)))):
+        path.parent.mkdir()
+        path.write_bytes(head + bytes(16))
+    archive, climate, _ = write_sampling_inputs(tmp_path)
+    huge_grid = tmp_path / "huge.grid"
+    huge_grid.write_bytes(climate.read_bytes().replace(b'"cols": 1', b'"cols": 10000000000')
+                          .replace(b'"rows": 1', b'"rows": 10000000000'))
     argv, code, message = {
         "label_row_without_labels": (
             ["eval-retrieval", "--queries", str(emb), "--gallery", str(emb),
@@ -908,6 +920,18 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                                 "--labels", str(labels), "--task", "S1>S1",
                                                 "--strategy", "onlycls"], 1,
                                                "argument --strategy: invalid choice: 'onlycls'"),
+        # split-tiles makes its output directory before it reads a tile
+        "split_tiles_bad_magic": (["split-tiles", "--input", str(bad_magic.parent), "--output", str(tmp_path / "tiles")],
+                                  2, f"{bad_magic}: not a TNSR1 block (bad magic)"),
+        "eval_retrieval_bad_magic": (["eval-retrieval", "--queries", str(bad_magic.parent), "--gallery", str(emb),
+                                      "--labels", str(good_labels), "--task", "S1>S1", "--out", str(tmp_path / "out")],
+                                     2, f"{bad_magic}: not a TNSR1 block (bad magic)"),
+        "eval_retrieval_tnsr_count_overflows": (["eval-retrieval", "--queries", str(huge.parent), "--gallery", str(emb),
+                                                 "--labels", str(good_labels), "--task", "S1>S1",
+                                                 "--out", str(tmp_path / "out")], 2, f"{huge}: truncated TNSR1 payload"),
+        "sample_grid_payload_overflows": (["sample", "--archive", str(archive), "--climate", str(huge_grid),
+                                           "--thematic", str(huge_grid), "--out", str(tmp_path / "out")],
+                                          2, f"{huge_grid}: truncated GRID1 payload"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

@@ -14,7 +14,7 @@ from csmoe.losses import (
     rec_loss,
 )
 from csmoe.model import forward, init_model
-from csmoe.numerics import Tensor, check_gradients, truncated_normal
+from csmoe.numerics import Tensor, backward, check_gradients, parameter, truncated_normal
 
 from util import mini_config, rel_err
 
@@ -158,6 +158,33 @@ def test_mi_matches_brute_force_oracle():
     got_incl = loss_mi(Tensor(cx), Tensor(cy), tau, include_positive=True).item()
     assert rel_err(got_incl, brute(True)) < 1e-10
     assert got != got_incl
+
+
+def test_mi_stays_finite_at_tiny_temperatures():
+    # 1/tau far past exp's overflow point (about 709): near-identical pairs gave NaN
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((4, 6))
+    unit = lambda v: v / np.linalg.norm(v, axis=1, keepdims=True)
+    for tau in (1e-3, 1e-5):
+        for include_positive in (False, True):
+            cx, cy = parameter(base + 1e-3 * rng.standard_normal((4, 6))), parameter(base.copy())
+            value = loss_mi(cx, cy, tau, include_positive)
+            backward(value)
+            assert np.isfinite(value.item())
+            assert np.isfinite(cx.grad).all() and np.isfinite(cy.grad).all()
+            s = unit(cx.data) @ unit(cy.data).T / tau
+            kept = np.where(include_positive, s, s - np.diag(np.full(4, np.inf)))
+            expected = (logsumexp(kept, axis=1).sum() + logsumexp(kept, axis=0).sum() - 2 * np.trace(s)) / 8
+            assert rel_err(value.item(), expected) < 1e-12
+
+
+def test_each_loss_term_records_one_tape_node():
+    rng = np.random.default_rng(6)
+    a, b = parameter(rng.standard_normal((3, 4))), parameter(rng.uniform(0, 1, (3, 4)))
+    for term in (rec_loss(a, b.data, [0, 2]), loss_mi(a, b, 0.5), loss_rep(a), loss_ent(b, 1e-8)):
+        assert term._backward is not None and all(p._backward is None for p in term._parents)
 
 
 def test_loss_settings_reject_bad_temperature_and_stabilizer():
