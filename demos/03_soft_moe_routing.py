@@ -30,7 +30,8 @@ print(f"combine  {routing.combine.shape}: columns sum to "
 
 # The headline economy: counted by wrapping the expert feed-forward, the rows
 # that reach the experts stay at num_slots no matter how many tokens arrive,
-# all of them in one call on [experts, slots per expert, dim].
+# all of them in one call on the [slots, dim] slots as routing leaves them:
+# slot s goes to expert s % num_experts inside that call.
 calls = []
 real_feed_forward = softmoe.feed_forward
 

@@ -221,19 +221,17 @@ def _cmd_split_tiles(args) -> int:
     in_dir, out_dir = Path(args.input), Path(args.output)
     if not in_dir.is_dir():
         raise DataError(f"--input {in_dir} is not a directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
     tiles = sorted(in_dir.glob("*.tnsr"))
     if not tiles:
         raise DataError(f"no *.tnsr tiles under {in_dir}")
-    total = 0
-    for tile_path in tiles:
-        tile = load_tnsr(tile_path)
-        patches, report = split_tile(tile, args.patch, args.sentinel)
+    # every tile is read and split before anything is written: a bad tile leaves no output behind
+    splits = [split_tile(load_tnsr(tile_path), args.patch, args.sentinel) for tile_path in tiles]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for tile_path, (patches, report) in zip(tiles, splits):
         for i, patch in enumerate(patches):
             save_tnsr(out_dir / f"{tile_path.stem}_p{i:04d}.tnsr", patch)
         _write_json(report.to_dict(), out_dir / f"{tile_path.stem}_report.json")
-        total += report.kept
-    print(f"kept {total} patches from {len(tiles)} tiles -> {out_dir}")
+    print(f"kept {sum(report.kept for _, report in splits)} patches from {len(tiles)} tiles -> {out_dir}")
     return 0
 
 

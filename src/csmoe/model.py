@@ -45,7 +45,7 @@ from .softmoe import (
     block_forward,
     plain_block_forward,
 )
-from .tokenizer import MaskPair, patchify, positional_embedding, sample_masks
+from .tokenizer import MaskPair, masked_count, patchify, positional_embedding, sample_masks
 
 MODALITIES = ("x", "y")
 
@@ -115,6 +115,9 @@ class CsmoeConfig:
             (self.route_temperature > 0, f"route_temperature must be > 0, got {self.route_temperature}"),
             (self.proj_dim >= 1, f"proj_dim must be >= 1, got {self.proj_dim}"),
         ])
+        require([(masked_count(self.num_patches, self.mask_ratio) >= 1,
+                  f"mask_ratio {self.mask_ratio} masks none of the {self.num_patches} patches (it rounds "
+                  f"{self.mask_ratio} x {self.num_patches} to 0): the reconstruction loss needs one")])
 
     @property
     def grid(self):

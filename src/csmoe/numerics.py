@@ -24,6 +24,12 @@ for a chain every transformer block runs; they count, and differentiate, bit
 for bit as that chain of single ops would. Each training loss term is one op
 too (``masked_mse``, ``contrastive_ce``, ``slot_repulsion``, ``entropy``),
 with a hand-written backward.
+
+Every weight product (``linear``, both layers of ``gelu_ffn`` and the q/v/k
+projection of ``attention_core``) runs through one private affine kernel,
+``_affine`` with its backward ``_affine_back``. ``linear`` takes 2-D weights
+only; ``gelu_ffn`` alone takes stacked expert weights, sending row s of
+x [..., S, k] to expert s % E.
 """
 
 from __future__ import annotations
@@ -92,10 +98,6 @@ def gelu_flops(n: int) -> int:
     return 10 * n
 
 
-def reduction_flops(n: int) -> int:
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Tensor
 # ---------------------------------------------------------------------------
@@ -139,9 +141,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -241,20 +240,6 @@ def add(a, b) -> Tensor:
     return _attach(out, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-    _count(elementwise_flops(out.size))
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _attach(out, (a, b), back)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -293,40 +278,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
-    """x W + b as one op. A 2-D weight [k, n] applies to every row of x
-    [..., k]; a stacked weight [E, k, n] applies matrix e to x[e], with x
-    [E, ..., k] and b [E, n']. The bias may be narrower than the output
-    (n' <= n): it is added to the first n' columns only. Counts the matmul
-    plus one op per bias element added."""
+    """x W + b as one op: the 2-D weight [k, n] applies to every row of x
+    [..., k]. The bias may be narrower than the output (n' <= n): it is
+    added to the first n' columns only. Counts the matmul plus one op per
+    bias element added."""
     x, w = _as_tensor(x), _as_tensor(w)
-    lead = w.shape[:-2]  # () or (E,)
-    if (w.ndim not in (2, 3) or x.ndim < 1 + len(lead) or x.shape[-1] != w.shape[-2]
-            or x.shape[:len(lead)] != lead):
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear: incompatible shapes {x.shape} x {w.shape}")
-    k, n = w.shape[-2:]
-    xs = x.data.reshape(*lead, -1, k)
+    k, n = w.shape
+    if b is not None:
+        b = _as_tensor(b)
+        if b.ndim != 1 or b.shape[0] > n:
+            raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+    out = Tensor(_affine(x.data.reshape(-1, k), w, b).reshape(*x.shape[:-1], n))
+
+    def back(g):
+        gx = _affine_back(g.reshape(-1, n), x.data.reshape(-1, k), w, b, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape))
+
+    return _attach(out, (x, w) if b is None else (x, w, b), back)
+
+
+def _affine(xs: np.ndarray, w: Tensor, b) -> np.ndarray:
+    """``xs W + b``, the product under every weighted op: xs [rows, k] with W
+    [k, n] and b [n'], or stacked experts, xs [E, rows, k] with W [E, k, n]
+    and b [E, n']. The bias (None for none) may be narrower than the output
+    (n' <= n) and is added to the first n' columns only. Counts the product
+    plus one op per bias element added."""
     y = xs @ w.data
     width = 0
     if b is not None:
-        b = _as_tensor(b)
-        width = b.shape[-1] if b.ndim else 0
-        if b.shape != (*lead, width) or width > n:
-            raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+        width = b.shape[-1]
         y[..., :width] += b.data[..., None, :]
-    out = Tensor(y.reshape(*x.shape[:-1], n))
-    rows = xs.shape[-2]
-    _count(math.prod(lead) * (matmul_flops(rows, k, n) + elementwise_flops(rows * width)))
+    _count(math.prod(w.shape[:-2]) * (matmul_flops(xs.shape[-2], *w.shape[-2:])
+                                      + elementwise_flops(xs.shape[-2] * width)))
+    return y
 
-    def back(g):
-        g = g.reshape(*w.shape[:-2], -1, w.shape[-1])
-        if x.requires_grad:
-            _accumulate(x, (g @ np.swapaxes(w.data, -1, -2)).reshape(x.shape))
-        if w.requires_grad:
-            _accumulate(w, np.swapaxes(x.data.reshape(*w.shape[:-2], -1, w.shape[-2]), -1, -2) @ g)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g[..., :b.shape[-1]].sum(axis=-2))
 
-    return _attach(out, (x, w) if b is None else (x, w, b), back)
+def _affine_back(g: np.ndarray, xs: np.ndarray, w: Tensor, b, want_x: bool):
+    """The backward of ``_affine`` for the output gradient ``g``: adds the
+    weight and bias gradients into W and b, and returns the gradient of xs
+    when ``want_x`` (None otherwise)."""
+    if w.requires_grad:
+        _accumulate(w, np.swapaxes(xs, -1, -2) @ g)
+    if b is not None and b.requires_grad:
+        _accumulate(b, g[..., :b.shape[-1]].sum(axis=-2))
+    return g @ np.swapaxes(w.data, -1, -2) if want_x else None
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -347,18 +345,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def back(g):
         _accumulate(a, g.reshape(a.shape))
-
-    return _attach(out, (a,), back)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    _count(reduction_flops(a.size))
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
     return _attach(out, (a,), back)
 
@@ -444,18 +430,15 @@ def attention_core(x: Tensor, wqvk: Tensor, bqv: Tensor, heads: int) -> Tensor:
     *lead, tokens, _ = x.shape
     n, head_dim = len(lead), dim // heads
     xs = x.data.reshape(-1, dim)
-    qvk = xs @ wqvk.data
-    qvk[..., :2 * dim] += bqv.data
+    qvk = _affine(xs, wqvk, bqv)
     split = (n + 1, *range(n), n + 2, n, n + 3)  # [..., T, 3, H, d/H] -> [3, ..., H, T, d/H]
     merge = (*range(n), n + 1, n, n + 2)  # [..., H, T, d/H] <-> [..., T, H, d/H]
     q, v, k = qvk.reshape(*lead, tokens, 3, heads, head_dim).transpose(split)
     scale = 1.0 / np.sqrt(head_dim)
     weights = _shifted_exp((q @ np.swapaxes(k, -1, -2)) * scale, -1)[1]
     out = Tensor((weights @ v).transpose(merge).reshape(x.shape))
-    rows = xs.shape[0]
-    _count(matmul_flops(rows, dim, 3 * dim) + elementwise_flops(rows * 2 * dim)
-           + math.prod(lead) * heads * (matmul_flops(tokens, head_dim, tokens) + elementwise_flops(tokens * tokens)
-                                        + softmax_flops(tokens * tokens) + matmul_flops(tokens, tokens, head_dim)))
+    _count(math.prod(lead) * heads * (matmul_flops(tokens, head_dim, tokens) + elementwise_flops(tokens * tokens)
+                                      + softmax_flops(tokens * tokens) + matmul_flops(tokens, tokens, head_dim)))
 
     def back(g):
         g = g.reshape(*lead, tokens, heads, head_dim).transpose(merge)
@@ -464,59 +447,60 @@ def attention_core(x: Tensor, wqvk: Tensor, bqv: Tensor, heads: int) -> Tensor:
         gqvk[0] += scores @ k
         gqvk[1] += np.swapaxes(weights, -1, -2) @ g
         gqvk[2] += np.swapaxes(np.swapaxes(q, -1, -2) @ scores, -1, -2)
-        gqvk = gqvk.transpose(np.argsort(split)).reshape(-1, 3 * dim)
-        if x.requires_grad:
-            _accumulate(x, (gqvk @ wqvk.data.T).reshape(x.shape))
-        if wqvk.requires_grad:
-            _accumulate(wqvk, xs.T @ gqvk)
-        if bqv.requires_grad:
-            _accumulate(bqv, gqvk[..., :2 * dim].sum(axis=-2))
+        gx = _affine_back(gqvk.transpose(np.argsort(split)).reshape(-1, 3 * dim), xs, wqvk, bqv, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape))
 
     return _attach(out, (x, wqvk, bqv), back)
 
 
 def gelu_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``GELU(x W1 + b1) W2 + b2`` as one op, with the exact erf GELU
-    ``0.5 u (1 + erf(u / sqrt 2))``. As in ``linear``, 2-D weights apply to
-    every row of x [..., k]; stacked [E, k, h] / [E, h, k'] weights with
-    [E, h] / [E, k'] biases apply expert e to x[e]."""
+    ``0.5 u (1 + erf(u / sqrt 2))``. 2-D weights apply to every row of x
+    [..., k]. Stacked experts, [E, k, h] / [E, h, k'] weights with [E, h] /
+    [E, k'] biases, take x [..., S, k] with S a multiple of E and send row s
+    to expert s % E: every batch element's rows for one expert go through
+    one GEMM per layer."""
     from scipy.special import erf  # imported on first use: it is most of the package's import time
 
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     lead = w1.shape[:-2]
-    if not (w1.ndim in (2, 3) and x.ndim > len(lead) and x.shape[:len(lead)] == lead
-            and x.shape[-1] == w1.shape[-2] and b1.shape == (*lead, w1.shape[-1])
-            and w2.shape[:-1] == b1.shape and b2.shape == (*lead, w2.shape[-1])):
+    if not (w1.ndim in (2, 3) and x.ndim > len(lead) and x.shape[-1] == w1.shape[-2]
+            and b1.shape == (*lead, w1.shape[-1]) and w2.shape[:-1] == b1.shape
+            and b2.shape == (*lead, w2.shape[-1]) and (not lead or x.shape[-2] % lead[0] == 0)):
         raise DimensionError(f"gelu_ffn: x {x.shape} does not fit weights {w1.shape}, {w2.shape} "
                              f"and biases {b1.shape}, {b2.shape}")
-    xs = x.data.reshape(*lead, -1, x.shape[-1])
-    pre = xs @ w1.data
-    pre += b1.data[..., None, :]
+    xs = _expert_rows(x.data, lead)
+    pre = _affine(xs, w1, b1)
     e = erf(pre * _INV_SQRT2)
     act = 0.5 * pre * (1.0 + e)
-    y = act @ w2.data
-    y += b2.data[..., None, :]
-    out = Tensor(y.reshape(*x.shape[:-1], w2.shape[-1]))
-    (rows, k), (hidden, width) = xs.shape[-2:], w2.shape[-2:]
-    _count(math.prod(lead) * (matmul_flops(rows, k, hidden) + elementwise_flops(rows * hidden)
-                              + matmul_flops(rows, hidden, width) + elementwise_flops(rows * width))
-           + gelu_flops(pre.size))
+    out = Tensor(_from_expert_rows(_affine(act, w2, b2), x.shape[:-1]))
+    _count(gelu_flops(pre.size))
 
     def back(g):
-        g = g.reshape(*lead, -1, width)
-        gpre = (g @ np.swapaxes(w2.data, -1, -2)) * (0.5 * (1.0 + e) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT2PI)
-        if x.requires_grad:
-            _accumulate(x, (gpre @ np.swapaxes(w1.data, -1, -2)).reshape(x.shape))
-        if w1.requires_grad:
-            _accumulate(w1, np.swapaxes(xs, -1, -2) @ gpre)
-        if b1.requires_grad:
-            _accumulate(b1, gpre.sum(axis=-2))
-        if w2.requires_grad:
-            _accumulate(w2, np.swapaxes(act, -1, -2) @ g)
-        if b2.requires_grad:
-            _accumulate(b2, g.sum(axis=-2))
+        gact = _affine_back(_expert_rows(g, lead), act, w2, b2, True)
+        gpre = gact * (0.5 * (1.0 + e) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT2PI)
+        gx = _affine_back(gpre, xs, w1, b1, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, _from_expert_rows(gx, x.shape[:-1]))
 
     return _attach(out, (x, w1, b1, w2, b2), back)
+
+
+def _expert_rows(a: np.ndarray, lead) -> np.ndarray:
+    """[..., S, c] as the rows the weights meet: [rows, c] for plain weights
+    (lead ()), or one contiguous [E, rows, c] copy for E stacked experts
+    (lead (E,)), row s of every batch element under expert s % E."""
+    if not lead:
+        return a.reshape(-1, a.shape[-1])
+    return np.moveaxis(a.reshape(*a.shape[:-2], -1, *lead, a.shape[-1]), -2, 0).reshape(*lead, -1, a.shape[-1])
+
+
+def _from_expert_rows(a: np.ndarray, rows_shape) -> np.ndarray:
+    """The inverse of ``_expert_rows``: [(E,) rows, c] -> [*rows_shape, c]."""
+    if a.ndim == 3:
+        a = np.moveaxis(a.reshape(a.shape[0], *rows_shape[:-1], -1, a.shape[-1]), 0, -2)
+    return a.reshape(*rows_shape, a.shape[-1])
 
 
 # ---------------------------------------------------------------------------

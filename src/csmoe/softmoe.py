@@ -15,7 +15,10 @@ function here runs a whole batch in one pass. Routing tables are then
 in the same single call.
 
 Attention and feed-forward are fused ``numerics`` ops, one tape node each:
-``attention_core`` plus the output ``linear``, and ``gelu_ffn``.
+``attention_core`` plus the output ``linear``, and ``gelu_ffn``. The experts
+are ``gelu_ffn``'s stacked form, the only op that takes stacked weights
+(``linear`` takes 2-D weights only): it sends slot s to expert s % E, so the
+slots reach it as they are and a Soft MoE layer records 8 tape nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .numerics import (
     layer_norm,
     linear,
     matmul,
-    reshape,
     softmax,
     transpose,
 )
@@ -124,28 +126,21 @@ def route(z: Tensor, params: SoftMoELayerParams) -> RoutingTensors:
 
 def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
     """GELU(x W1 + b1) W2 + b2, applied to each row of x; with stacked
-    [E, ...] weights, expert e applies to x[e]."""
+    [E, ...] weights, row s of x [..., S, d] goes to expert s % E."""
     return gelu_ffn(x, params.w1, params.b1, params.w2, params.b2)
 
 
 def moe_forward(z: Tensor, params: SoftMoELayerParams, routing_sink: list = None) -> Tensor:
     """One Soft MoE layer: route, run each slot through its expert, combine.
 
-    One ``feed_forward`` call takes the S slots of every batch element, so
-    expert work is S rows per sample whatever the token count. Slot
-    s = p E + e goes to expert e = s % E: the [..., S, d] slots reshape to
-    [..., S/E, E, d], and E moves to the front to meet the stacked weights.
+    One ``feed_forward`` call takes the S slots of every batch element as
+    they are, slot s going to expert s % E, so expert work is S rows per
+    sample whatever the token count.
     """
     routing = route(z, params)
     if routing_sink is not None:
         routing_sink.append(routing)
-    *lead, num_slots, dim = routing.slots.shape
-    experts = params.experts.w1.shape[0]
-    n = len(lead)
-    by_expert = transpose(reshape(routing.slots, (*lead, num_slots // experts, experts, dim)),
-                          (n + 1, *range(n), n, n + 2))  # [E, ..., S/E, d]
-    out = transpose(feed_forward(by_expert, params.experts), (*range(1, n + 2), 0, n + 2))
-    return matmul(transpose(routing.combine), reshape(out, (*lead, num_slots, dim)))  # [..., T, dim]
+    return matmul(transpose(routing.combine), feed_forward(routing.slots, params.experts))  # [..., T, dim]
 
 
 def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:

@@ -846,7 +846,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "eval_retrieval_nan_embedding", "eval_retrieval_inf_pixel",
                                   "eval_retrieval_strategy_misspelled", "split_tiles_bad_magic",
                                   "eval_retrieval_bad_magic", "eval_retrieval_tnsr_count_overflows",
-                                  "sample_grid_payload_overflows"])
+                                  "sample_grid_payload_overflows", "split_tiles_good_then_bad",
+                                  "pretrain_mask_hides_no_patch", "grad_check_mask_hides_no_patch",
+                                  "flops_mask_hides_no_patch"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -868,6 +870,14 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                        (huge, b"TNSR\x01\x03" + b"".join(d.to_bytes(4, "little") for d in (2**31, 2**31, 4)))):
         path.parent.mkdir()
         path.write_bytes(head + bytes(16))
+    mixed = tmp_path / "mixed"  # a good tile, then a bad one: neither may leave a file behind
+    mixed.mkdir()
+    save_tnsr(mixed / "a.tnsr", np.zeros((2, 4, 4)))
+    (mixed / "b.tnsr").write_bytes(bad_magic.read_bytes())
+    one_patch = tmp_path / "one_patch.json"  # 0.4 x 1 patch rounds to no masked patch
+    one_patch.write_text(json.dumps({"model": {**json.loads(Path(cfg).read_text())["model"],
+                                               "image_side": 8, "mask_ratio": 0.4}}))
+    no_mask = f"{one_patch}: section 'model': mask_ratio 0.4 masks none of the 1 patches"
     archive, climate, _ = write_sampling_inputs(tmp_path)
     huge_grid = tmp_path / "huge.grid"
     huge_grid.write_bytes(climate.read_bytes().replace(b'"cols": 1', b'"cols": 10000000000')
@@ -920,9 +930,16 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                                 "--labels", str(labels), "--task", "S1>S1",
                                                 "--strategy", "onlycls"], 1,
                                                "argument --strategy: invalid choice: 'onlycls'"),
-        # split-tiles makes its output directory before it reads a tile
-        "split_tiles_bad_magic": (["split-tiles", "--input", str(bad_magic.parent), "--output", str(tmp_path / "tiles")],
+        "split_tiles_bad_magic": (["split-tiles", "--input", str(bad_magic.parent), "--output", str(tmp_path / "out")],
                                   2, f"{bad_magic}: not a TNSR1 block (bad magic)"),
+        "split_tiles_good_then_bad": (["split-tiles", "--input", str(mixed), "--output", str(tmp_path / "out"),
+                                       "--patch", "2"], 2, f"{mixed / 'b.tnsr'}: not a TNSR1 block (bad magic)"),
+        "pretrain_mask_hides_no_patch": (["pretrain-toy", "--config", str(one_patch), "--data-dir", str(tmp_path / "out"),
+                                          "--synthesize", "2", "--checkpoint", str(tmp_path / "out" / "m.ckpt"),
+                                          "--log", str(tmp_path / "out" / "l.jsonl")], 2, no_mask),
+        "grad_check_mask_hides_no_patch": (["grad-check", "--config", str(one_patch), "--out", str(tmp_path / "out")],
+                                           2, no_mask),
+        "flops_mask_hides_no_patch": (["flops", "--config", str(one_patch), "--out", str(tmp_path / "out")], 2, no_mask),
         "eval_retrieval_bad_magic": (["eval-retrieval", "--queries", str(bad_magic.parent), "--gallery", str(emb),
                                       "--labels", str(good_labels), "--task", "S1>S1", "--out", str(tmp_path / "out")],
                                      2, f"{bad_magic}: not a TNSR1 block (bad magic)"),

@@ -16,10 +16,10 @@ from csmoe.model import (
     parameter_manifest,
     save_checkpoint,
 )
-from csmoe.numerics import Tensor, backward, mul, truncated_normal, tsum, zero_grads
+from csmoe.numerics import backward, truncated_normal, zero_grads
 from csmoe.tokenizer import MaskPair, sample_masks
 
-from util import finite_difference, mini_config, rel_err
+from util import finite_difference, mini_config, rel_err, weighted_sum
 
 
 def full_mask(num_patches, ratio=0.5):
@@ -59,6 +59,7 @@ def test_config_validation():
     ("patch_size", {"patch_size": 0}),  # no modulo by zero
     ("image_side", {"image_side": 0}),
     ("heads", {"heads": 0}),
+    ("mask_ratio 0.4 masks none of the 1 patches", {"patch_size": 8, "image_side": 8, "mask_ratio": 0.4}),
 ])
 def test_config_rejects_layouts_the_model_cannot_build(key, overrides):
     with pytest.raises(ConfigError, match=key):
@@ -294,11 +295,11 @@ def test_encode_decode_path_gradient_check():
 
     def run():
         out = decode(model, {"x": encode(model, x, mask, "x")}, {"x": mask}, "x")["x"]
-        return tsum(mul(out, Tensor(w))).item()
+        return weighted_sum(out, w).item()
 
     zero_grads(model.params)
     out = decode(model, {"x": encode(model, x, mask, "x")}, {"x": mask}, "x")["x"]
-    backward(tsum(mul(out, Tensor(w))))
+    backward(weighted_sum(out, w))
     for name in ("embed_x.weight", "cls_x", "mask_token_x", "dec_embed_x.weight",
                  "enc_x.0.moe.slots", "head_x_from_x.weight"):
         t = model.params[name]
@@ -391,7 +392,7 @@ def test_shared_encoder_gets_gradients_from_both_paths():
     def grads_for(modality):
         zero_grads(model.params)
         art = forward(model, x, y, seed=0)
-        loss = tsum(mul(art.recon[(modality, modality)], art.recon[(modality, modality)]))
+        loss = weighted_sum(art.recon[(modality, modality)], art.recon[(modality, modality)])
         backward(loss)
         g = model.params["enc_shared.0.attn.wqvk"].grad
         return g.copy()

@@ -6,7 +6,7 @@ from scipy.special import erf
 
 import csmoe.softmoe as softmoe
 from csmoe.errors import DimensionError
-from csmoe.numerics import Tensor, backward, mul, parameter, tsum
+from csmoe.numerics import Tensor, backward, parameter
 from csmoe.softmoe import (
     FeedForwardParams,
     SoftMoELayerParams,
@@ -17,7 +17,7 @@ from csmoe.softmoe import (
     route,
 )
 
-from util import decoder_block, finite_difference, moe_block, rel_err
+from util import decoder_block, finite_difference, moe_block, rel_err, weighted_sum
 
 
 def make_layer(seed, dim=4, hidden=4, num_slots=2, temperature=1.0):
@@ -166,6 +166,21 @@ def test_expert_call_count_is_slot_count(monkeypatch):
         assert calls == [3]  # one call with one row per slot, independent of the token count
 
 
+def test_moe_forward_records_eight_tape_nodes():
+    # route's five ops, then the combine transpose, one feed_forward and the
+    # combine matmul: the slots reach their experts with no layout op
+    layer = moe_block(6, enc_dim=4, num_slots=4, num_experts=2).moe
+    z = parameter(np.random.default_rng(6).uniform(-1, 1, (2, 5, 4)))
+    seen, todo, ops = set(), [moe_forward(z, layer)], 0
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            ops += t._backward is not None
+            todo.extend(t._parents)
+    assert ops == 8
+
+
 def test_moe_forward_matches_step_by_step_oracle():
     # tiny integer-ish parameters, evaluated independently with plain numpy
     dim = 2
@@ -290,9 +305,9 @@ def test_moe_block_gradient_check():
     w = rng.uniform(-1, 1, (3, 4))
 
     def run():
-        return tsum(mul(block_forward(z_in, block), Tensor(w))).item()
+        return weighted_sum(block_forward(z_in, block), w).item()
 
-    loss = tsum(mul(block_forward(z_in, block), Tensor(w)))
+    loss = weighted_sum(block_forward(z_in, block), w)
     backward(loss)
     for name, t in params.items():
         (numeric,) = finite_difference(run, [t])
@@ -307,9 +322,9 @@ def test_plain_block_forward_shapes_and_gradients():
     w = rng.uniform(-1, 1, (3, 4))
     out = plain_block_forward(z, block)
     assert out.shape == (3, 4)
-    loss = tsum(mul(out, Tensor(w)))
+    loss = weighted_sum(out, w)
     backward(loss)
     (numeric,) = finite_difference(
-        lambda: tsum(mul(plain_block_forward(z, block), Tensor(w))).item(), [z]
+        lambda: weighted_sum(plain_block_forward(z, block), w).item(), [z]
     )
     assert rel_err(z.grad, numeric) <= 1e-4

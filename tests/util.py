@@ -25,6 +25,17 @@ def finite_difference(fn, tensors, h=1e-5):
     return grads
 
 
+def weighted_sum(out, w):
+    """The scalar ``sum(out * w)`` as a [1, 1] tensor: one ``linear`` of the
+    flattened ``out`` against ``w``, an array or a Tensor with out's number
+    of elements, matched in row-major order. A Tensor ``w`` gets a gradient
+    too, so ``weighted_sum(x, x)`` is the sum of squares of x."""
+    from csmoe.numerics import Tensor, linear, reshape
+
+    w = w if isinstance(w, Tensor) else Tensor(w)
+    return linear(reshape(out, (1, -1)), reshape(w, (-1, 1)))
+
+
 def rel_err(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
