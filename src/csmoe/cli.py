@@ -358,6 +358,7 @@ def _load_embeddings(directory, modality: str, model, strategy: str):
             seq = encode(model, np.stack([chunk[i] for i in images]), full, modality)
             for i, vec in zip(images, build_embedding(seq, strategy, projection=model.proj)):
                 chunk[i] = vec
+            del seq  # one chunk's activations at a time
         rows += chunk
     width = {r.shape[0] for r in rows}
     if len(width) != 1:
@@ -370,6 +371,9 @@ def _cmd_eval_retrieval(args) -> int:
         raise ParameterError(f"--k must be >= 1, got {args.k}")
     q_name, g_name = args.task.split(">")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if model is not None:
+        for p in model.params.values():
+            p.requires_grad = False  # nothing here trains: encode records no tape
     labels = _load_labels(args.labels)
     q_ids, q_emb = _load_embeddings(args.queries, _TASK_MODALITY[q_name], model, args.strategy)
     g_ids, g_emb = _load_embeddings(args.gallery, _TASK_MODALITY[g_name], model, args.strategy)

@@ -6,7 +6,10 @@ to its parents together with a backward closure, and ``backward`` calls the
 closures in reverse topological order, visiting every node exactly once and
 passing each closure its output's gradient. A closure holds its parents and
 the arrays it saved, never its own output, so a graph has no reference
-cycles and is freed by reference counting as soon as it is dropped.
+cycles and is freed by reference counting as soon as it is dropped. The
+sweep also drops each closure, and the arrays it saved, as soon as it has
+run: after ``backward`` a graph holds only its nodes' outputs and parent
+links, and a swept graph cannot be swept again.
 
 Every op reports a deterministic operation count to every active
 ``FlopCounter`` (2 ops per multiply-accumulate, 5 per softmax/norm element,
@@ -188,7 +191,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar; gradients land on leaf tensors.
-    An interior node's gradient is dropped once its closure has passed it on."""
+
+    An interior node's closure, with the arrays it saved, and its gradient
+    are dropped once the closure has passed the gradient on, so the sweep
+    frees the graph's activations as it goes; ``_parents`` stay. A graph
+    that holds a swept node raises EvaluationError before any gradient
+    moves: that node's closure is gone, so it cannot pass a gradient on.
+    """
     if loss.data.size != 1:
         raise DimensionError(f"backward() needs a scalar loss, got shape {loss.shape}")
     # iterative topological sort over recorded parents
@@ -203,6 +212,8 @@ def backward(loss: Tensor):
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node._parents and node._backward is None:
+            raise EvaluationError("graph already swept; run the forward again")
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in visited:
@@ -211,7 +222,7 @@ def backward(loss: Tensor):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
-            node.grad = None
+            node._backward = node.grad = None
 
 
 def zero_grads(params):
@@ -764,6 +775,7 @@ def check_gradients(
     if not np.isfinite(value):
         raise EvaluationError(f"loss is not finite: {value}")
     backward(loss)
+    del loss  # the swept graph: no central difference runs while it is alive
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
@@ -830,14 +842,14 @@ _TNSR_VERSION = 1
 
 def write_tnsr(fh, array: np.ndarray):
     """magic 'TNSR', version u8, rank u8, rank x u32 LE dims, f64 LE payload."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype=np.float64)
     if arr.ndim > 255:
         raise FormatError(f"TNSR1 rank limit is 255, got {arr.ndim}")
     fh.write(_TNSR_MAGIC)
     fh.write(struct.pack("<BB", _TNSR_VERSION, arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<I", dim))
-    fh.write(arr.astype("<f8").tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))  # the array's own buffer if it is one
 
 
 def read_tnsr(fh) -> np.ndarray:
@@ -849,20 +861,28 @@ def read_tnsr(fh) -> np.ndarray:
         raise FormatError(f"unsupported TNSR version {version}")
     raw = _read_exactly(fh, 4 * rank, "truncated TNSR1 header")
     dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-    payload = _read_exactly(fh, 8 * math.prod(dims), "truncated TNSR1 payload")
+    _require_bytes(fh, 8 * math.prod(dims), "truncated TNSR1 payload")
     if math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max // 8:  # empty, yet too large to shape
         raise FormatError(f"TNSR1 shape {dims} is too large")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+    out = np.empty(dims, dtype="<f8")
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise FormatError("truncated TNSR1 payload")
+    return out.astype(np.float64, copy=False)
 
 
-def _read_exactly(fh, n: int, message: str) -> bytes:
-    """The next ``n`` bytes of the seekable ``fh``. Raises FormatError with
-    ``message`` before reading when fewer remain, so a header that claims
-    any size never allocates a buffer of that size."""
+def _require_bytes(fh, n: int, message: str):
+    """FormatError with ``message`` unless ``n`` bytes remain in the
+    seekable ``fh``; checked before reading, so a header that claims any
+    size never allocates a buffer of that size."""
     here = fh.tell()
     if n > fh.seek(0, os.SEEK_END) - here:
         raise FormatError(message)
     fh.seek(here)
+
+
+def _read_exactly(fh, n: int, message: str) -> bytes:
+    """The next ``n`` bytes of the seekable ``fh``, after ``_require_bytes``."""
+    _require_bytes(fh, n, message)
     return fh.read(n)
 
 

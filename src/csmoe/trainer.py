@@ -233,9 +233,11 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
 
     Returns (optimizer, steps["train"/"val"] log records). Batches with
     fewer than 2 pairs are dropped (the contrastive term needs pairs). Each
-    step and each validation pass is one batched forward. A non-finite loss
-    term or gradient norm raises EvaluationError naming the step (or
-    epoch) and the term, before the optimizer moves or the record is logged.
+    step and each validation pass is one batched forward, whose graph is
+    dropped as soon as its gradients (or its record) exist: no forward runs
+    while an older graph is alive. A non-finite loss term or gradient norm
+    raises EvaluationError naming the step (or epoch) and the term, before
+    the optimizer moves or the record is logged.
     """
     by_id = {pid: (x, y) for pid, x, y in pairs}
     train_ids, val_ids = split_validation([p[0] for p in pairs], tcfg.val_fraction, seed)
@@ -269,6 +271,8 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
             _check_finite(breakdown, f"step {step + 1}")
             optimizer.zero_grad()
             backward(breakdown.total_tensor)
+            terms = breakdown.to_dict()
+            del art, breakdown  # the step's graph: its gradients are on the params now
             grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
                                       for p in model.params.values() if p.grad is not None))
             if not math.isfinite(grad_norm):
@@ -276,13 +280,14 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
             lr = cosine_lr(step, total_steps, tcfg.lr, warmup)
             optimizer.step(lr=lr)
             step = optimizer.step_count
-            emit({"step": step, **breakdown.to_dict()})
+            emit({"step": step, **terms})
         if len(val_ids) >= 2:
             art = _batch_forward(model, by_id, val_ids,
                                  [_derived_seed(seed, _KEY_VAL_MASKS, epoch, j) for j in range(len(val_ids))])
             val = loss_total(model, art, loss)
             _check_finite(val, f"epoch {epoch + 1} validation")
             emit({"epoch": epoch + 1, "val_total": val.total})
+            del art, val
     return optimizer, records
 
 

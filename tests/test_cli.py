@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csmoe.cli as cli_module
 from csmoe.cli import _SECTIONS, _build_parser, _load_embeddings, _run_config, main
 from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
@@ -695,6 +696,30 @@ def test_eval_retrieval_embeds_chunks_like_single_images(tmp_path, strategy):
             assert np.array_equal(row, arr)
         else:
             np.testing.assert_allclose(row, one_image(arr), rtol=0, atol=1e-12)
+
+
+def test_eval_retrieval_embeds_without_recording_a_tape(tmp_path, monkeypatch):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(mini_config()), ckpt)
+    qdir = tmp_path / "q"
+    qdir.mkdir()
+    rng = np.random.default_rng(3)
+    for name in "ab":
+        save_tnsr(qdir / f"{name}.tnsr", rng.standard_normal((2, 16, 16)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,labels\na,A\nb,A\n")
+    real_encode, encoded = cli_module.encode, []
+
+    def recording_encode(*args):
+        encoded.append(real_encode(*args))
+        return encoded[-1]
+
+    monkeypatch.setattr(cli_module, "encode", recording_encode)
+    assert main(["eval-retrieval", "--checkpoint", str(ckpt), "--queries", str(qdir),
+                 "--gallery", str(qdir), "--labels", str(labels), "--task", "S1>S1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(encoded) == 2  # queries, then gallery
+    assert all(not seq.requires_grad and seq._parents == () for seq in encoded)
 
 
 def test_eval_retrieval_image_of_another_shape_exits_two(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -304,10 +305,29 @@ def test_backward_keeps_leaf_gradients_and_frees_interior_ones():
             todo.extend(node._parents)
     interior = [n for n in nodes.values() if n._backward is not None]
     leaves = [n for n in nodes.values() if n._backward is None and n.requires_grad]
+    parents = [n._parents for n in interior]
     assert len(interior) > 100 and len(leaves) == len(model.params)
     backward(loss)
     assert all(n.grad is not None for n in leaves)
     assert all(n.grad is None for n in interior)
+    # each closure, with the arrays it saved, is released once it has run;
+    # the parent links stay, so a swept graph can still be walked
+    assert all(n._backward is None for n in interior)
+    assert all(n._parents is p for n, p in zip(interior, parents))
+
+
+def test_swept_graph_refuses_a_second_sweep():
+    x = parameter([1.0, 2.0])
+    s = x + x
+    loss = weighted_sum(s, s)
+    backward(loss)
+    first = x.grad.copy()
+    for root in (loss, weighted_sum(s, x)):  # the swept root, or a new root over a swept node
+        with pytest.raises(EvaluationError, match="graph already swept; run the forward again"):
+            backward(root)
+        assert np.array_equal(x.grad, first)  # refused before any gradient moved
+    backward(weighted_sum(x + x, x + x))  # a fresh forward sweeps again
+    assert rel_err(x.grad, 2 * first) < 1e-12
 
 
 def test_dropped_graph_leaves_no_cyclic_garbage():
@@ -357,6 +377,20 @@ def test_check_gradients_softmax_cross_entropy_toy():
     report = check_gradients(loss_fn, {"w": w})
     assert report.max_relative_error < 1e-5
     assert report.checked_elements == w.size
+
+
+def test_check_gradients_drops_the_analytic_graph_before_differencing():
+    # the central differences run with only their own graph alive
+    x = parameter([1.0, 2.0])
+    outputs = []
+
+    def loss_fn(params):
+        out = weighted_sum(params["x"], params["x"])
+        outputs.append(weakref.ref(out.data))
+        assert len(outputs) == 1 or outputs[0]() is None
+        return out
+
+    assert check_gradients(loss_fn, {"x": x}).passed()
 
 
 def test_check_gradients_samples_large_parameter_sets():
@@ -625,6 +659,23 @@ def test_tnsr_roundtrip(tmp_path):
     again = load_tnsr(path)
     assert again.shape == arr.shape
     assert np.array_equal(again, arr)
+
+
+@pytest.mark.parametrize("arr", [np.array(-2.5), np.zeros((0,)), np.zeros((3, 0, 2)),
+                                 np.arange(12.0).reshape(3, 4).T, np.arange(4, dtype=np.int32)],
+                         ids=["0-d", "empty", "zero-size", "transposed", "int32"])
+def test_tnsr_block_bytes_and_roundtrip(arr):
+    # header, then the row-major little-endian float64 payload
+    buf = io.BytesIO()
+    write_tnsr(buf, arr)
+    dims = b"".join(int(d).to_bytes(4, "little") for d in arr.shape)
+    assert buf.getvalue() == b"TNSR" + bytes([1, arr.ndim]) + dims + arr.astype("<f8").tobytes()
+    buf.write(b"next")
+    buf.seek(0)
+    again = read_tnsr(buf)
+    assert again.shape == arr.shape and again.dtype == np.float64 and np.array_equal(again, arr)
+    assert again.flags.writeable and again.flags.c_contiguous
+    assert buf.read() == b"next"  # the reader takes exactly its block
 
 
 def test_tnsr_truncation_and_bad_magic(tmp_path):
