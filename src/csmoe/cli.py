@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CsmoeError, DataError, ParameterError
+from .errors import ConfigError, CsmoeError, DataError, DimensionError, ParameterError
 from .evaluation import dataset_retrieval_f1, profile, retrieve
 from .losses import LossSettings, loss_total
 from .model import (
@@ -356,7 +356,16 @@ def _load_embeddings(directory, modality: str, model, strategy: str):
             full = MaskPair(masked=np.array([], dtype=np.int64),
                             unmasked=np.arange(cfg.num_patches), ratio=cfg.mask_ratio, seed=0)
             seq = encode(model, np.stack([chunk[i] for i in images]), full, modality)
-            for i, vec in zip(images, build_embedding(seq, strategy, projection=model.proj)):
+            try:
+                vectors = build_embedding(seq, strategy, projection=model.proj)
+            except DimensionError as exc:  # name the first image that fails on its own
+                for i, one in zip(images, seq.data):
+                    try:
+                        build_embedding(one, strategy, projection=model.proj)
+                    except DimensionError:
+                        raise DataError(f"{files[lo + i]}: {exc}") from exc
+                raise
+            for i, vec in zip(images, vectors):
                 chunk[i] = vec
             del seq  # one chunk's activations at a time
         rows += chunk

@@ -544,17 +544,21 @@ def build_embedding(tokens, strategy: str, projection=None) -> np.ndarray:
     cls = arr[..., 0, :]
     if strategy == "only_cls":
         return cls.copy()
-    norm = np.linalg.norm(cls, axis=-1, keepdims=True)
-    if (norm == 0.0).any():
-        raise DimensionError("CLS row has zero norm, cannot normalize")
-    normed = cls / norm
+    normed = _unit_length(cls, "CLS row")
     if strategy == "norm_cls":
         return normed
     if projection is None:
         raise ParameterError("norm_proj_cls needs the projection head")
     w, b = projection
-    out = normed @ w.data + b.data
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    return _unit_length(normed @ w.data + b.data, "projected CLS row")
+
+
+def _unit_length(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` scaled to unit length; a zero row is a DimensionError naming ``what``."""
+    norm = np.linalg.norm(rows, axis=-1, keepdims=True)
+    if (norm == 0.0).any():
+        raise DimensionError(f"{what} has zero norm, cannot normalize")
+    return rows / norm
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ sweep also drops each closure, and the arrays it saved, as soon as it has
 run: after ``backward`` a graph holds only its nodes' outputs and parent
 links, and a swept graph cannot be swept again.
 
+Gradients are values that nobody writes once they are handed on: a closure
+treats its incoming gradient and every array it saved as read-only, and
+hands its parents views of them or fresh arrays. A second gradient makes a
+new sum, so one array may be the gradient of several nodes.
+
 Every op reports a deterministic operation count to every active
 ``FlopCounter`` (2 ops per multiply-accumulate, 5 per softmax/norm element,
 10 per GELU element, 1 per plain elementwise op, 0 for data movement).
@@ -164,10 +169,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _attach(out: Tensor, parents, backward_fn):
@@ -192,11 +194,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar; gradients land on leaf tensors.
 
-    An interior node's closure, with the arrays it saved, and its gradient
-    are dropped once the closure has passed the gradient on, so the sweep
-    frees the graph's activations as it goes; ``_parents`` stay. A graph
-    that holds a swept node raises EvaluationError before any gradient
-    moves: that node's closure is gone, so it cannot pass a gradient on.
+    A leaf's gradient adds onto the one it holds as a new array, never in
+    place, so a held gradient keeps its value. An interior node's closure,
+    with the arrays it saved, and its gradient are dropped once the closure
+    has passed the gradient on, so the sweep frees the graph's activations
+    as it goes; ``_parents`` stay. A graph that holds a swept node raises
+    EvaluationError before any gradient moves: that node's closure is gone,
+    so it cannot pass a gradient on.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -226,7 +230,7 @@ def backward(loss: Tensor):
 
 
 def zero_grads(params):
-    """Drop gradient buffers; accepts any iterable of tensors or a name map."""
+    """Drop gradients; accepts any iterable of tensors or a name map."""
     values = params.values() if isinstance(params, dict) else params
     for p in values:
         p.grad = None
@@ -454,10 +458,8 @@ def attention_core(x: Tensor, wqvk: Tensor, bqv: Tensor, heads: int) -> Tensor:
     def back(g):
         g = g.reshape(*lead, tokens, heads, head_dim).transpose(merge)
         scores = _softmax_grad(g @ np.swapaxes(v, -1, -2), weights, -1, 1.0) * scale
-        gqvk = np.zeros((3, *lead, heads, tokens, head_dim))
-        gqvk[0] += scores @ k
-        gqvk[1] += np.swapaxes(weights, -1, -2) @ g
-        gqvk[2] += np.swapaxes(np.swapaxes(q, -1, -2) @ scores, -1, -2)
+        gqvk = np.stack([scores @ k, np.swapaxes(weights, -1, -2) @ g,
+                         np.swapaxes(np.swapaxes(q, -1, -2) @ scores, -1, -2)])
         gx = _affine_back(gqvk.transpose(np.argsort(split)).reshape(-1, 3 * dim), xs, wqvk, bqv, x.requires_grad)
         if gx is not None:
             _accumulate(x, gx.reshape(x.shape))
@@ -675,10 +677,10 @@ def take(a: Tensor, i: int) -> Tensor:
     """Element ``i`` of the leading axis of ``a``."""
     out = Tensor(a.data[i])
 
-    def back(g):  # sibling takes of one stack add into one gradient buffer
-        if a.grad is None:
-            a.grad = np.zeros(a.shape)
-        a.grad[i] += g
+    def back(g):
+        full = np.zeros(a.shape)
+        full[i] = g
+        _accumulate(a, full)
 
     return _attach(out, (a,), back)
 
@@ -776,10 +778,7 @@ def check_gradients(
         raise EvaluationError(f"loss is not finite: {value}")
     backward(loss)
     del loss  # the swept graph: no central difference runs while it is alive
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad for name, p in params.items()}
 
     names = list(params.keys())
     sizes = np.array([params[n].size for n in names])
@@ -859,31 +858,26 @@ def read_tnsr(fh) -> np.ndarray:
     version, rank = head[4], head[5]
     if version != _TNSR_VERSION:
         raise FormatError(f"unsupported TNSR version {version}")
-    raw = _read_exactly(fh, 4 * rank, "truncated TNSR1 header")
-    dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-    _require_bytes(fh, 8 * math.prod(dims), "truncated TNSR1 payload")
-    if math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max // 8:  # empty, yet too large to shape
-        raise FormatError(f"TNSR1 shape {dims} is too large")
-    out = np.empty(dims, dtype="<f8")
-    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-        raise FormatError("truncated TNSR1 payload")
-    return out.astype(np.float64, copy=False)
+    dims = tuple(read_array(fh, (rank,), "<u4", "TNSR1 header").tolist())  # ints: math.prod cannot wrap
+    return read_array(fh, dims, "<f8", "TNSR1 payload").astype(np.float64, copy=False)
 
 
-def _require_bytes(fh, n: int, message: str):
-    """FormatError with ``message`` unless ``n`` bytes remain in the
-    seekable ``fh``; checked before reading, so a header that claims any
-    size never allocates a buffer of that size."""
+def read_array(fh, shape, dtype, what: str) -> np.ndarray:
+    """The next array of ``shape`` and ``dtype`` in the seekable ``fh``,
+    read straight into the array returned. FormatError ("truncated
+    ``what``") unless its bytes remain, checked before anything is
+    allocated, so a header that claims any size never allocates it."""
+    itemsize = np.dtype(dtype).itemsize
     here = fh.tell()
-    if n > fh.seek(0, os.SEEK_END) - here:
-        raise FormatError(message)
+    if itemsize * math.prod(shape) > fh.seek(0, os.SEEK_END) - here:
+        raise FormatError(f"truncated {what}")
     fh.seek(here)
-
-
-def _read_exactly(fh, n: int, message: str) -> bytes:
-    """The next ``n`` bytes of the seekable ``fh``, after ``_require_bytes``."""
-    _require_bytes(fh, n, message)
-    return fh.read(n)
+    if itemsize * math.prod(max(d, 1) for d in shape) > np.iinfo(np.intp).max:  # empty, yet too large to shape
+        raise FormatError(f"{what} shape {tuple(shape)} is too large")
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise FormatError(f"truncated {what}")
+    return out
 
 
 def save_tnsr(path, array: np.ndarray):

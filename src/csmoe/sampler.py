@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError, require
-from .numerics import _read_exactly, atomic_write, read_header
+from .numerics import atomic_write, read_array, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
 
@@ -431,8 +431,12 @@ def load_grid(path) -> ClassRaster:
             if key in ("dlat", "dlon") and header[key] <= 0:
                 raise FormatError(f"{path}: GRID1 header {key} must be positive, got {header[key]!r}")
         rows, cols = header["rows"], header["cols"]
-        payload = _read_exactly(fh, 2 * rows * cols, f"{path}: truncated GRID1 payload")
-        grid = np.frombuffer(payload, dtype="<u2").reshape(rows, cols).copy()
+        try:
+            grid = read_array(fh, (rows, cols), "<u2", "GRID1 payload")
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the GRID1 payload")
     return ClassRaster(
         lat_max=float(header["lat_max"]), lon_min=float(header["lon_min"]),
         dlat=float(header["dlat"]), dlon=float(header["dlon"]),

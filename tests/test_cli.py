@@ -871,7 +871,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "eval_retrieval_nan_embedding", "eval_retrieval_inf_pixel",
                                   "eval_retrieval_strategy_misspelled", "split_tiles_bad_magic",
                                   "eval_retrieval_bad_magic", "eval_retrieval_tnsr_count_overflows",
-                                  "sample_grid_payload_overflows", "split_tiles_good_then_bad",
+                                  "sample_grid_payload_overflows", "sample_grid_empty_yet_too_large",
+                                  "sample_grid_trailing_bytes",
+                                  "eval_retrieval_zero_projection", "split_tiles_good_then_bad",
                                   "pretrain_mask_hides_no_patch", "grad_check_mask_hides_no_patch",
                                   "flops_mask_hides_no_patch"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
@@ -907,6 +909,16 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     huge_grid = tmp_path / "huge.grid"
     huge_grid.write_bytes(climate.read_bytes().replace(b'"cols": 1', b'"cols": 10000000000')
                           .replace(b'"rows": 1', b'"rows": 10000000000'))
+    empty_grid = tmp_path / "empty.grid"  # no codes to read, yet too large to shape
+    empty_grid.write_bytes(climate.read_bytes().replace(b'"cols": 1', b'"cols": 1' + b"0" * 30)
+                           .replace(b'"rows": 1', b'"rows": 0'))
+    trailing_grid = tmp_path / "trailing.grid"  # the 1 x 1 raster with a second row appended
+    trailing_grid.write_bytes(climate.read_bytes() + (1).to_bytes(2, "little"))
+    if case == "eval_retrieval_zero_projection":  # every projected CLS row is zero: NaN once normalized
+        model = init_model(mini_config())
+        model.params["proj.weight"].data[...] = 0.0
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        write_embedding_dir(tmp_path / "images", {"a": np.ones((2, 16, 16)), "b": np.ones((2, 16, 16))})
     argv, code, message = {
         "label_row_without_labels": (
             ["eval-retrieval", "--queries", str(emb), "--gallery", str(emb),
@@ -974,6 +986,18 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         "sample_grid_payload_overflows": (["sample", "--archive", str(archive), "--climate", str(huge_grid),
                                            "--thematic", str(huge_grid), "--out", str(tmp_path / "out")],
                                           2, f"{huge_grid}: truncated GRID1 payload"),
+        "sample_grid_empty_yet_too_large": (["sample", "--archive", str(archive), "--climate", str(empty_grid),
+                                             "--thematic", str(climate), "--out", str(tmp_path / "out")],
+                                            2, f"{empty_grid}: GRID1 payload shape (0, 1{'0' * 30}) is too large"),
+        "sample_grid_trailing_bytes": (["sample", "--archive", str(archive), "--climate", str(trailing_grid),
+                                        "--thematic", str(climate), "--out", str(tmp_path / "out")],
+                                       2, f"{trailing_grid}: trailing bytes after the GRID1 payload"),
+        "eval_retrieval_zero_projection": (["eval-retrieval", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                            "--queries", str(tmp_path / "images"),
+                                            "--gallery", str(tmp_path / "images"), "--labels", str(good_labels),
+                                            "--task", "S1>S1", "--strategy", "norm_proj_cls",
+                                            "--out", str(tmp_path / "out")], 2,
+                                           f"{tmp_path / 'images' / 'a.tnsr'}: projected CLS row has zero norm"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

@@ -16,7 +16,7 @@ from csmoe.model import (
     parameter_manifest,
     save_checkpoint,
 )
-from csmoe.numerics import backward, truncated_normal, zero_grads
+from csmoe.numerics import Tensor, backward, truncated_normal, zero_grads
 from csmoe.tokenizer import MaskPair, sample_masks
 
 from util import finite_difference, mini_config, rel_err, weighted_sum
@@ -434,6 +434,21 @@ def test_build_embedding_projection_path():
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
     with pytest.raises(ParameterError):
         build_embedding(seq, "norm_proj_cls")
+
+
+def test_build_embedding_rejects_a_zero_cls_or_projected_row():
+    # the projection reads only the first feature, so a unit CLS row orthogonal to it projects to zero
+    w, b = Tensor(np.eye(3, 2) * [1.0, 0.0]), Tensor(np.zeros(2))
+    seqs = np.ones((2, 4, 3))
+    assert np.all(np.isfinite(build_embedding(seqs, "norm_proj_cls", projection=(w, b))))
+    seqs[1, 0] = [0.0, 2.0, -1.0]
+    assert np.all(np.isfinite(build_embedding(seqs, "norm_cls")))
+    with pytest.raises(DimensionError, match="projected CLS row has zero norm"):
+        build_embedding(seqs, "norm_proj_cls", projection=(w, b))
+    seqs[1, 0] = 0.0
+    for strategy in ("norm_cls", "norm_proj_cls"):
+        with pytest.raises(DimensionError, match="^CLS row has zero norm"):
+            build_embedding(seqs, strategy, projection=(w, b))
 
 
 def test_build_embedding_batch_axes_match_single_sequences():

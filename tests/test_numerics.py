@@ -330,6 +330,93 @@ def test_swept_graph_refuses_a_second_sweep():
     assert rel_err(x.grad, 2 * first) < 1e-12
 
 
+@pytest.fixture
+def frozen_gradients(monkeypatch):
+    """Every gradient ``_accumulate`` stores is read-only: a closure or a
+    later accumulation that writes into a gradient handed on raises."""
+    accumulate = numerics._accumulate
+
+    def frozen(t, g):
+        accumulate(t, g)
+        if isinstance(t.grad, np.ndarray):  # an array scalar cannot be written anyway
+            t.grad.flags.writeable = False
+
+    monkeypatch.setattr(numerics, "_accumulate", frozen)
+
+
+def _mini_step_gradients():
+    model = init_model(mini_config())
+    rng = np.random.default_rng(2)
+    art = forward(model, rng.standard_normal((2, 2, 16, 16)), rng.standard_normal((2, 3, 16, 16)), seed=[1, 2])
+    backward(loss_total(model, art).total_tensor)
+    return {name: p.grad for name, p in model.params.items()}
+
+
+def test_no_gradient_is_written_once_handed_on(monkeypatch, frozen_gradients):
+    # a batched training step: residuals, shared weights, sibling takes and
+    # stacks all hand some node a second gradient
+    frozen = _mini_step_gradients()
+    monkeypatch.undo()
+    writable = _mini_step_gradients()
+    assert all(np.array_equal(frozen[name], g) for name, g in writable.items())
+
+
+def test_check_gradients_of_fused_and_structural_ops_writes_no_gradient(frozen_gradients):
+    rng = np.random.default_rng(21)
+    shapes = {"x": (2, 3, 4), "wqvk": (4, 12), "bqv": (8,), "w1": (2, 4, 5), "b1": (2, 5),
+              "w2": (2, 5, 4), "b2": (2, 4), "fill": (1, 4), "a": (4, 3), "b": (4, 3)}
+    params = {name: parameter(rng.uniform(-1, 1, shape)) for name, shape in shapes.items()}
+    target = rng.uniform(-1, 1, (3, 2, 4))
+
+    def loss_fn(p):
+        h = attention_core(p["x"], p["wqvk"], p["bqv"], 2) + p["x"]
+        h = layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        h = gelu_ffn(transpose(h, (1, 0, 2)), p["w1"], p["b1"], p["w2"], p["b2"])  # [3, 2, 4]
+        s = stack([h, transpose(p["x"], (1, 0, 2))])
+        both = reshape(mul(take(s, 0), take(s, 1)), (6, 4))
+        rows = concat_rows([p["fill"], scatter_rows(take_rows(both, [0, 2, 5]), [1, 3, 4], p["fill"], 6)])
+        return (weighted_sum(rows, rows) + masked_mse(h, target, [1, 0]) + slot_repulsion(h)
+                + entropy(softmax(rows, axis=1), 1e-6) + contrastive_ce(p["a"], p["b"], 0.5))
+
+    report = check_gradients(loss_fn, params)
+    assert report.checked_elements == sum(t.size for t in params.values())
+    assert report.passed(1e-6), report.per_parameter_errors
+
+
+def test_a_held_gradient_keeps_its_value_across_a_second_backward():
+    # each leaf gets one gradient per sweep (the takes' rows do not overlap),
+    # so the second sweep's sum is exactly held + its own gradient
+    rng = np.random.default_rng(8)
+    x, a = parameter(rng.uniform(-1, 1, (3, 4))), parameter(rng.uniform(-1, 1, (2, 3, 4)))
+    w = rng.uniform(-1, 1, (3, 4))
+
+    def loss_of(x, a, scale):
+        s = mul(mul(x, take(a, 0)), take(a, 1))
+        return weighted_sum(s + s, w * scale)
+
+    backward(loss_of(x, a, 1.0))
+    held = {"x": x.grad, "a": a.grad}
+    kept = {name: g.copy() for name, g in held.items()}
+    backward(loss_of(x, a, 3.0))  # no zero_grads: the sweep adds onto the held gradients
+    fresh_x, fresh_a = parameter(x.data), parameter(a.data)
+    backward(loss_of(fresh_x, fresh_a, 3.0))
+    for name, t, fresh in (("x", x, fresh_x), ("a", a, fresh_a)):
+        assert np.array_equal(held[name], kept[name])
+        assert np.array_equal(t.grad, kept[name] + fresh.grad)
+
+
+def test_gradients_of_a_node_used_twice_and_of_sibling_takes(frozen_gradients):
+    x = parameter([1.0, -2.0, 3.0])
+    backward(weighted_sum(x + x, np.array([1.0, 2.0, -3.0])))
+    assert np.array_equal(x.grad, [2.0, 4.0, -6.0])
+    # the stack also feeds a reshape, swept before its two takes
+    a, b = parameter(np.zeros((2, 3))), parameter(np.zeros((2, 3)))
+    w0, w1, w2 = np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(2, 3), np.arange(12.0).reshape(2, 2, 3)
+    s = stack([a, b])
+    backward(weighted_sum(s, w2) + weighted_sum(take(s, 0), w0) + weighted_sum(take(s, 1), w1))
+    assert np.array_equal(a.grad, w2[0] + w0) and np.array_equal(b.grad, w2[1] + w1)
+
+
 def test_dropped_graph_leaves_no_cyclic_garbage():
     # backward closures never capture their own output, so reference
     # counting alone frees a dropped graph
