@@ -78,24 +78,23 @@ def normalize_pixel_targets(tokens: np.ndarray, eps: float = 1e-6) -> np.ndarray
     return (tokens - mu) / np.sqrt(var + eps)
 
 
-def _targets(art: ForwardArtifacts, modality: str, norm_pix: bool) -> np.ndarray:
-    t = art.target_tokens[modality]
-    return normalize_pixel_targets(t) if norm_pix else t
-
-
-def loss_umr(art: ForwardArtifacts, norm_pix: bool = False) -> Tensor:
-    """Same-modality reconstruction, each under its own mask."""
+def loss_umr(art: ForwardArtifacts, targets: dict = None) -> Tensor:
+    """Same-modality reconstruction, each under its own mask, against the
+    per-modality ``targets`` (by default the artifact's target tokens)."""
+    t = art.target_tokens if targets is None else targets
     return (
-        rec_loss(art.recon[("x", "x")], _targets(art, "x", norm_pix), art.masks["x"].masked)
-        + rec_loss(art.recon[("y", "y")], _targets(art, "y", norm_pix), art.masks["y"].masked)
+        rec_loss(art.recon[("x", "x")], t["x"], art.masks["x"].masked)
+        + rec_loss(art.recon[("y", "y")], t["y"], art.masks["y"].masked)
     )
 
 
-def loss_cmr(art: ForwardArtifacts, norm_pix: bool = False) -> Tensor:
-    """Cross-modal reconstruction, each under the source modality's mask."""
+def loss_cmr(art: ForwardArtifacts, targets: dict = None) -> Tensor:
+    """Cross-modal reconstruction, each under the source modality's mask,
+    against the per-modality ``targets`` as in ``loss_umr``."""
+    t = art.target_tokens if targets is None else targets
     return (
-        rec_loss(art.recon[("y", "x")], _targets(art, "y", norm_pix), art.masks["x"].masked)
-        + rec_loss(art.recon[("x", "y")], _targets(art, "x", norm_pix), art.masks["y"].masked)
+        rec_loss(art.recon[("y", "x")], t["y"], art.masks["x"].masked)
+        + rec_loss(art.recon[("x", "y")], t["x"], art.masks["y"].masked)
     )
 
 
@@ -147,8 +146,11 @@ def loss_total(model: CsmoeModel, art: ForwardArtifacts,
     layer of the model, and the entropy term over every (sample, layer)
     dispatch table, each in one pass over the stacked tables.
     """
-    umr = loss_umr(art, settings.norm_pix)
-    cmr = loss_cmr(art, settings.norm_pix)
+    targets = art.target_tokens
+    if settings.norm_pix:  # normalized once per modality: both terms hold the same array
+        targets = {m: normalize_pixel_targets(targets[m]) for m in MODALITIES}
+    umr = loss_umr(art, targets)
+    cmr = loss_cmr(art, targets)
     proj_x, proj_y = (reshape(art.proj_cls[m], (-1, art.proj_cls[m].shape[-1])) for m in MODALITIES)
     mi = loss_mi(proj_x, proj_y, settings.tau_mi, settings.mi_include_positive)
     rep = loss_rep(stack([layer.slot_embeddings for layer in model.moe_layers()]))

@@ -6,7 +6,9 @@ to its parents together with a backward closure, and ``backward`` calls the
 closures in reverse topological order, visiting every node exactly once and
 passing each closure its output's gradient. A closure holds its parents and
 the arrays it saved, never its own output, so a graph has no reference
-cycles and is freed by reference counting as soon as it is dropped. The
+cycles and is freed by reference counting as soon as it is dropped. It saves
+only what its backward cannot rebuild exactly, by the forward's own
+expressions, from its parents' data plus per-row statistics. The
 sweep also drops each closure, and the arrays it saved, as soon as it has
 run: after ``backward`` a graph holds only its nodes' outputs and parent
 links, and a swept graph cannot be swept again.
@@ -411,6 +413,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     _count(layer_norm_flops(out.size))
 
     def back(g):
+        xhat = (x.data - mu) * inv
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -491,6 +494,7 @@ def gelu_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     _count(gelu_flops(pre.size))
 
     def back(g):
+        act = 0.5 * pre * (1.0 + e)
         gact = _affine_back(_expert_rows(g, lead), act, w2, b2, True)
         gpre = gact * (0.5 * (1.0 + e) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT2PI)
         gx = _affine_back(gpre, xs, w1, b1, x.requires_grad)
@@ -531,7 +535,9 @@ def masked_mse(pred: Tensor, target, idx) -> Tensor:
     out = Tensor((diff * diff).mean())
     _count(3 * diff.size + 1)
 
-    def back(g):
+    def back(g):  # rebuilds the index and the difference rather than keep them alive with the graph
+        at = _row_index(idx, pred.shape[:-2])
+        diff = pred.data[at] - target[at]
         _accumulate(pred, _rows_grad(pred.shape, idx, diff * (2.0 * g / diff.size)))
 
     return _attach(out, (pred,), back)

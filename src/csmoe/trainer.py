@@ -235,7 +235,10 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     fewer than 2 pairs are dropped (the contrastive term needs pairs). Each
     step and each validation pass is one batched forward, whose graph is
     dropped as soon as its gradients (or its record) exist: no forward runs
-    while an older graph is alive. A non-finite loss term or gradient norm
+    while an older graph is alive. Gradients live from a step's ``backward``
+    to its AdamW update and are dropped right after it, as are any the
+    parameters bring in, so no forward runs while gradients exist and
+    ``train`` returns with none. A non-finite loss term or gradient norm
     raises EvaluationError naming the step (or epoch) and the term, before
     the optimizer moves or the record is logged.
     """
@@ -251,6 +254,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     if optimizer is None:
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     step = optimizer.step_count
+    optimizer.zero_grad()
     records = []
 
     def emit(record):
@@ -269,7 +273,6 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
                                  [_derived_seed(seed, _KEY_MASKS, step, j) for j in range(chunk.size)])
             breakdown = loss_total(model, art, loss)
             _check_finite(breakdown, f"step {step + 1}")
-            optimizer.zero_grad()
             backward(breakdown.total_tensor)
             terms = breakdown.to_dict()
             del art, breakdown  # the step's graph: its gradients are on the params now
@@ -279,6 +282,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
                 raise EvaluationError(f"step {step + 1}: grad_norm is not finite ({grad_norm})")
             lr = cosine_lr(step, total_steps, tcfg.lr, warmup)
             optimizer.step(lr=lr)
+            optimizer.zero_grad()
             step = optimizer.step_count
             emit({"step": step, **terms})
         if len(val_ids) >= 2:

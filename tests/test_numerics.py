@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -433,6 +434,44 @@ def test_dropped_graph_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _bytes_kept_beyond_output(op):
+    """Traced bytes still allocated after ``op()`` returns, less its output's
+    array: what the op's tape node keeps alive for its backward."""
+    op()  # first-call allocations (the erf import, numpy caches) stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op()
+        return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_ops_keep_only_what_their_backward_cannot_rebuild():
+    # each closure keeps what its backward needs and cannot rebuild exactly
+    # from its parents' data plus per-row statistics; slack covers the
+    # Tensor, closure and index objects, far below any saved array
+    rng = np.random.default_rng(23)
+    rows, width, hidden, slack = 512, 16, 64, 8192
+    x = parameter(rng.standard_normal((rows, width)))
+    w1, b1 = parameter(rng.standard_normal((width, hidden))), parameter(rng.standard_normal(hidden))
+    w2, b2 = parameter(rng.standard_normal((hidden, width))), parameter(rng.standard_normal(width))
+    # gelu_ffn: the pre-activations and their erf values, not the activations too
+    kept = _bytes_kept_beyond_output(lambda: gelu_ffn(x, w1, b1, w2, b2))
+    assert 2 * rows * hidden * 8 <= kept < 2 * rows * hidden * 8 + slack
+    # layer_norm: the per-row mean and inverse deviation, not an x-sized xhat
+    wide = parameter(rng.standard_normal((rows, hidden)))
+    gain, bias = parameter(np.ones(hidden)), parameter(np.zeros(hidden))
+    kept = _bytes_kept_beyond_output(lambda: layer_norm(wide, gain, bias))
+    assert 2 * rows * 8 <= kept < 2 * rows * 8 + slack
+    # masked_mse: its target and index by reference, no difference array
+    pred = parameter(rng.standard_normal((4, rows // 4, hidden)))
+    target = rng.standard_normal(pred.shape)
+    idx = np.stack([rng.permutation(rows // 4)[: rows // 8] for _ in range(4)])
+    kept = _bytes_kept_beyond_output(lambda: masked_mse(pred, target, idx))
+    assert kept < slack < idx.size * hidden * 8
 
 
 # ---------------------------------------------------------------------------

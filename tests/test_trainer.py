@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -7,13 +8,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csmoe.numerics as numerics
 import csmoe.trainer as trainer
 from csmoe.cli import main
 from csmoe.errors import DataError, EvaluationError, FormatError
-from csmoe.model import init_model, save_checkpoint
-from csmoe.numerics import Tensor, parameter, save_tnsr
+from csmoe.losses import loss_total
+from csmoe.model import forward, init_model, save_checkpoint
+from csmoe.numerics import Tensor, backward, parameter, save_tnsr
 from csmoe.sampler import ClassRaster, save_grid
 from csmoe.trainer import (
     AdamW,
@@ -197,6 +200,49 @@ def test_train_rejects_non_finite_gradient_norm(tmp_path, monkeypatch):
     assert [json.loads(line)["step"] for line in log.getvalue().splitlines()] == [1]
 
 
+def test_no_forward_runs_while_gradients_exist(tmp_path, monkeypatch):
+    # a step's gradients live from its backward to its AdamW update: the
+    # next step's forward, a validation forward and the caller after train
+    # returns find none, nor any the parameters brought in
+    cfg = mini_config()
+    synthesize_pairs(tmp_path, 6, cfg, seed=1)
+    pairs = load_pairs(tmp_path, cfg)
+    model = init_model(cfg)
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    real_forward, forwards = trainer.forward, []
+
+    def asserting_forward(model, xs, ys, seed):
+        held = [name for name, p in model.params.items() if p.grad is not None]
+        assert not held, f"forward {len(forwards) + 1} starts while {len(held)} gradients exist"
+        forwards.append(len(seed))
+        return real_forward(model, xs, ys, seed=seed)
+
+    monkeypatch.setattr(trainer, "forward", asserting_forward)
+    _, records = train(model, pairs, TrainerConfig(epochs=2, batch_size=2, lr=1e-3, val_fraction=0.34), seed=0)
+    assert len(forwards) == 6 and sum("val_total" in r for r in records) == 2
+    assert all(p.grad is None for p in model.params.values())
+
+
+def test_train_starts_from_no_gradients(tmp_path):
+    # gradients left on the parameters by a caller's own backward change no
+    # bit of the run: parameters, both moments and every record match a
+    # clean copy's
+    cfg = mini_config()
+    synthesize_pairs(tmp_path, 6, cfg, seed=1)
+    pairs = load_pairs(tmp_path, cfg)
+    tcfg = TrainerConfig(epochs=2, batch_size=2, lr=1e-3, val_fraction=0.34)
+    clean, carried = init_model(cfg), init_model(cfg)
+    xs, ys = np.stack([x for _, x, _ in pairs[:2]]), np.stack([y for _, _, y in pairs[:2]])
+    backward(loss_total(carried, forward(carried, xs, ys, seed=[7, 8])).total_tensor)
+    assert all(p.grad is not None for p in carried.params.values())
+    (opt_a, rec_a), (opt_b, rec_b) = (train(m, pairs, tcfg, seed=0) for m in (clean, carried))
+    assert rec_a == rec_b and opt_a.step_count == opt_b.step_count == 4
+    for name in clean.params:
+        assert np.array_equal(clean.params[name].data, carried.params[name].data)
+        assert np.array_equal(opt_a.m[name], opt_b.m[name]) and np.array_equal(opt_a.v[name], opt_b.v[name])
+
+
 def test_optimizer_state_roundtrip(tmp_path):
     cfg = mini_config()
     model = init_model(cfg)
@@ -216,6 +262,39 @@ def test_optimizer_state_roundtrip(tmp_path):
     (tmp_path / "junk.opt").write_bytes(b'{"format": "nope"}\n')
     with pytest.raises(FormatError):
         load_optimizer_state(tmp_path / "junk.opt", fresh, model)
+
+
+@functools.lru_cache(maxsize=1)
+def _opt_file_bytes(directory):
+    """A mini model and the bytes of its .opt file after one AdamW step."""
+    model = init_model(mini_config())
+    opt = AdamW(model.params, lr=1e-3)
+    for p in model.params.values():
+        p.grad = np.full(p.shape, 0.5)
+    opt.step()
+    save_optimizer_state(directory / "base.opt", opt, epoch=1, model=model)
+    return model, (directory / "base.opt").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cut=st.none() | st.integers(0, 2**19),
+       edits=st.lists(st.tuples(st.integers(0, 2047) | st.integers(0, 2**19), st.integers(0, 255)), max_size=3))
+def test_optimizer_state_reader_lets_only_format_error_escape(tmp_path_factory, cut, edits):
+    # a truncated or overwritten .opt file either loads or raises a
+    # FormatError naming the file, whether the bytes hit the JSON header,
+    # a block header or a payload
+    model, blob = _opt_file_bytes(tmp_path_factory.getbasetemp())
+    blob = bytearray(blob)
+    if cut is not None:
+        del blob[max(cut, 1):]
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.opt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_optimizer_state(path, AdamW(model.params), model)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("k", [0, 3])
