@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CsmoeError, DataError, DimensionError, ParameterError
+from .errors import ConfigError, CsmoeError, DataError, DimensionError, ParameterError, open_utf8
 from .evaluation import dataset_retrieval_f1, profile, retrieve
 from .losses import LossSettings, loss_total
 from .model import (
@@ -66,7 +66,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
     data = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open_utf8(path, ConfigError) as fh:
                 data = json.load(fh)
         except FileNotFoundError as exc:
             raise DataError(f"config file not found: {path}") from exc
@@ -209,7 +209,7 @@ def _cmd_sample(args) -> int:
     thematic = load_grid(args.thematic)
     selection, report = sample_archive(archive, climate, thematic, ga, baseline=args.baseline)
     write_selection(args.out, selection)
-    _write_json(report.to_dict(), args.report)
+    _write_json(asdict(report), args.report)
     print(f"selected {report.total_selected} of {report.total_described} described entries "
           f"across {len(report.strata)} strata -> {args.out}")
     return 0
@@ -230,7 +230,7 @@ def _cmd_split_tiles(args) -> int:
     for tile_path, (patches, report) in zip(tiles, splits):
         for i, patch in enumerate(patches):
             save_tnsr(out_dir / f"{tile_path.stem}_p{i:04d}.tnsr", patch)
-        _write_json(report.to_dict(), out_dir / f"{tile_path.stem}_report.json")
+        _write_json(asdict(report), out_dir / f"{tile_path.stem}_report.json")
     print(f"kept {sum(report.kept for _, report in splits)} patches from {len(tiles)} tiles -> {out_dir}")
     return 0
 
@@ -284,15 +284,8 @@ def _cmd_grad_check(args) -> int:
 
     report = check_gradients(loss_fn, model.params, step=args.step,
                              max_checked=args.max_checked, sample_seed=seed)
-    payload = {
-        "max_relative_error": report.max_relative_error,
-        "step_size": report.step_size,
-        "checked_elements": report.checked_elements,
-        "tolerance": args.tolerance,
-        "passed": report.passed(args.tolerance),
-        "per_parameter_errors": dict(sorted(report.per_parameter_errors.items())),
-    }
-    _write_json(payload, args.out, echo=True)
+    _write_json({**asdict(report), "tolerance": args.tolerance, "passed": report.passed(args.tolerance)},
+                args.out, echo=True)
     return 0 if report.passed(args.tolerance) else 2
 
 
@@ -301,7 +294,7 @@ _TASK_MODALITY = {"S1": "x", "S2": "y"}
 
 def _load_labels(path) -> dict:
     labels = {}
-    with open(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["id", "labels"]:
             raise DataError(f"{path}: expected header id,labels")
@@ -409,7 +402,7 @@ def _cmd_eval_retrieval(args) -> int:
 
 def _cmd_flops(args) -> int:
     prof = profile(_run_config(args).model)
-    _write_json(prof.to_dict(), args.out, echo=True)
+    _write_json(asdict(prof), args.out, echo=True)
     print()
     print(f"{'component':<16}{'params':>14}{'flops':>16}")
     for row in prof.breakdown:
@@ -444,6 +437,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CsmoeError, OSError) as exc:
         print(f"csmoe: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"csmoe: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

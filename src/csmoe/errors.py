@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import contextlib
+
 
 class CsmoeError(Exception):
     """Base class for every error raised by this package."""
@@ -38,3 +40,23 @@ def require(checks, error=ConfigError):
     for ok, message in checks:
         if not ok:
             raise error(message)
+
+
+@contextlib.contextmanager
+def open_utf8(path, error=DataError, newline=None):
+    """``path`` open as UTF-8 text. A byte that is not UTF-8 raises ``error``
+    naming the file and its line; it is never replaced, so a mangled id
+    cannot load."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            start = exc.start  # counted from the chunk being decoded: decode the whole file for its offset
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                start = whole.start
+            line = data.count(b"\n", 0, start) + 1
+            raise error(f"{path}: line {line} is not UTF-8 text") from exc

@@ -11,7 +11,7 @@ be cross-checked against an instrumented run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class ComputeProfile:
     convention: str = FLOP_CONVENTION
     breakdown: list = field(default_factory=list)  # {"component", "params", "flops"}
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def c2c_ratio(params: int, flops: int) -> float:
     """Capacity-to-compute: parameters in millions per forward gigaflop."""
@@ -175,26 +172,15 @@ def _moe_layer_flops(t: int, d: int, num_slots: int, hidden: int) -> int:
     return f
 
 
-def _moe_block_flops(t: int, cfg: CsmoeConfig) -> int:
-    d = cfg.enc_dim
+def _block_flops(t: int, d: int, heads: int, mix: int) -> int:
+    """One pre-norm residual block over t tokens of width d: attention, then
+    the token mixer whose count is ``mix`` (a Soft MoE layer or an FFN)."""
     return (
         layer_norm_flops(t * d)
-        + _attention_flops(t, d, cfg.heads)
+        + _attention_flops(t, d, heads)
         + elementwise_flops(t * d)  # residual
         + layer_norm_flops(t * d)
-        + _moe_layer_flops(t, d, cfg.num_slots, cfg.expert_hidden)
-        + elementwise_flops(t * d)  # residual
-    )
-
-
-def _plain_block_flops(t: int, cfg: CsmoeConfig) -> int:
-    d = cfg.dec_dim
-    return (
-        layer_norm_flops(t * d)
-        + _attention_flops(t, d, cfg.dec_heads)
-        + elementwise_flops(t * d)  # residual
-        + layer_norm_flops(t * d)
-        + _ffn_flops(t, d, cfg.dec_hidden)
+        + mix
         + elementwise_flops(t * d)  # residual
     )
 
@@ -203,18 +189,21 @@ def forward_flops(cfg: CsmoeConfig):
     """Analytic op count of one paired forward; returns (total, per-component)."""
     p = cfg.num_patches
     t = (p - masked_count(p, cfg.mask_ratio)) + 1  # unmasked tokens + CLS
+    enc_block = _block_flops(t, cfg.enc_dim, cfg.heads,
+                             _moe_layer_flops(t, cfg.enc_dim, cfg.num_slots, cfg.expert_hidden))
+    dec_block = _block_flops(p, cfg.dec_dim, cfg.dec_heads, _ffn_flops(p, cfg.dec_dim, cfg.dec_hidden))
     comp = {}
     for m in MODALITIES:
         comp[f"embed_{m}"] = matmul_flops(p, cfg.token_dim(m), cfg.enc_dim) + elementwise_flops(p * cfg.enc_dim)
-        comp[f"enc_{m}"] = cfg.enc_layers_modality * _moe_block_flops(t, cfg)
-    comp["enc_shared"] = 2 * cfg.enc_layers_shared * _moe_block_flops(t, cfg)  # both paths
+        comp[f"enc_{m}"] = cfg.enc_layers_modality * enc_block
+    comp["enc_shared"] = 2 * cfg.enc_layers_shared * enc_block  # both paths
     comp["proj"] = 2 * (matmul_flops(1, cfg.enc_dim, cfg.proj_dim) + elementwise_flops(cfg.proj_dim))
     for target in MODALITIES:
         dec = 0
         for _source in MODALITIES:
             dec += matmul_flops(t, cfg.enc_dim, cfg.dec_dim) + elementwise_flops(t * cfg.dec_dim)
             dec += elementwise_flops(p * cfg.dec_dim)  # decoder positions
-            dec += cfg.dec_layers * _plain_block_flops(p, cfg)
+            dec += cfg.dec_layers * dec_block
             dec += matmul_flops(p, cfg.dec_dim, cfg.token_dim(target)) + elementwise_flops(p * cfg.token_dim(target))
         comp[f"dec_{target}"] = dec
     return sum(comp.values()), comp

@@ -488,7 +488,7 @@ def forward(model: CsmoeModel, image_x, image_y, seed,
     cfg = model.cfg
     images = {"x": image_x, "y": image_y}
     for m, image in images.items():
-        lead = np.shape(image.data if isinstance(image, Tensor) else image)[:-3]
+        lead = np.shape(image)[:-3]
         if lead != np.shape(seed):
             raise DimensionError(
                 f"{m} images have batch axes {lead}, but the seeds have shape {np.shape(seed)}"

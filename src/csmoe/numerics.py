@@ -231,10 +231,9 @@ def backward(loss: Tensor):
             node._backward = node.grad = None
 
 
-def zero_grads(params):
-    """Drop gradients; accepts any iterable of tensors or a name map."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
+def zero_grads(params: dict):
+    """Drop the gradients of a name -> tensor map."""
+    for p in params.values():
         p.grad = None
 
 

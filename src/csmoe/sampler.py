@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, require
+from .errors import DataError, FormatError, ParameterError, open_utf8, require
 from .numerics import atomic_write, read_array, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
@@ -272,19 +272,13 @@ def evolve_stratum(centers: np.ndarray, cfg: GaConfig, rng: np.random.Generator 
 
 
 @dataclass
-class SamplingReport:
-    operators: str
-    target_size: int
-    generations: int
-    population_size: int
-    crossover_rate: float
-    seed: int
+class SamplingReport(GaConfig):
+    """Every ``GaConfig`` setting of a run, then what the run selected."""
+
+    operators: str = GA_OPERATORS
     strata: list = field(default_factory=list)  # one dict per stratum
     total_selected: int = 0
     total_described: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _mean_pairwise(centers: np.ndarray) -> float:
@@ -328,15 +322,7 @@ def sample_archive(archive: Archive, climate: ClassRaster, thematic: ClassRaster
     """
     strata = stratify(*generate_descriptors(archive, climate, thematic))
     centers = archive.centers
-    report = SamplingReport(
-        operators=GA_OPERATORS,
-        target_size=cfg.target_size,
-        generations=cfg.generations,
-        population_size=cfg.population_size,
-        crossover_rate=cfg.crossover_rate,
-        seed=cfg.seed,
-        total_described=sum(idx.size for idx in strata.values()),
-    )
+    report = SamplingReport(**asdict(cfg), total_described=sum(idx.size for idx in strata.values()))
     selection = []
     for (u, v), idx in strata.items():
         selected, info = _evolve_one((u, v), centers[idx], cfg, baseline)
@@ -375,7 +361,7 @@ def load_archive(path) -> Archive:
     -90 <= lat_min <= lat_max <= 90. Errors name the row by its line number.
     """
     ids, boxes, seen = [], [], set()
-    with open(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ARCHIVE_HEADER:
             raise DataError(f"{path}: expected header {','.join(ARCHIVE_HEADER)}")

@@ -37,8 +37,6 @@ from .numerics import (
     transpose,
 )
 
-LN_EPS = 1e-6
-
 
 @dataclass
 class FeedForwardParams:
@@ -155,14 +153,14 @@ def attention_forward(z: Tensor, params: AttentionParams) -> Tensor:
 
 def block_forward(z: Tensor, params: MoeBlockParams, routing_sink: list = None) -> Tensor:
     """z + Attn(LN(z)), then + MoE(LN(.))."""
-    attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias, LN_EPS), params.attention)
+    attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias), params.attention)
     z = z + attn
-    moe = moe_forward(layer_norm(z, params.norm2.gain, params.norm2.bias, LN_EPS), params.moe, routing_sink)
+    moe = moe_forward(layer_norm(z, params.norm2.gain, params.norm2.bias), params.moe, routing_sink)
     return z + moe
 
 
 def plain_block_forward(z: Tensor, params: PlainBlockParams) -> Tensor:
     """z + Attn(LN(z)), then + FFN(LN(.)); no expert machinery."""
-    attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias, LN_EPS), params.attention)
+    attn = attention_forward(layer_norm(z, params.norm1.gain, params.norm1.bias), params.attention)
     z = z + attn
-    return z + feed_forward(layer_norm(z, params.norm2.gain, params.norm2.bias, LN_EPS), params.ffn)
+    return z + feed_forward(layer_norm(z, params.norm2.gain, params.norm2.bias), params.ffn)

@@ -1,10 +1,10 @@
 """Patch tokenization, per-modality random masking, and tile splitting.
 
-All functions are pure; an image is a [C, H, W] array (or constant Tensor)
-and a token sequence is [P, patch^2 * C] with tokens in raster-scan order
-and each token flattened channel-major. ``patchify`` and ``sample_masks``
-also take a batch: leading axes in front of [C, H, W], and a sequence of
-seeds, one per sample.
+All functions are pure; an image is a [C, H, W] array and a token
+sequence is [P, patch^2 * C] with tokens in raster-scan order and each
+token flattened channel-major. ``patchify`` and ``sample_masks`` also take
+a batch: leading axes in front of [C, H, W], and a sequence of seeds, one
+per sample.
 """
 
 from __future__ import annotations
@@ -51,27 +51,11 @@ class TileSplitReport:
     discarded_small: int  # partial edge cells, never emitted
     discarded_invalid: int
 
-    def to_dict(self) -> dict:
-        return {
-            "tile_shape": list(self.tile_shape),
-            "patch_shape": list(self.patch_shape),
-            "kept": self.kept,
-            "discarded_small": self.discarded_small,
-            "discarded_invalid": self.discarded_invalid,
-        }
-
-
-def _as_array(image) -> np.ndarray:
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimensionError(f"expected a [C, H, W] image, got shape {arr.shape}")
-    return arr
-
 
 def patchify(image, patch_size: int) -> PatchSet:
     """Cut a [..., C, H, W] image (or batch of images) into the raster-scan
     sequence of its patch_size x patch_size blocks, [..., P, patch^2 * C]."""
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    arr = np.asarray(image, dtype=np.float64)
     if arr.ndim < 3:
         raise DimensionError(f"expected a [..., C, H, W] image, got shape {arr.shape}")
     *lead, c, h, w = arr.shape
@@ -115,21 +99,14 @@ def sample_masks(num_patches: int, ratio: float, seed) -> MaskPair:
     """
     if not 0.0 < ratio < 1.0:
         raise ParameterError(f"mask ratio must be in (0, 1), got {ratio}")
-    if np.ndim(seed):
-        rows = [sample_masks(num_patches, ratio, s) for s in seed]
-        return MaskPair(
-            masked=np.stack([r.masked for r in rows]),
-            unmasked=np.stack([r.unmasked for r in rows]),
-            ratio=ratio,
-            seed=tuple(seed),
-        )
     count = masked_count(num_patches, ratio)
-    perm = np.random.default_rng(seed).permutation(num_patches)
+    perm = np.stack([np.random.default_rng(s).permutation(num_patches) for s in np.ravel(seed)])
+    perm = perm.reshape(*np.shape(seed), num_patches)
     return MaskPair(
-        masked=np.sort(perm[:count]),
-        unmasked=np.sort(perm[count:]),
+        masked=np.sort(perm[..., :count], axis=-1),
+        unmasked=np.sort(perm[..., count:], axis=-1),
         ratio=ratio,
-        seed=seed,
+        seed=tuple(seed) if np.ndim(seed) else seed,
     )
 
 
@@ -161,7 +138,9 @@ def split_tile(tile, patch_size: int, invalid_sentinel: float = np.nan):
     """
     if patch_size < 1:
         raise ParameterError(f"patch size must be >= 1, got {patch_size}")
-    arr = _as_array(tile)
+    arr = np.asarray(tile, dtype=np.float64)
+    if arr.ndim != 3:
+        raise DimensionError(f"expected a [C, H, W] image, got shape {arr.shape}")
     c, h, w = arr.shape
     p = patch_size
     rows, cols = h // p, w // p

@@ -105,9 +105,6 @@ class AdamW:
             step *= lr
             p.data -= step
 
-    def zero_grad(self):
-        zero_grads(self.params)
-
 
 # ---------------------------------------------------------------------------
 # Optimizer sidecar (next to the model checkpoint, enables exact resume)
@@ -254,7 +251,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     if optimizer is None:
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     step = optimizer.step_count
-    optimizer.zero_grad()
+    zero_grads(optimizer.params)
     records = []
 
     def emit(record):
@@ -282,7 +279,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
                 raise EvaluationError(f"step {step + 1}: grad_norm is not finite ({grad_norm})")
             lr = cosine_lr(step, total_steps, tcfg.lr, warmup)
             optimizer.step(lr=lr)
-            optimizer.zero_grad()
+            zero_grads(optimizer.params)
             step = optimizer.step_count
             emit({"step": step, **terms})
         if len(val_ids) >= 2:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csmoe.cli as cli_module
 from csmoe.cli import _SECTIONS, _build_parser, _load_embeddings, _run_config, main
 from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
+from csmoe.sampler import GaConfig
 from csmoe.tokenizer import MaskPair
 
 from util import mini_config, write_sampling_inputs
@@ -235,6 +238,73 @@ def test_sample_deterministic_outputs(tmp_path):
     assert report["total_described"] == 160
     assert 90 <= report["total_selected"] <= 110
     assert "tournament" in report["operators"]
+
+
+def test_sample_report_records_every_ga_setting(tmp_path):
+    # two runs that differ only in stagnation_limit must say so in their reports
+    archive, climate, thematic = write_sampling_inputs(tmp_path)
+    settings_of = []
+    for limit in (0, 3):
+        run = tmp_path / f"run{limit}.json"
+        run.write_text(json.dumps({"ga": {"stagnation_limit": limit}}))
+        rep = tmp_path / f"rep{limit}.json"
+        assert main(["sample", "--config", str(run), "--archive", str(archive), "--climate", str(climate),
+                     "--thematic", str(thematic), "--out", str(tmp_path / "sel.csv"), "--report", str(rep),
+                     "--target", "100", "--iters", "5", "--pop", "3", "--seed", "1"]) == 0
+        report = json.loads(rep.read_text())
+        settings_of.append({k: v for k, v in report.items()
+                            if k not in ("strata", "total_selected", "total_described")})
+    assert {f.name for f in fields(GaConfig)} | {"operators"} == set(settings_of[0])
+    assert settings_of[0] == {**settings_of[1], "stagnation_limit": 0} != settings_of[1]
+
+
+def _exit_and_stderr(argv):
+    """``main(argv)``'s exit code and stderr, stdout discarded; any other
+    exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_CSV_EDITS = dict(cut=st.none() | st.integers(0, 400),
+                  edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=4))
+
+
+def _mutated(blob: bytes, cut, edits) -> bytes:
+    blob = bytearray(blob)
+    if cut is not None:
+        del blob[cut:]
+    for at, value in edits:
+        if blob:
+            blob[at % len(blob)] = value
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_CSV_EDITS)
+def test_sample_on_mutated_archive_exits_0_or_2_naming_it(tmp_path_factory, cut, edits):
+    root = tmp_path_factory.getbasetemp() / "fuzz_archive"
+    root.mkdir(exist_ok=True)
+    archive, climate, thematic = write_sampling_inputs(root, n_entries=12)
+    archive.write_bytes(_mutated(archive.read_bytes(), cut, edits))
+    code, err = _exit_and_stderr(["sample", "--archive", str(archive), "--climate", str(climate),
+                                  "--thematic", str(thematic), "--out", str(root / "sel.csv"),
+                                  "--target", "4", "--iters", "2", "--pop", "2"])
+    assert code == 0 or (code == 2 and err.startswith(f"csmoe: error: {archive}")), err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_CSV_EDITS)
+def test_eval_retrieval_on_mutated_labels_exits_0_or_2_naming_them(tmp_path_factory, cut, edits):
+    root = tmp_path_factory.getbasetemp() / "fuzz_labels"
+    if not root.exists():
+        write_embedding_dir(root, {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+    labels = root / "labels.csv"
+    labels.write_bytes(_mutated(b"id,labels\na,A;B\nb,B\nc,C;A\n", cut, edits))
+    code, err = _exit_and_stderr(["eval-retrieval", "--queries", str(root), "--gallery", str(root),
+                                  "--labels", str(labels), "--task", "S1>S1", "--k", "2"])
+    assert code == 0 or (code == 2 and err.startswith(f"csmoe: error: {labels}")), err
 
 
 def test_sample_baseline_flag(tmp_path):
@@ -875,7 +945,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "sample_grid_trailing_bytes",
                                   "eval_retrieval_zero_projection", "split_tiles_good_then_bad",
                                   "pretrain_mask_hides_no_patch", "grad_check_mask_hides_no_patch",
-                                  "flops_mask_hides_no_patch"])
+                                  "flops_mask_hides_no_patch", "sample_archive_not_utf8",
+                                  "eval_retrieval_labels_not_utf8", "config_not_utf8",
+                                  "sample_population_out_of_memory", "grad_check_enc_dim_out_of_memory"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -914,6 +986,17 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                            .replace(b'"rows": 1', b'"rows": 0'))
     trailing_grid = tmp_path / "trailing.grid"  # the 1 x 1 raster with a second row appended
     trailing_grid.write_bytes(climate.read_bytes() + (1).to_bytes(2, "little"))
+    latin1_archive = tmp_path / "latin1.csv"  # the id on line 4 holds a byte that is not UTF-8
+    latin1_archive.write_bytes(archive.read_bytes().replace(b"\nt002,", b"\nt\xe902,"))
+    latin1_labels = tmp_path / "latin1_labels.csv"
+    latin1_labels.write_bytes(b"id,labels\na,A\nb,\xffB\n")
+    latin1_cfg = tmp_path / "latin1.json"
+    latin1_cfg.write_bytes(b'{"model": {"seed": 1}}\xff')
+    # 1 PiB or more: above the 47-bit user address space, so the allocation
+    # fails before any byte is touched, whatever the overcommit mode
+    huge_model = tmp_path / "huge_model.json"
+    huge_model.write_text(json.dumps({"model": {**json.loads(Path(cfg).read_text())["model"],
+                                                "enc_dim": 2**40}}))
     if case == "eval_retrieval_zero_projection":  # every projected CLS row is zero: NaN once normalized
         model = init_model(mini_config())
         model.params["proj.weight"].data[...] = 0.0
@@ -998,6 +1081,22 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                             "--task", "S1>S1", "--strategy", "norm_proj_cls",
                                             "--out", str(tmp_path / "out")], 2,
                                            f"{tmp_path / 'images' / 'a.tnsr'}: projected CLS row has zero norm"),
+        "sample_archive_not_utf8": (["sample", "--archive", str(latin1_archive), "--climate", str(climate),
+                                     "--thematic", str(climate), "--out", str(tmp_path / "out")], 2,
+                                    f"{latin1_archive}: line 4 is not UTF-8 text"),
+        "eval_retrieval_labels_not_utf8": (["eval-retrieval", "--queries", str(emb), "--gallery", str(emb),
+                                            "--labels", str(latin1_labels), "--task", "S1>S1",
+                                            "--out", str(tmp_path / "out")], 2,
+                                           f"{latin1_labels}: line 3 is not UTF-8 text"),
+        "config_not_utf8": (["flops", "--config", str(latin1_cfg), "--out", str(tmp_path / "out")], 2,
+                            f"{latin1_cfg}: line 1 is not UTF-8 text"),
+        "sample_population_out_of_memory": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                             "--thematic", str(climate), "--out", str(tmp_path / "out"),
+                                             "--pop", "10000000000000"], 2,
+                                            "csmoe: error: out of memory: Unable to allocate 1.42 PiB"),
+        "grad_check_enc_dim_out_of_memory": (["grad-check", "--config", str(huge_model),
+                                              "--out", str(tmp_path / "out")], 2,
+                                             "csmoe: error: out of memory: Unable to allocate 1.00 PiB"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_profile_components_carry_both_params_and_flops():
 
 def test_profile_report_has_convention_and_breakdown():
     prof = profile(mini_config())
-    d = prof.to_dict()
+    d = asdict(prof)
     assert "multiply-accumulate" in d["convention"]
     assert d["params"] > 0 and d["flops"] > 0
     assert abs(d["c2c"] - (d["params"] / 1e6) / (d["flops"] / 1e9)) < 1e-9

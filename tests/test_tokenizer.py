@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -207,5 +210,5 @@ def test_split_tile_keeps_cells_in_raster_order(sentinel):
 
 def test_split_tile_report_roundtrip_dict():
     _, report = split_tile(np.zeros((1, 240, 360)), 120)
-    d = report.to_dict()
+    d = json.loads(json.dumps(asdict(report)))
     assert d["kept"] == 6 and d["patch_shape"] == [120, 120]
