@@ -203,6 +203,9 @@ def _write_json(payload, out, indent=2, echo=False):
 
 
 def _cmd_sample(args) -> int:
+    for flag, out in (("--out", args.out), ("--report", args.report)):
+        if out and not Path(out).parent.is_dir():  # fail now, not after the GA has run
+            raise DataError(f"{flag} {out}: {Path(out).parent} is not a directory")
     ga = _run_config(args).ga
     archive = load_archive(args.archive)
     climate = load_grid(args.climate)

@@ -924,7 +924,11 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     one (there is no fsync, so this does not guard against power loss)."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        fh = open(tmp, mode, **open_kwargs)
+    except OSError as exc:  # name the file the caller asked for, not its temp twin
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -13,7 +13,10 @@ stratum; fitness takes one chord and one arcsin per selected pair, never an
 n x n distance matrix, so a stratum of n entries costs O(n) memory. The
 population, one [P, n] bool matrix, evolves by tournament(2) selection,
 uniform crossover, bit-flip mutation, elitism of one, and random
-prune/augment repair to the 90-110% size band."""
+prune/augment repair to the 90-110% size band. Each stratum draws from its
+own random stream, so on Linux the strata evolve at once in forked worker
+processes, at most one per usable CPU, and the result does not depend on how
+many there are."""
 
 from __future__ import annotations
 
@@ -21,11 +24,13 @@ import csv
 import functools
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, open_utf8, require
+from .errors import CsmoeError, DataError, FormatError, ParameterError, open_utf8, require
 from .numerics import atomic_write, read_array, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
@@ -311,6 +316,105 @@ def _evolve_one(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
     return selected, info
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _attempt(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
+    """(True, ``_evolve_one``'s result) or (False, the exception it raised)."""
+    try:
+        return True, _evolve_one(key, centers, cfg, baseline)
+    except BaseException as exc:  # the caller raises it, as a serial run would have
+        return False, exc
+
+
+def _worker(send, parent: int, key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
+    """A forked worker: sends ``_attempt``'s outcome to ``parent``. It first
+    has the kernel kill it when the parent dies, by any signal, SIGKILL too."""
+    import ctypes
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(1, 9) != 0:  # PR_SET_PDEATHSIG, SIGKILL
+        send.send((False, OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed in a sampling worker")))
+    elif os.getppid() == parent:  # else the parent died before prctl took hold
+        send.send(_attempt(key, centers, cfg, baseline))
+
+
+def _evolve_all(jobs: dict, cfg: GaConfig, baseline: bool) -> list:
+    """``_evolve_one`` of every {key: centers} job, in ``jobs`` order.
+
+    On Linux, each stratum the GA evolves runs in its own forked worker, at
+    most one per usable CPU at once, the largest first; the rest run here,
+    as everything does with one CPU or one stratum to evolve. As in a serial
+    run, the first stratum in ``jobs`` order to fail raises its error, and no
+    stratum after it starts or keeps running. No worker outlives the call:
+    each is killed and joined before it returns or raises, KeyboardInterrupt
+    included.
+    """
+    workers = min(_usable_cpus(), sum(len(c) > cfg.target_size for c in jobs.values()))
+    if workers < 2 or sys.platform != "linux":  # only Linux can make a worker die with its parent
+        return [_evolve_one(key, centers, cfg, baseline) for key, centers in jobs.items()]
+    import multiprocessing  # imported only when workers run, so no command's start-up pays for it
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    keys, started, running, results, errors = list(jobs), [], {}, {}, {}
+    todo = sorted(range(len(keys)), key=lambda i: len(jobs[keys[i]]))  # pop() gives the largest
+
+    def settle(i, outcome):
+        ok, value = outcome
+        if ok:
+            results[i] = value
+        elif isinstance(value, Exception):
+            errors[i] = value
+        else:
+            raise value  # an interrupt, not a failure of the stratum
+
+    try:
+        while running or todo:
+            while todo and len(running) < workers:
+                i = todo.pop()
+                if errors and i > min(errors):  # a serial run would never reach this stratum
+                    continue
+                if len(jobs[keys[i]]) <= cfg.target_size:  # nothing to evolve: cheaper here than forked
+                    settle(i, _attempt(keys[i], jobs[keys[i]], cfg, baseline))
+                    continue
+                receive, send = context.Pipe(duplex=False)
+                process = context.Process(target=_worker, daemon=True,
+                                          args=(send, os.getpid(), keys[i], jobs[keys[i]], cfg, baseline))
+                started.append(process)
+                process.start()
+                send.close()
+                running[receive] = process, i
+            for receive in wait(list(running)) if running else ():
+                process, i = running.pop(receive)
+                try:
+                    outcome = receive.recv()
+                except EOFError:
+                    process.join()
+                    outcome = False, CsmoeError(f"a sampling worker process died evolving stratum "
+                                                f"{keys[i]}: exit code {process.exitcode}")
+                receive.close()
+                settle(i, outcome)
+            for receive, (process, i) in list(running.items()):
+                if errors and i > min(errors):
+                    process.kill()
+                    del running[receive]
+    finally:
+        for process, _ in running.values():
+            process.kill()
+        for process in started:
+            process.join()
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(keys))]
+
+
 def sample_archive(archive: Archive, climate: ClassRaster, thematic: ClassRaster, cfg: GaConfig,
                    baseline: bool = False):
     """Descriptor generation, stratification, per-stratum evolution, union.
@@ -318,14 +422,15 @@ def sample_archive(archive: Archive, climate: ClassRaster, thematic: ClassRaster
     Returns (selection, SamplingReport) where the selection is a list of
     (id, u, v, stratum fitness) rows in sorted stratum order. Per-stratum
     RNG streams derive from (seed, climate, thematic), so results do not
-    depend on how the archive interleaves its strata.
+    depend on how the archive interleaves its strata, nor on how many
+    worker processes evolve them.
     """
     strata = stratify(*generate_descriptors(archive, climate, thematic))
     centers = archive.centers
     report = SamplingReport(**asdict(cfg), total_described=sum(idx.size for idx in strata.values()))
+    results = _evolve_all({key: centers[idx] for key, idx in strata.items()}, cfg, baseline)
     selection = []
-    for (u, v), idx in strata.items():
-        selected, info = _evolve_one((u, v), centers[idx], cfg, baseline)
+    for ((u, v), idx), (selected, info) in zip(strata.items(), results):
         report.strata.append(info)
         selection += [(archive.ids[i], u, v, info["fitness"]) for i in idx[selected]]
     report.total_selected = len(selection)

@@ -2,9 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csmoe.cli as cli_module
+import csmoe.sampler as sampler_module
 from csmoe.cli import _SECTIONS, _build_parser, _load_embeddings, _run_config, main
 from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
 from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
@@ -354,6 +358,148 @@ def test_sample_rejects_bad_archive_row(tmp_path, capsys, row, problem):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{archive}: bad row 6: " in err and problem in err and "Traceback" not in err
+    assert not (tmp_path / "sel.csv").exists()
+
+
+def _pool_argv(tmp_path, *extra):
+    """``sample`` over three strata of about 80 entries, each above the target
+    of 20, so that two or more usable CPUs evolve them in worker processes."""
+    archive, climate, thematic = write_sampling_inputs(tmp_path, n_entries=240, strata=3)
+    return ["sample", "--archive", str(archive), "--climate", str(climate), "--thematic", str(thematic),
+            "--out", str(tmp_path / "sel.csv"), "--report", str(tmp_path / "rep.json"),
+            "--target", "20", "--iters", "6", "--pop", "4", "--seed", "5", "--baseline", *extra]
+
+
+def test_sample_output_is_independent_of_the_worker_count(tmp_path, monkeypatch):
+    outputs, evolving = [], []
+    evolve = sampler_module.evolve_stratum
+    for cpus in (1, 2):
+        pids = tmp_path / f"pids{cpus}"
+
+        def recorded(centers, *args, **kwargs):  # notes which process evolves each stratum
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()} {len(centers)}\n")
+            return evolve(centers, *args, **kwargs)
+
+        monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sampler_module, "evolve_stratum", recorded)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(_pool_argv(tmp_path)) == 0
+        monkeypatch.undo()
+        evolving.append([line.split() for line in pids.read_text().splitlines()])
+        outputs.append(((tmp_path / "sel.csv").read_bytes(), (tmp_path / "rep.json").read_bytes(),
+                        stdout.getvalue()))
+    assert outputs[0] == outputs[1]
+    assert {pid for pid, _ in evolving[0]} == {str(os.getpid())}  # one CPU: every stratum evolves here
+    assert len({pid for pid, _ in evolving[1]} - {str(os.getpid())}) == 3  # two: each in its own worker
+    assert {size for _, size in evolving[1][:2]} == {"94", "80"}  # the two largest go first
+    report = json.loads(outputs[0][1])
+    assert [s["stratum_size"] > 20 for s in report["strata"]] == [True, True, True]
+    assert multiprocessing.active_children() == []
+
+
+def test_sample_leaves_no_worker_process_after_a_worker_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: 2)
+    # 10^14 x ~80 bools is about 7 PiB, far above the 47-bit user address space
+    code, err = _exit_and_stderr(_pool_argv(tmp_path, "--pop", "100000000000000"))
+    assert code == 2 and err.startswith("csmoe: error: out of memory: Unable to allocate"), err
+    assert multiprocessing.active_children() == []
+
+    def interrupted(*args, **kwargs):  # in every worker, as Ctrl-C reaches the whole process group
+        with open(tmp_path / "started", "a") as fh:
+            fh.write("stratum\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sampler_module, "evolve_stratum", interrupted)
+    with pytest.raises(KeyboardInterrupt), contextlib.redirect_stdout(io.StringIO()):
+        main(_pool_argv(tmp_path))
+    assert multiprocessing.active_children() == []
+    assert len((tmp_path / "started").read_text().split()) <= 2  # no third stratum starts after it
+    assert not (tmp_path / "sel.csv").exists() and not (tmp_path / "rep.json").exists()
+
+
+def test_sample_worker_that_dies_exits_two_with_a_message(tmp_path, monkeypatch):
+    monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != parent, "a stratum evolved in the test process"
+        os._exit(3)
+
+    monkeypatch.setattr(sampler_module, "evolve_stratum", die)
+    code, err = _exit_and_stderr(_pool_argv(tmp_path))
+    assert code == 2 and err.startswith("csmoe: error: a sampling worker process died"), err
+    assert "stratum (1, 1): exit code 3" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "sel.csv").exists() and not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("largest", ["fails_first", "runs_on"])
+def test_sample_reports_the_first_failing_stratum_for_any_worker_count(tmp_path, monkeypatch, largest):
+    # strata 0, 1, 2 are the west, middle and east columns of 66, 80 and 94
+    # entries; two workers start 2 and 1, then 0 once one of them is done
+    def evolve(centers, cfg, rng):
+        column = int(centers[:, 0].mean() // (10.0 / 3))
+        time.sleep({0: 0.0, 1: 0.15, 2: 30.0 if largest == "runs_on" else 0.0}[column])
+        raise sampler_module.DataError(f"stratum {column} failed")
+
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sampler_module, "evolve_stratum", evolve)
+        start = time.monotonic()
+        outcomes.append(_exit_and_stderr(_pool_argv(tmp_path)))
+        assert time.monotonic() - start < 10
+    assert outcomes[0] == outcomes[1] == (2, "csmoe: error: stratum 0 failed\n"), outcomes
+    assert multiprocessing.active_children() == []
+
+
+def _gone(pid):
+    """Whether ``pid`` has exited; a zombie that its new parent has yet to reap counts."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers run on Linux only, and this reads /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT, signal.SIGKILL], ids=["term", "int", "kill"])
+def test_sample_leaves_no_worker_when_only_its_process_is_signalled(tmp_path, sig):
+    pids = tmp_path / "pids"
+    code = (f"import os, sys, time\n"
+            f"import csmoe.sampler as sampler\n"
+            f"from csmoe.cli import main\n"
+            f"sampler._usable_cpus = lambda: 2\n"
+            f"def evolve(*args, **kwargs):  # a stratum that would run for a minute\n"
+            f"    with open({str(pids)!r}, 'a') as fh:\n"
+            f"        fh.write(f'{{os.getpid()}}\\n')\n"
+            f"    time.sleep(60)\n"
+            f"sampler.evolve_stratum = evolve\n"
+            f"sys.exit(main({_pool_argv(tmp_path)!r}))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = pids.read_text().split() if pids.exists() else []
+        assert len(workers) == 2, proc.stderr.read() if proc.poll() is not None else "no workers"
+        os.kill(proc.pid, sig)  # the parent alone, not its process group
+        proc.wait(timeout=10)
+        assert proc.returncode == -sig
+        deadline = time.monotonic() + 10
+        while not all(_gone(int(pid)) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert all(_gone(int(pid)) for pid in workers)
+    finally:
+        proc.kill()
+        proc.communicate()
+        for pid in workers:
+            if not _gone(int(pid)):
+                os.kill(int(pid), signal.SIGKILL)
     assert not (tmp_path / "sel.csv").exists()
 
 
@@ -947,7 +1093,8 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "pretrain_mask_hides_no_patch", "grad_check_mask_hides_no_patch",
                                   "flops_mask_hides_no_patch", "sample_archive_not_utf8",
                                   "eval_retrieval_labels_not_utf8", "config_not_utf8",
-                                  "sample_population_out_of_memory", "grad_check_enc_dim_out_of_memory"])
+                                  "sample_population_out_of_memory", "grad_check_enc_dim_out_of_memory",
+                                  "sample_out_dir_missing", "sample_report_dir_missing"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -1097,6 +1244,17 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         "grad_check_enc_dim_out_of_memory": (["grad-check", "--config", str(huge_model),
                                               "--out", str(tmp_path / "out")], 2,
                                              "csmoe: error: out of memory: Unable to allocate 1.00 PiB"),
+        # rejected before any input is read, so the GA never runs; "out" is the other output
+        "sample_out_dir_missing": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                    "--thematic", str(climate), "--out", str(tmp_path / "missing" / "sel.csv"),
+                                    "--report", str(tmp_path / "out")], 2,
+                                   f"csmoe: error: --out {tmp_path / 'missing' / 'sel.csv'}: "
+                                   f"{tmp_path / 'missing'} is not a directory"),
+        "sample_report_dir_missing": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                       "--thematic", str(climate), "--out", str(tmp_path / "out"),
+                                       "--report", str(tmp_path / "missing" / "rep.json")], 2,
+                                      f"csmoe: error: --report {tmp_path / 'missing' / 'rep.json'}: "
+                                      f"{tmp_path / 'missing'} is not a directory"),
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,

@@ -885,9 +885,20 @@ def test_softmax_extreme_logits_stay_normalized():
 
 
 def test_import_cli_leaves_scipy_special_unloaded():
-    # scipy.special is most of the package's import time and only gelu_ffn uses it
-    code = "import sys, csmoe.cli; print('scipy.special' in sys.modules)"
+    # scipy.special is most of the package's import time and only gelu_ffn uses it;
+    # process machinery is only for a sampling run with strata to evolve in workers
+    code = ("import sys, csmoe.cli; "
+            "print([m for m in ('scipy.special', 'multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_atomic_write_names_its_destination_when_it_cannot_open(tmp_path):
+    path = tmp_path / "missing" / "out.bin"
+    with pytest.raises(FileNotFoundError) as caught:
+        with numerics.atomic_write(path):
+            pass
+    assert caught.value.filename == str(path) and ".tmp" not in str(caught.value)

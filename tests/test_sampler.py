@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from csmoe import sampler
 from csmoe.errors import DataError, FormatError, ParameterError
 from csmoe.sampler import (
     Archive,
@@ -474,6 +476,19 @@ def test_sample_archive_deterministic_and_order_invariant():
     sel3, _ = sample_archive(point_archive(interleaved), climate, thematic, cfg)
     as_ids = lambda sel: [eid for eid, _, _, _ in sel]
     assert as_ids(sel1) == as_ids(sel2) == as_ids(sel3)
+
+
+def test_sample_archive_independent_of_the_worker_count(monkeypatch):
+    # at a target of 20 both strata evolve, so two usable CPUs take the pool path
+    points, climate, thematic = two_strata_setup()
+    cfg = GaConfig(target_size=20, generations=8, population_size=4, seed=3)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        selection, report = sample_archive(point_archive(points), climate, thematic, cfg, baseline=True)
+        results.append((selection, asdict(report)))
+    assert results[0] == results[1]
+    assert [s["stratum_size"] for s in results[0][1]["strata"]] == [30, 160]
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def decoder_block(seed=0, **overrides):
     return init_model(mini_config(seed=seed, **overrides)).decoder["x"][0]
 
 
-def write_sampling_inputs(tmp_path, n_entries=160):
-    """A uniform archive CSV of ``n_entries`` points and two one-class GRID1
-    rasters covering them; returns the three paths."""
+def write_sampling_inputs(tmp_path, n_entries=160, strata=1):
+    """A uniform archive CSV of ``n_entries`` points and two GRID1 rasters
+    covering them, the thematic one of one class and the climate one of
+    ``strata`` equal columns with classes 1, 2, ...; returns the three paths."""
     from csmoe.sampler import ClassRaster, save_grid
 
     rng = np.random.default_rng(0)
@@ -87,6 +88,7 @@ def write_sampling_inputs(tmp_path, n_entries=160):
                          grid=np.array([[1]], dtype=np.uint16), nodata=0)
     climate = tmp_path / "climate.grid"
     thematic = tmp_path / "thematic.grid"
-    save_grid(climate, raster)
+    save_grid(climate, ClassRaster(lat_max=10.0, lon_min=0.0, dlat=10.0, dlon=10.0 / strata,
+                                   grid=np.arange(1, strata + 1, dtype=np.uint16)[None], nodata=0))
     save_grid(thematic, raster)
     return archive, climate, thematic
