@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, CsmoeError, DataError, DimensionError, ParameterError, open_utf8
 from .evaluation import dataset_retrieval_f1, profile, retrieve
+from .fileio import atomic_write, load_tnsr, save_tnsr
 from .losses import LossSettings, loss_total
 from .model import (
     EMBEDDING_STRATEGIES,
@@ -31,8 +32,9 @@ from .model import (
     init_model,
     load_checkpoint,
     load_section,
+    truncated_normal,
 )
-from .numerics import atomic_write, check_gradients, load_tnsr, save_tnsr, truncated_normal
+from .numerics import check_gradients
 from .sampler import GaConfig, load_archive, load_grid, sample_archive, write_selection
 from .tokenizer import MaskPair, split_tile
 from .trainer import TrainerConfig, load_pairs, run_pretraining, synthesize_pairs

@@ -22,19 +22,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, FormatError, ParameterError, require
-from .numerics import (
-    Tensor,
-    concat_rows,
-    linear,
-    parameter,
-    read_blocks,
-    scatter_rows,
-    stack,
-    take,
-    take_rows,
-    truncated_normal,
-    write_blocks,
-)
+from .fileio import read_blocks, write_blocks
+from .numerics import Tensor, concat_rows, linear, parameter, scatter_rows, stack, take, take_rows
 from .softmoe import (
     AttentionParams,
     FeedForwardParams,
@@ -379,6 +368,16 @@ def _assemble(cfg: CsmoeConfig, tensors: dict) -> CsmoeModel:
         enc_pos=positional_embedding(cfg.grid, cfg.enc_dim),
         dec_pos=positional_embedding(cfg.grid, cfg.dec_dim),
     )
+
+
+def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
+    """Normal(0, std) with resampling outside +-2 std."""
+    x = rng.normal(0.0, std, size=shape)
+    while True:
+        bad = np.abs(x) > 2.0 * std
+        if not bad.any():
+            return x
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
 
 
 def init_model(cfg: CsmoeConfig) -> CsmoeModel:

@@ -44,16 +44,13 @@ x [..., S, k] to expert s % E.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, FormatError, ParameterError
+from .errors import DimensionError, EvaluationError, ParameterError
+from .fileio import load_tnsr  # noqa: F401  benchmark/bench_workloads.py loads its gallery as numerics.load_tnsr
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -819,157 +816,3 @@ def check_gradients(
         step_size=step,
         checked_elements=int(flat.size),
     )
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-# ---------------------------------------------------------------------------
-
-
-def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    """Normal(0, std) with resampling outside +-2 std."""
-    x = rng.normal(0.0, std, size=shape)
-    while True:
-        bad = np.abs(x) > 2.0 * std
-        if not bad.any():
-            return x
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-
-
-# ---------------------------------------------------------------------------
-# TNSR1 binary tensor files
-# ---------------------------------------------------------------------------
-
-_TNSR_MAGIC = b"TNSR"
-_TNSR_VERSION = 1
-
-
-def write_tnsr(fh, array: np.ndarray):
-    """magic 'TNSR', version u8, rank u8, rank x u32 LE dims, f64 LE payload."""
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim > 255:
-        raise FormatError(f"TNSR1 rank limit is 255, got {arr.ndim}")
-    fh.write(_TNSR_MAGIC)
-    fh.write(struct.pack("<BB", _TNSR_VERSION, arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))  # the array's own buffer if it is one
-
-
-def read_tnsr(fh) -> np.ndarray:
-    head = fh.read(6)
-    if len(head) < 6 or head[:4] != _TNSR_MAGIC:
-        raise FormatError("not a TNSR1 block (bad magic)")
-    version, rank = head[4], head[5]
-    if version != _TNSR_VERSION:
-        raise FormatError(f"unsupported TNSR version {version}")
-    dims = tuple(read_array(fh, (rank,), "<u4", "TNSR1 header").tolist())  # ints: math.prod cannot wrap
-    return read_array(fh, dims, "<f8", "TNSR1 payload").astype(np.float64, copy=False)
-
-
-def read_array(fh, shape, dtype, what: str) -> np.ndarray:
-    """The next array of ``shape`` and ``dtype`` in the seekable ``fh``,
-    read straight into the array returned. FormatError ("truncated
-    ``what``") unless its bytes remain, checked before anything is
-    allocated, so a header that claims any size never allocates it."""
-    itemsize = np.dtype(dtype).itemsize
-    here = fh.tell()
-    if itemsize * math.prod(shape) > fh.seek(0, os.SEEK_END) - here:
-        raise FormatError(f"truncated {what}")
-    fh.seek(here)
-    if itemsize * math.prod(max(d, 1) for d in shape) > np.iinfo(np.intp).max:  # empty, yet too large to shape
-        raise FormatError(f"{what} shape {tuple(shape)} is too large")
-    out = np.empty(shape, dtype=dtype)
-    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-        raise FormatError(f"truncated {what}")
-    return out
-
-
-def save_tnsr(path, array: np.ndarray):
-    with atomic_write(path) as fh:
-        write_tnsr(fh, array)
-
-
-def load_tnsr(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        try:
-            return read_tnsr(fh)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Block files: one JSON header line, then TNSR1 blocks (checkpoints, .opt)
-# ---------------------------------------------------------------------------
-
-
-def read_header(fh, path, kind: str) -> dict:
-    """The JSON object on the first line of ``fh``; FormatError names ``path``."""
-    line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise FormatError(f"{path}: missing {kind} header line")
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable {kind} header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: {kind} header is not a JSON object")
-    return header
-
-
-@contextlib.contextmanager
-def atomic_write(path, mode: str = "wb", **open_kwargs):
-    """Open ``<path>.tmp`` for writing and rename it over ``path`` when the
-    block ends: a killed writer never leaves a torn file, only the previous
-    one (there is no fsync, so this does not guard against power loss)."""
-    tmp = f"{path}.tmp"
-    try:
-        fh = open(tmp, mode, **open_kwargs)
-    except OSError as exc:  # name the file the caller asked for, not its temp twin
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def write_blocks(path, header: dict, arrays):
-    """Write the header line and one TNSR1 block per array, atomically."""
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for array in arrays:
-            write_tnsr(fh, array)
-
-
-def read_blocks(path, fmt: str, versions, expect):
-    """Read a file written by ``write_blocks``; returns (header, arrays).
-
-    The header must be a JSON object with ``format`` ``fmt`` and an int
-    ``version`` in ``versions``; ``expect(header)`` then returns the
-    (label, shape) of every block in order. Each block must have its shape
-    and nothing may follow the last; every FormatError names the file and
-    the block's label.
-    """
-    with open(path, "rb") as fh:
-        header = read_header(fh, path, fmt)
-        if header.get("format") != fmt:
-            raise FormatError(f"{path}: not a {fmt} file")
-        version = header.get("version")
-        if type(version) is not int or version not in versions:
-            raise FormatError(f"{path}: unsupported {fmt} version {version!r}")
-        arrays, label = [], "the header"
-        for label, shape in expect(header):
-            try:
-                arr = read_tnsr(fh)
-            except FormatError as exc:
-                raise FormatError(f"{path}: block {label}: {exc}") from exc
-            if arr.shape != tuple(shape):
-                raise FormatError(f"{path}: block {label} has shape {arr.shape}, expected {tuple(shape)}")
-            arrays.append(arr)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after {label}")
-    return header, arrays

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CsmoeError, DataError, FormatError, ParameterError, open_utf8, require
-from .numerics import atomic_write, read_array, read_header
+from .fileio import atomic_write, read_array, read_header
 
 EARTH_RADIUS_KM = 6371.0  # mean sphere radius; half circumference 20015.09 km
 
@@ -522,10 +522,7 @@ def load_grid(path) -> ClassRaster:
             if key in ("dlat", "dlon") and header[key] <= 0:
                 raise FormatError(f"{path}: GRID1 header {key} must be positive, got {header[key]!r}")
         rows, cols = header["rows"], header["cols"]
-        try:
-            grid = read_array(fh, (rows, cols), "<u2", "GRID1 payload")
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        grid = read_array(fh, (rows, cols), "<u2", "GRID1 payload", path)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after the GRID1 payload")
     return ClassRaster(

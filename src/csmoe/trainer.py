@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EvaluationError, FormatError, ParameterError, require
+from .fileio import atomic_write, load_tnsr, read_blocks, save_tnsr, write_blocks
 from .losses import LossSettings, loss_total
 from .model import MODALITIES, CsmoeModel, check_image, convert_v1, forward, manifest_header, save_checkpoint
-from .numerics import atomic_write, backward, load_tnsr, read_blocks, save_tnsr, write_blocks, zero_grads
+from .numerics import backward, zero_grads
 
 OPT_FORMAT = "CSMOE-OPT"
 OPT_VERSION = 2  # the checkpoint's layout version; version 1 files still load

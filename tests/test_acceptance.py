@@ -15,8 +15,8 @@ import csmoe.softmoe as softmoe
 from csmoe.cli import main
 from csmoe.evaluation import c2c_ratio, forward_flops, profile, retrieval_f1, retrieve
 from csmoe.losses import loss_ent, loss_mi, loss_rep, loss_total, rec_loss
-from csmoe.model import CsmoeConfig, forward, init_model
-from csmoe.numerics import FlopCounter, Tensor, check_gradients, truncated_normal
+from csmoe.model import CsmoeConfig, forward, init_model, truncated_normal
+from csmoe.numerics import FlopCounter, Tensor, check_gradients
 from csmoe.sampler import (
     GaConfig,
     evolve_stratum,
@@ -364,7 +364,7 @@ def test_criterion_13_cli_determinism(tmp_path):
     # split-tiles
     tiles = tmp_path / "tiles"
     tiles.mkdir()
-    from csmoe.numerics import save_tnsr
+    from csmoe.fileio import save_tnsr
 
     save_tnsr(tiles / "t.tnsr", np.random.default_rng(1).standard_normal((1, 250, 130)))
     run_twice("split-tiles", lambda d: [

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import csmoe.cli as cli_module
 import csmoe.sampler as sampler_module
 from csmoe.cli import _SECTIONS, _build_parser, _load_embeddings, _run_config, main
+from csmoe.fileio import load_tnsr, read_tnsr, save_tnsr, write_tnsr
 from csmoe.model import build_embedding, encode, init_model, load_checkpoint, save_checkpoint
-from csmoe.numerics import load_tnsr, read_tnsr, save_tnsr, write_tnsr
 from csmoe.sampler import GaConfig
 from csmoe.tokenizer import MaskPair
 

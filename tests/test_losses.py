@@ -13,8 +13,8 @@ from csmoe.losses import (
     normalize_pixel_targets,
     rec_loss,
 )
-from csmoe.model import forward, init_model
-from csmoe.numerics import Tensor, backward, check_gradients, parameter, truncated_normal
+from csmoe.model import forward, init_model, truncated_normal
+from csmoe.numerics import Tensor, backward, check_gradients, parameter
 
 from util import mini_config, rel_err
 

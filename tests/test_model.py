@@ -15,8 +15,9 @@ from csmoe.model import (
     manifest_header,
     parameter_manifest,
     save_checkpoint,
+    truncated_normal,
 )
-from csmoe.numerics import Tensor, backward, truncated_normal, zero_grads
+from csmoe.numerics import Tensor, backward, zero_grads
 from csmoe.tokenizer import MaskPair, sample_masks
 
 from util import finite_difference, mini_config, rel_err, weighted_sum

@@ -1,4 +1,6 @@
+import functools
 import gc
+import inspect
 import io
 import json
 import os
@@ -14,6 +16,7 @@ from scipy.special import erf
 
 import csmoe.numerics as numerics
 from csmoe.errors import DimensionError, EvaluationError, FormatError, ParameterError
+from csmoe.fileio import atomic_write, load_tnsr, read_blocks, read_tnsr, save_tnsr, write_blocks, write_tnsr
 from csmoe.numerics import (
     FlopCounter,
     Tensor,
@@ -27,15 +30,11 @@ from csmoe.numerics import (
     gelu_flops,
     layer_norm,
     linear,
-    load_tnsr,
     masked_mse,
     matmul,
     mul,
     parameter,
-    read_blocks,
-    read_tnsr,
     reshape,
-    save_tnsr,
     scatter_rows,
     slot_repulsion,
     softmax,
@@ -43,14 +42,12 @@ from csmoe.numerics import (
     take,
     take_rows,
     transpose,
-    truncated_normal,
-    write_blocks,
-    write_tnsr,
 )
 
 from csmoe.losses import loss_total
-from csmoe.model import forward, init_model
+from csmoe.model import forward, init_model, truncated_normal
 from csmoe.sampler import load_grid
+from csmoe.trainer import TrainerConfig, run_pretraining
 
 from util import finite_difference, mini_config, rel_err, weighted_sum
 
@@ -778,6 +775,43 @@ def test_training_step_tape_stays_within_budget():
     assert ops == 161, ops
 
 
+def test_op_census_counts_only_tape_ops(tmp_path, monkeypatch):
+    # the benchmark's op census wraps every public function numerics defines,
+    # less cost formulas, the sweep and parameter set-up, under each name a
+    # csmoe module binds it to: a run that also writes its checkpoint and .opt
+    # calls the 161 tape ops of each step, and nothing else
+    cfg = mini_config(patch_size=8, image_side=32, channels_y=10, enc_dim=64, dec_dim=32,
+                      enc_layers_modality=2, dec_layers=2, num_slots=4, heads=4, dec_heads=4,
+                      proj_dim=32)
+    model = init_model(cfg)
+    calls = []
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in list(vars(numerics).items()):
+        if (name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != numerics.__name__
+                or name.endswith("_flops") or name in {"backward", "zero_grads", "check_gradients", "parameter"}):
+            continue
+        wrapper = counted(name, fn)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("csmoe."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapper)
+    rng = np.random.default_rng(11)
+    pairs = [(f"p{i}", rng.standard_normal((2, 32, 32)), rng.standard_normal((10, 32, 32))) for i in range(8)]
+    steps = 2
+    run_pretraining(model, pairs, TrainerConfig(epochs=steps, batch_size=8, val_fraction=0.0), 1,
+                    tmp_path / "m.ckpt", tmp_path / "log.jsonl")
+    assert (tmp_path / "m.ckpt").exists() and (tmp_path / "m.ckpt.opt").exists()
+    assert len(calls) == 161 * steps, sorted(set(calls))
+
+
 def test_tnsr_roundtrip(tmp_path):
     arr = np.random.default_rng(9).standard_normal((3, 5, 2))
     path = tmp_path / "a.tnsr"
@@ -896,9 +930,18 @@ def test_import_cli_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_fileio_and_sampler_leaves_numerics_unloaded():
+    # the file formats and the sampler need no autodiff core
+    code = "import sys, csmoe.fileio, csmoe.sampler; print('csmoe.numerics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_atomic_write_names_its_destination_when_it_cannot_open(tmp_path):
     path = tmp_path / "missing" / "out.bin"
     with pytest.raises(FileNotFoundError) as caught:
-        with numerics.atomic_write(path):
+        with atomic_write(path):
             pass
     assert caught.value.filename == str(path) and ".tmp" not in str(caught.value)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import csmoe.numerics as numerics
+import csmoe.fileio as fileio
 import csmoe.trainer as trainer
 from csmoe.cli import main
-from csmoe.errors import DataError, EvaluationError, FormatError
+from csmoe.errors import CsmoeError, DataError, EvaluationError, FormatError
+from csmoe.fileio import save_tnsr
 from csmoe.losses import loss_total
-from csmoe.model import forward, init_model, save_checkpoint
-from csmoe.numerics import Tensor, backward, parameter, save_tnsr
+from csmoe.model import forward, init_model, load_checkpoint, save_checkpoint
+from csmoe.numerics import Tensor, backward, parameter
 from csmoe.sampler import ClassRaster, save_grid
 from csmoe.trainer import (
     AdamW,
@@ -297,6 +298,30 @@ def test_optimizer_state_reader_lets_only_format_error_escape(tmp_path_factory, 
         assert str(exc).startswith(f"{path}: ")
 
 
+@functools.lru_cache(maxsize=1)
+def _checkpoint_bytes(directory):
+    save_checkpoint(init_model(mini_config()), directory / "base.ckpt")
+    return (directory / "base.ckpt").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cut=st.none() | st.integers(0, 2**19),
+       edits=st.lists(st.tuples(st.integers(0, 2047) | st.integers(0, 2**19), st.integers(0, 255)), max_size=3))
+def test_checkpoint_reader_lets_only_csmoe_error_escape(tmp_path_factory, cut, edits):
+    # the same for a checkpoint, whose header also holds the model config
+    blob = bytearray(_checkpoint_bytes(tmp_path_factory.getbasetemp()))
+    if cut is not None:
+        del blob[max(cut, 1):]
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CsmoeError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("k", [0, 3])
 def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, k):
     model = init_model(mini_config())
@@ -309,7 +334,7 @@ def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, 
         p.data = p.data + 1.0
         opt.m[name] += 1.0
     opt.step_count = 5
-    real, written = numerics.write_tnsr, []
+    real, written = fileio.write_tnsr, []
 
     def failing_write_tnsr(fh, array):
         if len(written) == k:
@@ -317,7 +342,7 @@ def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, 
         written.append(array.shape)
         real(fh, array)
 
-    monkeypatch.setattr(numerics, "write_tnsr", failing_write_tnsr)
+    monkeypatch.setattr(fileio, "write_tnsr", failing_write_tnsr)
     for save in (lambda: save_checkpoint(model, ckpt),
                  lambda: save_optimizer_state(state, opt, epoch=1, model=model)):
         written.clear()
@@ -388,7 +413,7 @@ def test_interrupted_writer_leaves_previous_files_intact(tmp_path, monkeypatch, 
     for save in (lambda: save_tnsr(tnsr, np.ones((2, 3))),
                  lambda: save_grid(grid, replace(raster, grid=raster.grid + 1))):
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "open", KilledAfterKBytes, raising=False)
+            patch.setattr(fileio, "open", KilledAfterKBytes, raising=False)
             with pytest.raises(KeyboardInterrupt):
                 save()
     assert {path: path.read_bytes() for path in (tnsr, grid)} == before
