@@ -204,10 +204,27 @@ def _write_json(payload, out, indent=2, echo=False):
         dump(sys.stdout)
 
 
+def _check_outputs(*outputs):
+    """Refuse (flag, path) outputs that could not be written, or that would
+    overwrite each other: checked before any input is read, so a typo costs
+    no GA run or training."""
+    seen = {}
+    for flag, out in outputs:
+        if not out:
+            continue
+        path = Path(out)
+        if not path.parent.is_dir():
+            raise DataError(f"{flag} {out}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise DataError(f"{flag} {out} is a directory")
+        real = path.resolve()
+        if real in seen:
+            raise DataError(f"{flag} {out} names the same file as {seen[real]}")
+        seen[real] = f"{flag} {out}"
+
+
 def _cmd_sample(args) -> int:
-    for flag, out in (("--out", args.out), ("--report", args.report)):
-        if out and not Path(out).parent.is_dir():  # fail now, not after the GA has run
-            raise DataError(f"{flag} {out}: {Path(out).parent} is not a directory")
+    _check_outputs(("--out", args.out), ("--report", args.report))
     ga = _run_config(args).ga
     archive = load_archive(args.archive)
     climate = load_grid(args.climate)
@@ -250,6 +267,8 @@ def _cmd_pretrain(args) -> int:
             raise DataError(f"{name} is required (flag or paths section of the config)")
     if args.resume == "":
         raise DataError("--resume needs a checkpoint path, got an empty string")
+    _check_outputs(("--checkpoint", paths.checkpoint), ("--checkpoint", f"{paths.checkpoint}.opt"),
+                   ("--log", paths.log))
     if args.synthesize:
         synthesize_pairs(paths.data_dir, args.synthesize, run.model, seed)
     model = init_model(run.model) if args.resume is None else load_checkpoint(args.resume)

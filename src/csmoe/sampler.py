@@ -14,9 +14,10 @@ n x n distance matrix, so a stratum of n entries costs O(n) memory. The
 population, one [P, n] bool matrix, evolves by tournament(2) selection,
 uniform crossover, bit-flip mutation, elitism of one, and random
 prune/augment repair to the 90-110% size band. Each stratum draws from its
-own random stream, so on Linux the strata evolve at once in forked worker
-processes, at most one per usable CPU, and the result does not depend on how
-many there are."""
+own random stream, so on Linux the strata to evolve run at once in forked
+worker processes, at most one per usable CPU, and the strata kept whole run
+in the calling process after them; the result depends neither on how many
+workers there are nor on the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -204,7 +205,8 @@ def selection_fitness(unit: np.ndarray, selected: np.ndarray) -> float:
     if total <= 0.0:
         return float("-inf")
     pos = d[d > 0.0]
-    return float(2.0 * np.log(total) - pos.dot(np.log(pos)) / total - np.log(d.size))
+    # einsum, not BLAS ddot: ddot splits the sum, and so its rounding, by its thread count
+    return float(2.0 * np.log(total) - np.einsum("i,i->", pos, np.log(pos)) / total - np.log(d.size))
 
 
 def repair(bits: np.ndarray, target_size: int, rng: np.random.Generator):
@@ -317,101 +319,91 @@ def _evolve_one(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _attempt(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
-    """(True, ``_evolve_one``'s result) or (False, the exception it raised)."""
-    try:
-        return True, _evolve_one(key, centers, cfg, baseline)
-    except BaseException as exc:  # the caller raises it, as a serial run would have
-        return False, exc
+    """CPUs this process may run on, from its affinity mask (Linux)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _worker(send, parent: int, key, centers: np.ndarray, cfg: GaConfig, baseline: bool):
-    """A forked worker: sends ``_attempt``'s outcome to ``parent``. It first
-    has the kernel kill it when the parent dies, by any signal, SIGKILL too."""
+    """A forked worker: sends ``parent`` ``_evolve_one``'s result or the
+    exception it raised. It first has the kernel kill it when the parent
+    dies, by any signal, SIGKILL too."""
     import ctypes
 
     prctl = ctypes.CDLL(None, use_errno=True).prctl
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     if prctl(1, 9) != 0:  # PR_SET_PDEATHSIG, SIGKILL
-        send.send((False, OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed in a sampling worker")))
+        send.send(OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed in a sampling worker"))
     elif os.getppid() == parent:  # else the parent died before prctl took hold
-        send.send(_attempt(key, centers, cfg, baseline))
+        try:
+            outcome = _evolve_one(key, centers, cfg, baseline)
+        except BaseException as exc:  # the parent raises it, as a serial run would have
+            outcome = exc
+        send.send(outcome)
 
 
 def _evolve_all(jobs: dict, cfg: GaConfig, baseline: bool) -> list:
     """``_evolve_one`` of every {key: centers} job, in ``jobs`` order.
 
-    On Linux, each stratum the GA evolves runs in its own forked worker, at
-    most one per usable CPU at once, the largest first; the rest run here,
-    as everything does with one CPU or one stratum to evolve. As in a serial
-    run, the first stratum in ``jobs`` order to fail raises its error, and no
-    stratum after it starts or keeps running. No worker outlives the call:
-    each is killed and joined before it returns or raises, KeyboardInterrupt
-    included.
+    On Linux, each stratum larger than the target runs in its own forked
+    worker, at most one per usable CPU at once, the largest first. Then
+    every stratum no worker ran runs here, in ``jobs`` order: the strata
+    kept whole, and all of them with one CPU or one stratum to evolve. As in
+    a serial run, the first stratum in ``jobs`` order to fail raises its
+    error, and no stratum after it starts or keeps running. No worker
+    outlives the call: each is killed and joined before it returns or
+    raises, KeyboardInterrupt included.
     """
-    workers = min(_usable_cpus(), sum(len(c) > cfg.target_size for c in jobs.values()))
-    if workers < 2 or sys.platform != "linux":  # only Linux can make a worker die with its parent
-        return [_evolve_one(key, centers, cfg, baseline) for key, centers in jobs.items()]
-    import multiprocessing  # imported only when workers run, so no command's start-up pays for it
-    from multiprocessing.connection import wait
+    keys = list(jobs)
+    todo = sorted((i for i, key in enumerate(keys) if len(jobs[key]) > cfg.target_size),
+                  key=lambda i: len(jobs[keys[i]]))  # pop() gives the largest
+    results, failed = {}, len(keys)  # results[failed] is the first stratum's error
+    # only Linux can make a worker die with its parent
+    workers = min(_usable_cpus(), len(todo)) if sys.platform == "linux" else 1
+    if workers >= 2:
+        import multiprocessing  # imported only when workers run, so no command's start-up pays for it
+        from multiprocessing.connection import wait
 
-    context = multiprocessing.get_context("fork")
-    keys, started, running, results, errors = list(jobs), [], {}, {}, {}
-    todo = sorted(range(len(keys)), key=lambda i: len(jobs[keys[i]]))  # pop() gives the largest
-
-    def settle(i, outcome):
-        ok, value = outcome
-        if ok:
-            results[i] = value
-        elif isinstance(value, Exception):
-            errors[i] = value
-        else:
-            raise value  # an interrupt, not a failure of the stratum
-
-    try:
-        while running or todo:
-            while todo and len(running) < workers:
-                i = todo.pop()
-                if errors and i > min(errors):  # a serial run would never reach this stratum
-                    continue
-                if len(jobs[keys[i]]) <= cfg.target_size:  # nothing to evolve: cheaper here than forked
-                    settle(i, _attempt(keys[i], jobs[keys[i]], cfg, baseline))
-                    continue
-                receive, send = context.Pipe(duplex=False)
-                process = context.Process(target=_worker, daemon=True,
-                                          args=(send, os.getpid(), keys[i], jobs[keys[i]], cfg, baseline))
-                started.append(process)
-                process.start()
-                send.close()
-                running[receive] = process, i
-            for receive in wait(list(running)) if running else ():
-                process, i = running.pop(receive)
-                try:
-                    outcome = receive.recv()
-                except EOFError:
-                    process.join()
-                    outcome = False, CsmoeError(f"a sampling worker process died evolving stratum "
+        context = multiprocessing.get_context("fork")
+        started, running = [], {}
+        try:
+            while running or todo:
+                while todo and len(running) < workers:
+                    i = todo.pop()
+                    receive, send = context.Pipe(duplex=False)
+                    process = context.Process(target=_worker, daemon=True,
+                                              args=(send, os.getpid(), keys[i], jobs[keys[i]], cfg, baseline))
+                    started.append(process)
+                    process.start()
+                    send.close()
+                    running[receive] = process, i
+                for receive in wait(list(running)):
+                    process, i = running.pop(receive)
+                    try:
+                        results[i] = receive.recv()
+                    except EOFError:
+                        process.join()
+                        results[i] = CsmoeError(f"a sampling worker process died evolving stratum "
                                                 f"{keys[i]}: exit code {process.exitcode}")
-                receive.close()
-                settle(i, outcome)
-            for receive, (process, i) in list(running.items()):
-                if errors and i > min(errors):
-                    process.kill()
-                    del running[receive]
-    finally:
-        for process, _ in running.values():
-            process.kill()
-        for process in started:
-            process.join()
-    if errors:
-        raise errors[min(errors)]
+                    receive.close()
+                    if isinstance(results[i], Exception):
+                        failed = min(failed, i)
+                    elif isinstance(results[i], BaseException):
+                        raise results[i]  # an interrupt, not a failure of the stratum
+                todo = [i for i in todo if i < failed]  # a serial run would never reach the rest
+                for receive, (process, i) in list(running.items()):
+                    if i > failed:
+                        process.kill()
+                        del running[receive]
+        finally:
+            for process, _ in running.values():
+                process.kill()
+            for process in started:
+                process.join()
+    for i, key in enumerate(keys):
+        if i == failed:
+            raise results[i]
+        if i not in results:
+            results[i] = _evolve_one(key, jobs[key], cfg, baseline)
     return [results[i] for i in range(len(keys))]
 
 

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -370,26 +371,33 @@ def _pool_argv(tmp_path, *extra):
             "--target", "20", "--iters", "6", "--pop", "4", "--seed", "5", "--baseline", *extra]
 
 
-def test_sample_output_is_independent_of_the_worker_count(tmp_path, monkeypatch):
-    outputs, evolving = [], []
+def _sample_recording_evolvers(tmp_path, monkeypatch, usable_cpus, *extra):
+    """``main(_pool_argv(tmp_path, *extra))`` with ``usable_cpus`` in place of
+    ``sampler._usable_cpus``: (selection, report and stdout, [pid, stratum
+    size] of each ``evolve_stratum`` call in the order they began). Every
+    patch on ``monkeypatch`` is undone on return."""
+    pids = tmp_path / "pids"
+    pids.unlink(missing_ok=True)
     evolve = sampler_module.evolve_stratum
-    for cpus in (1, 2):
-        pids = tmp_path / f"pids{cpus}"
 
-        def recorded(centers, *args, **kwargs):  # notes which process evolves each stratum
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()} {len(centers)}\n")
-            return evolve(centers, *args, **kwargs)
+    def recorded(centers, *args, **kwargs):  # notes which process evolves each stratum
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()} {len(centers)}\n")
+        return evolve(centers, *args, **kwargs)
 
-        monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(sampler_module, "evolve_stratum", recorded)
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(_pool_argv(tmp_path)) == 0
-        monkeypatch.undo()
-        evolving.append([line.split() for line in pids.read_text().splitlines()])
-        outputs.append(((tmp_path / "sel.csv").read_bytes(), (tmp_path / "rep.json").read_bytes(),
-                        stdout.getvalue()))
+    monkeypatch.setattr(sampler_module, "_usable_cpus", usable_cpus)
+    monkeypatch.setattr(sampler_module, "evolve_stratum", recorded)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(_pool_argv(tmp_path, *extra)) == 0
+    monkeypatch.undo()
+    outputs = (tmp_path / "sel.csv").read_bytes(), (tmp_path / "rep.json").read_bytes(), stdout.getvalue()
+    return outputs, [line.split() for line in pids.read_text().splitlines()]
+
+
+def test_sample_output_is_independent_of_the_worker_count(tmp_path, monkeypatch):
+    outputs, evolving = zip(*(_sample_recording_evolvers(tmp_path, monkeypatch, lambda: cpus)
+                              for cpus in (1, 2)))
     assert outputs[0] == outputs[1]
     assert {pid for pid, _ in evolving[0]} == {str(os.getpid())}  # one CPU: every stratum evolves here
     assert len({pid for pid, _ in evolving[1]} - {str(os.getpid())}) == 3  # two: each in its own worker
@@ -397,6 +405,31 @@ def test_sample_output_is_independent_of_the_worker_count(tmp_path, monkeypatch)
     report = json.loads(outputs[0][1])
     assert [s["stratum_size"] > 20 for s in report["strata"]] == [True, True, True]
     assert multiprocessing.active_children() == []
+
+
+def test_sample_keeps_small_strata_whole_in_its_own_process(tmp_path, monkeypatch):
+    # at a target of 70 the west stratum of 66 entries is kept whole; 80 and 94 evolve
+    outputs, evolving = zip(*(_sample_recording_evolvers(tmp_path, monkeypatch, lambda: cpus, "--target", "70")
+                              for cpus in (1, 2)))
+    assert outputs[0] == outputs[1]
+    here = str(os.getpid())
+    assert [pid for pid, _ in evolving[0]] == [here] * 3
+    assert {size: pid == here for pid, size in evolving[1]} == {"66": True, "80": False, "94": False}
+    report = json.loads(outputs[0][1])
+    assert [s["stratum_size"] > 70 for s in report["strata"]] == [False, True, True]
+    assert multiprocessing.active_children() == []
+
+
+def test_sample_off_linux_evolves_every_stratum_in_its_own_process(tmp_path, monkeypatch):
+    expected, _ = _sample_recording_evolvers(tmp_path, monkeypatch, lambda: 1)
+
+    def unusable():
+        raise AssertionError("the CPU affinity was read off Linux")
+
+    monkeypatch.setattr(sampler_module, "sys", types.SimpleNamespace(platform="darwin"))
+    outputs, evolving = _sample_recording_evolvers(tmp_path, monkeypatch, unusable)
+    assert outputs == expected
+    assert [pid for pid, _ in evolving] == [str(os.getpid())] * 3
 
 
 def test_sample_leaves_no_worker_process_after_a_worker_raises(tmp_path, monkeypatch):
@@ -435,21 +468,23 @@ def test_sample_worker_that_dies_exits_two_with_a_message(tmp_path, monkeypatch)
     assert not (tmp_path / "sel.csv").exists() and not (tmp_path / "rep.json").exists()
 
 
-@pytest.mark.parametrize("largest", ["fails_first", "runs_on"])
+@pytest.mark.parametrize("largest", ["fails_first", "runs_on", "kept_whole_first"])
 def test_sample_reports_the_first_failing_stratum_for_any_worker_count(tmp_path, monkeypatch, largest):
     # strata 0, 1, 2 are the west, middle and east columns of 66, 80 and 94
-    # entries; two workers start 2 and 1, then 0 once one of them is done
+    # entries; two workers start 2 and 1, then 0 once one of them is done;
+    # at a target of 70, stratum 0 is kept whole and fails in this process
     def evolve(centers, cfg, rng):
         column = int(centers[:, 0].mean() // (10.0 / 3))
         time.sleep({0: 0.0, 1: 0.15, 2: 30.0 if largest == "runs_on" else 0.0}[column])
         raise sampler_module.DataError(f"stratum {column} failed")
 
+    extra = ("--target", "70") if largest == "kept_whole_first" else ()
     outcomes = []
     for cpus in (1, 2):
         monkeypatch.setattr(sampler_module, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(sampler_module, "evolve_stratum", evolve)
         start = time.monotonic()
-        outcomes.append(_exit_and_stderr(_pool_argv(tmp_path)))
+        outcomes.append(_exit_and_stderr(_pool_argv(tmp_path, *extra)))
         assert time.monotonic() - start < 10
     assert outcomes[0] == outcomes[1] == (2, "csmoe: error: stratum 0 failed\n"), outcomes
     assert multiprocessing.active_children() == []
@@ -1052,6 +1087,8 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         work = tmp_path / f"threads{threads}"
         work.mkdir()
+        # strata of about 150 entries: about 140 picks make 10^4 pairs, where OpenBLAS splits a ddot
+        archive, climate, thematic = write_sampling_inputs(work, n_entries=600, strata=4)
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         commands = [
@@ -1060,6 +1097,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
              "--synthesize", "20", "--seed", "3"],
             ["grad-check", "--config", str(cfg), "--seed", "3", "--max-checked", "40",
              "--out", str(work / "report.json")],
+            ["sample", "--archive", str(archive), "--climate", str(climate), "--thematic", str(thematic),
+             "--out", str(work / "sel.csv"), "--report", str(work / "rep.json"),
+             "--target", "140", "--iters", "40", "--seed", "3", "--baseline"],
         ]
         codes = []
         for argv in commands:
@@ -1067,9 +1107,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   capture_output=True, text=True, timeout=300)
             assert "Traceback" not in proc.stderr, proc.stderr
             codes.append(proc.returncode)
-        assert codes == [0, 0]
-        outputs[threads] = {name: (work / name).read_bytes()
-                                   for name in ("m.ckpt", "m.ckpt.opt", "log.jsonl", "report.json")}
+        assert codes == [0, 0, 0]
+        outputs[threads] = {name: (work / name).read_bytes() for name in
+                            ("m.ckpt", "m.ckpt.opt", "log.jsonl", "report.json", "sel.csv", "rep.json")}
     assert outputs["1"] == outputs["2"]
 
 
@@ -1094,7 +1134,10 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "flops_mask_hides_no_patch", "sample_archive_not_utf8",
                                   "eval_retrieval_labels_not_utf8", "config_not_utf8",
                                   "sample_population_out_of_memory", "grad_check_enc_dim_out_of_memory",
-                                  "sample_out_dir_missing", "sample_report_dir_missing"])
+                                  "sample_out_dir_missing", "sample_report_dir_missing",
+                                  "sample_out_is_a_directory", "sample_report_is_a_directory",
+                                  "sample_out_is_the_report", "pretrain_checkpoint_is_a_directory",
+                                  "pretrain_log_is_the_optimizer_state"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -1142,6 +1185,8 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     # 1 PiB or more: above the 47-bit user address space, so the allocation
     # fails before any byte is touched, whatever the overcommit mode
     huge_model = tmp_path / "huge_model.json"
+    taken = tmp_path / "taken"  # a directory where an output file should go
+    taken.mkdir()
     huge_model.write_text(json.dumps({"model": {**json.loads(Path(cfg).read_text())["model"],
                                                 "enc_dim": 2**40}}))
     if case == "eval_retrieval_zero_projection":  # every projected CLS row is zero: NaN once normalized
@@ -1255,10 +1300,36 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                        "--report", str(tmp_path / "missing" / "rep.json")], 2,
                                       f"csmoe: error: --report {tmp_path / 'missing' / 'rep.json'}: "
                                       f"{tmp_path / 'missing'} is not a directory"),
+        # output paths that cannot be written, or overwrite each other, are refused up front
+        "sample_out_is_a_directory": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                       "--thematic", str(climate), "--out", str(taken),
+                                       "--report", str(tmp_path / "out")], 2,
+                                      f"csmoe: error: --out {taken} is a directory"),
+        "sample_report_is_a_directory": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                          "--thematic", str(climate), "--out", str(tmp_path / "out"),
+                                          "--report", str(taken)], 2,
+                                         f"csmoe: error: --report {taken} is a directory"),
+        "sample_out_is_the_report": (["sample", "--archive", str(archive), "--climate", str(climate),
+                                      "--thematic", str(climate), "--out", str(tmp_path / "out"),
+                                      "--report", str(taken / ".." / "out")], 2,
+                                     f"csmoe: error: --report {taken / '..' / 'out'} names the same file "
+                                     f"as --out {tmp_path / 'out'}"),
+        "pretrain_checkpoint_is_a_directory": (["pretrain-toy", "--config", cfg, "--data-dir", str(tmp_path / "out"),
+                                                "--synthesize", "6", "--epochs", "2", "--checkpoint", str(taken),
+                                                "--log", str(tmp_path / "l.jsonl")], 2,
+                                               f"csmoe: error: --checkpoint {taken} is a directory"),
+        "pretrain_log_is_the_optimizer_state": (["pretrain-toy", "--config", cfg, "--data-dir", str(tmp_path / "out"),
+                                                 "--synthesize", "6", "--epochs", "2",
+                                                 "--checkpoint", str(tmp_path / "m.ckpt"),
+                                                 "--log", str(tmp_path / "m.ckpt.opt")], 2,
+                                                f"csmoe: error: --log {tmp_path / 'm.ckpt.opt'} names the same "
+                                                f"file as --checkpoint {tmp_path / 'm.ckpt.opt'}"),
     }[case]
+    before = sorted(tmp_path.rglob("*"))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
     assert message in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "out").exists()
+    assert sorted(tmp_path.rglob("*")) == before  # no file written, nor any left behind
