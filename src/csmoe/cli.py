@@ -207,7 +207,7 @@ def _write_json(payload, out, indent=2, echo=False):
 def _check_outputs(*outputs):
     """Refuse (flag, path) outputs that could not be written, or that would
     overwrite each other: checked before any input is read, so a typo costs
-    no GA run or training."""
+    no GA run, training, gradient check or embedding."""
     seen = {}
     for flag, out in outputs:
         if not out:
@@ -290,6 +290,7 @@ GRAD_CHECK_STD = 0.3
 
 
 def _cmd_grad_check(args) -> int:
+    _check_outputs(("--out", args.out))
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ParameterError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     run = _run_config(args)
@@ -393,6 +394,7 @@ def _load_embeddings(directory, modality: str, model, strategy: str):
 
 
 def _cmd_eval_retrieval(args) -> int:
+    _check_outputs(("--out", args.out))
     if args.k < 1:
         raise ParameterError(f"--k must be >= 1, got {args.k}")
     q_name, g_name = args.task.split(">")
@@ -425,6 +427,7 @@ def _cmd_eval_retrieval(args) -> int:
 
 
 def _cmd_flops(args) -> int:
+    _check_outputs(("--out", args.out))
     prof = profile(_run_config(args).model)
     _write_json(asdict(prof), args.out, echo=True)
     print()

@@ -116,6 +116,45 @@ def test_run_config_the_model_cannot_use_exits_two_naming_the_key(tmp_path, caps
     assert not (tmp_path / "m.ckpt").exists()
 
 
+#: (section, key) of every config field, and (section, None) for a section replaced whole
+_CONFIG_KEYS = [(name, key) for name, cls in _SECTIONS.items() for key in [None, *(f.name for f in fields(cls))]]
+#: JSON value texts: wrong types, out-of-range numbers (1e400 reads as inf), zeros, negatives, and
+#: small counts, some of which no head count divides
+_CONFIG_VALUES = (st.sampled_from(["1e400", "-1e400", "0", "0.0", "-1", "-0.5", "0.5", "1.5", "3", "5", "7",
+                                   "true", "null", '"8"', "[]", "{}"])
+                  | st.integers(-2, 1024).map(str))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), min_size=1, max_size=3))
+def test_fuzzed_config_exits_0_or_2_naming_the_section_and_key(tmp_path_factory, edits):
+    sections = {}
+    for (name, key), value in edits:
+        if key is None:
+            sections[name] = value
+        else:
+            if not isinstance(sections.get(name), dict):
+                sections[name] = {}
+            sections[name][key] = value
+    cfg = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    cfg.write_text("{" + ", ".join(
+        f'"{name}": ' + (body if isinstance(body, str) else
+                         "{" + ", ".join(f'"{key}": {value}' for key, value in body.items()) + "}")
+        for name, body in sections.items()) + "}")
+    # the config loader alone: neither command builds a model
+    results = [_exit_and_stderr(argv) for argv in (["--dump-config", "--config", str(cfg)],
+                                                    ["flops", "--config", str(cfg)])]
+    assert results[0] == results[1]
+    code, err = results[0]
+    if code == 0:
+        return
+    assert code == 2, err
+    named = [name for name in sections if err.startswith(f"csmoe: error: {cfg}: section '{name}'")]
+    assert named, err
+    body = sections[named[0]]
+    assert isinstance(body, str) or any(key in err for key in body), err
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     pytest.param("pretrain-toy", "--seed", "-1", "seed must be >= 0, got -1", id="pretrain-toy"),
     pytest.param("grad-check", "--seed", "-1", "seed must be >= 0, got -1", id="grad-check"),
@@ -1137,7 +1176,8 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "sample_out_dir_missing", "sample_report_dir_missing",
                                   "sample_out_is_a_directory", "sample_report_is_a_directory",
                                   "sample_out_is_the_report", "pretrain_checkpoint_is_a_directory",
-                                  "pretrain_log_is_the_optimizer_state"])
+                                  "pretrain_log_is_the_optimizer_state", "grad_check_out_is_a_directory",
+                                  "flops_out_is_a_directory", "eval_retrieval_out_is_a_directory"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -1324,6 +1364,16 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                                  "--log", str(tmp_path / "m.ckpt.opt")], 2,
                                                 f"csmoe: error: --log {tmp_path / 'm.ckpt.opt'} names the same "
                                                 f"file as --checkpoint {tmp_path / 'm.ckpt.opt'}"),
+        # refused before the config is read, a model is built or the (missing) checkpoint is loaded
+        "grad_check_out_is_a_directory": (["grad-check", "--config", cfg, "--out", str(taken)], 2,
+                                          f"csmoe: error: --out {taken} is a directory"),
+        "flops_out_is_a_directory": (["flops", "--config", str(latin1_cfg), "--out", str(taken)], 2,
+                                     f"csmoe: error: --out {taken} is a directory"),
+        "eval_retrieval_out_is_a_directory": (["eval-retrieval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                                               "--queries", str(emb), "--gallery", str(emb),
+                                               "--labels", str(good_labels), "--task", "S1>S1",
+                                               "--out", str(taken)], 2,
+                                              f"csmoe: error: --out {taken} is a directory"),
     }[case]
     before = sorted(tmp_path.rglob("*"))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

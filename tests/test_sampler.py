@@ -308,6 +308,68 @@ def test_fitness_matches_pair_distances_oracle():
         check(lons, lats, np.arange(100))
 
 
+def mask_fitness_reference(unit, selected):
+    """``selection_fitness`` in its m x m form: three outer coordinate
+    differences, squared and summed in x, y, z order, compressed row-major by
+    a strict-upper mask. The gathered-pairs form must match it bit for bit."""
+    idx = np.flatnonzero(selected) if selected.dtype == bool else np.asarray(selected)
+    if idx.size < 2:
+        return float("-inf")
+    x, y, z = unit[:, idx]
+    chord2 = x[:, None] - x
+    chord2 *= chord2
+    for c in (y, z):
+        diff = c[:, None] - c
+        diff *= diff
+        chord2 += diff
+    d = 0.5 * np.sqrt(chord2[np.triu(np.ones((idx.size, idx.size), dtype=bool), 1)])
+    np.arcsin(np.minimum(d, 1.0, out=d), out=d)
+    d *= 2.0 * 6371.0
+    total = d.sum()
+    if total <= 0.0:
+        return float("-inf")
+    pos = d[d > 0.0]
+    return float(2.0 * np.log(total) - np.einsum("i,i->", pos, np.log(pos)) / total - np.log(d.size))
+
+
+def test_fitness_bits_equal_the_mask_formulation():
+    def check(unit, idx):
+        mask = np.zeros(unit.shape[1], dtype=bool)
+        mask[idx] = True
+        want = mask_fitness_reference(unit, mask)
+        assert selection_fitness(unit, mask) == want
+        assert selection_fitness(unit, np.sort(idx)) == want
+        return want
+
+    rng = np.random.default_rng(27)
+    for n in (250, 6000):
+        lons, lats = rng.uniform(-180, 180, n), rng.uniform(-90, 90, n)
+        lons[1:40], lats[1:40] = lons[0], lats[0]  # 40 coincident points
+        unit = unit_vectors(lons, lats)
+        for m in range(116):
+            check(unit, rng.choice(n, size=m, replace=False))
+            check(unit, rng.choice(60, size=min(m, 60), replace=False))  # many coincident pairs
+        assert check(unit, np.arange(40)) == float("-inf")
+    antipodal = unit_vectors(np.array([-158.0, 22.0]), np.array([23.0, -23.0]))  # the clipped chord
+    assert np.isfinite(check(antipodal, np.arange(2)))
+
+
+def test_pair_cache_is_read_only_triu_indices_with_a_fixed_bound():
+    for m in (2, 3, 50, 111):
+        runs, j = sampler._pairs(m)
+        want_i, want_j = np.triu_indices(m, 1)
+        assert np.array_equal(np.repeat(np.arange(m), runs), want_i) and np.array_equal(j, want_j)
+        assert not (runs.flags.writeable or j.flags.writeable)
+        with pytest.raises(ValueError):
+            j[0] = runs[0]
+    for m in range(2, 40):
+        sampler._pairs(m)
+    info = sampler._pairs.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4
+    # at the default target every selection has at most floor(1.1 * 100) points
+    assert sum(side.nbytes for m in range(107, 111) for side in sampler._pairs(m)) < 2**20
+
+
 # ---------------------------------------------------------------------------
 # GA machinery
 # ---------------------------------------------------------------------------
@@ -415,7 +477,7 @@ def test_evolve_golden_selection():
     selected, fitness, trace = evolve_stratum(clustered_stratum(4), cfg)
     assert selected.tolist() == GOLDEN_IDS
     assert len(trace) == 150
-    assert rel_err(fitness, 17.02105413943255) < 1e-12
+    assert fitness == 17.021054139432557
 
 
 def test_evolve_beats_random_selection():
