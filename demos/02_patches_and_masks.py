@@ -9,9 +9,10 @@ rng = np.random.default_rng(0)
 
 # A 224x224 image with patch size 32 yields a 7x7 grid of 49 tokens.
 image = rng.standard_normal((12, 224, 224))
-patches = patchify(image, 32)
-print(f"tokens: {patches.tokens.shape} on a {patches.grid} grid")
-assert np.array_equal(unpatchify(patches), image)  # exact inverse
+grid = (7, 7)
+tokens = patchify(image, 32)
+print(f"tokens: {tokens.shape} on a {grid} grid")
+assert np.array_equal(unpatchify(tokens, 32, grid), image)  # exact inverse
 
 # Independent masks per modality: at ratio 0.5 over 49 tokens, 25 are hidden
 # (counts round half up). Different seeds give the two modality streams.
@@ -21,7 +22,7 @@ print(f"masked per modality: {len(mask_x.masked)} of 49; "
       f"streams differ: {not np.array_equal(mask_x.masked, mask_y.masked)}")
 
 # Fixed sinusoidal position table; every grid cell gets a unique row.
-table = positional_embedding(patches.grid, 32)
+table = positional_embedding(grid, 32)
 print(f"positional table: {table.shape}, distinct rows: {len({tuple(r) for r in table.round(12)})}")
 
 # Archive tiles are larger than training patches and may hold invalid pixels.

@@ -204,11 +204,12 @@ def _write_json(payload, out, indent=2, echo=False):
         dump(sys.stdout)
 
 
-def _check_outputs(*outputs):
+def _check_outputs(*outputs, inputs=()):
     """Refuse (flag, path) outputs that could not be written, or that would
-    overwrite each other: checked before any input is read, so a typo costs
-    no GA run, training, gradient check or embedding."""
-    seen = {}
+    overwrite each other or one of the (flag, path) ``inputs``: checked
+    before any input is read, so a typo costs no GA run, training, gradient
+    check or embedding."""
+    seen = {Path(path).resolve(): f"{flag} {path}" for flag, path in inputs}
     for flag, out in outputs:
         if not out:
             continue
@@ -243,6 +244,8 @@ def _cmd_split_tiles(args) -> int:
     in_dir, out_dir = Path(args.input), Path(args.output)
     if not in_dir.is_dir():
         raise DataError(f"--input {in_dir} is not a directory")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise DataError(f"--output {out_dir} is not a directory")
     tiles = sorted(in_dir.glob("*.tnsr"))
     if not tiles:
         raise DataError(f"no *.tnsr tiles under {in_dir}")
@@ -267,8 +270,12 @@ def _cmd_pretrain(args) -> int:
             raise DataError(f"{name} is required (flag or paths section of the config)")
     if args.resume == "":
         raise DataError("--resume needs a checkpoint path, got an empty string")
+    # no output may name the resumed checkpoint or its .opt; --checkpoint may, to resume in place
+    resumed = ()
+    if args.resume is not None and Path(args.resume).resolve() != Path(paths.checkpoint).resolve():
+        resumed = (("--resume", args.resume), ("--resume", f"{args.resume}.opt"))
     _check_outputs(("--checkpoint", paths.checkpoint), ("--checkpoint", f"{paths.checkpoint}.opt"),
-                   ("--log", paths.log))
+                   ("--log", paths.log), inputs=resumed)
     if args.synthesize:
         synthesize_pairs(paths.data_dir, args.synthesize, run.model, seed)
     model = init_model(run.model) if args.resume is None else load_checkpoint(args.resume)

@@ -115,8 +115,7 @@ class CsmoeConfig:
 
     @property
     def num_patches(self) -> int:
-        side = self.image_side // self.patch_size
-        return side * side
+        return math.prod(self.grid)
 
     def channels(self, modality: str) -> int:
         return self.channels_x if modality == "x" else self.channels_y
@@ -412,13 +411,13 @@ def encode(model: CsmoeModel, image, mask: MaskPair, modality: str, routing_sink
     """
     _check_modality(modality)
     cfg = model.cfg
-    ps = patchify(image, cfg.patch_size)
-    if ps.num_patches != cfg.num_patches or ps.tokens.shape[-1] != cfg.token_dim(modality):
+    tokens = patchify(image, cfg.patch_size)
+    if tokens.shape[-2:] != (cfg.num_patches, cfg.token_dim(modality)):
         raise DimensionError(
-            f"image tokens {ps.tokens.shape} do not match modality {modality!r} "
+            f"image tokens {tokens.shape} do not match modality {modality!r} "
             f"expecting [{cfg.num_patches}, {cfg.token_dim(modality)}]"
         )
-    z = linear(ps.tokens, model.embed[modality]) + Tensor(model.enc_pos)
+    z = linear(tokens, model.embed[modality]) + Tensor(model.enc_pos)
     z = take_rows(z, mask.unmasked)
     z = concat_rows([model.cls_token[modality], z])
     for blk in model.enc_modality[modality]:
@@ -507,14 +506,13 @@ def forward(model: CsmoeModel, image_x, image_y, seed,
             recon[(target, source)] = out
     pw, pb = model.proj
     proj_cls = {m: linear(take_rows(encoded[m], [0]), pw, pb) for m in MODALITIES}
-    targets = {m: patchify(images[m], cfg.patch_size).tokens.data for m in MODALITIES}
     return ForwardArtifacts(
         encoded=encoded,
         recon=recon,
         routing=routing,
         proj_cls=proj_cls,
         masks=masks,
-        target_tokens=targets,
+        target_tokens={m: patchify(images[m], cfg.patch_size) for m in MODALITIES},
     )
 
 

@@ -15,21 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .numerics import Tensor
-
-
-@dataclass(frozen=True)
-class PatchSet:
-    """Flattened non-overlapping patches of one image."""
-
-    tokens: Tensor  # [P, patch_size**2 * channels]
-    patch_size: int
-    grid: tuple  # (rows, cols)
-    channels: int
-
-    @property
-    def num_patches(self) -> int:
-        return self.grid[0] * self.grid[1]
 
 
 @dataclass(frozen=True)
@@ -52,7 +37,7 @@ class TileSplitReport:
     discarded_invalid: int
 
 
-def patchify(image, patch_size: int) -> PatchSet:
+def patchify(image, patch_size: int) -> np.ndarray:
     """Cut a [..., C, H, W] image (or batch of images) into the raster-scan
     sequence of its patch_size x patch_size blocks, [..., P, patch^2 * C]."""
     arr = np.asarray(image, dtype=np.float64)
@@ -65,23 +50,22 @@ def patchify(image, patch_size: int) -> PatchSet:
         )
     rows, cols = h // patch_size, w // patch_size
     n = len(lead)
-    blocks = (
+    return (
         arr.reshape(*lead, c, rows, patch_size, cols, patch_size)
         .transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
         .reshape(*lead, rows * cols, c * patch_size * patch_size)
     )
-    return PatchSet(Tensor(blocks), patch_size, (rows, cols), c)
 
 
-def unpatchify(patches: PatchSet) -> np.ndarray:
-    """Exact inverse of :func:`patchify`."""
-    rows, cols = patches.grid
-    p, c = patches.patch_size, patches.channels
-    tok = patches.tokens.data
+def unpatchify(tokens: np.ndarray, patch_size: int, grid) -> np.ndarray:
+    """Exact inverse of :func:`patchify` for one image: [P, p^2 * C] tokens
+    on a (rows, cols) grid back to [C, rows * p, cols * p]."""
+    rows, cols = grid
+    p = patch_size
     return (
-        tok.reshape(rows, cols, c, p, p)
+        tokens.reshape(rows, cols, -1, p, p)
         .transpose(2, 0, 3, 1, 4)
-        .reshape(c, rows * p, cols * p)
+        .reshape(-1, rows * p, cols * p)
     )
 
 

@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DataError, EvaluationError, FormatError, ParameterError, require
 from .fileio import atomic_write, load_tnsr, read_blocks, save_tnsr, write_blocks
 from .losses import LossSettings, loss_total
-from .model import MODALITIES, CsmoeModel, check_image, convert_v1, forward, manifest_header, save_checkpoint
+from .model import (CHECKPOINT_VERSION, MODALITIES, CsmoeModel, check_image, convert_v1, forward,
+                    manifest_header, save_checkpoint)
 from .numerics import backward, zero_grads
 
-OPT_FORMAT = "CSMOE-OPT"
-OPT_VERSION = 2  # the checkpoint's layout version; version 1 files still load
+OPT_FORMAT = "CSMOE-OPT"  # versioned with the checkpoint; version 1 files still load
 
 # spawn keys for the independent derived streams
 _KEY_VAL_SPLIT = 2
@@ -67,12 +67,11 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, warmup_steps: int) ->
 class AdamW:
     """Decoupled weight decay Adam over a named parameter map."""
 
-    def __init__(self, params: dict, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-4, weight_decay: float = 0.01):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -116,7 +115,7 @@ def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
     names = [name for name, _ in manifest_header(model.cfg)]
     header = {
         "format": OPT_FORMAT,
-        "version": OPT_VERSION,
+        "version": CHECKPOINT_VERSION,
         "step": optimizer.step_count,
         "epoch": epoch,
         "names": names,
@@ -137,7 +136,7 @@ def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
         return [(f"{moment} moment of {name}", shape)
                 for name, shape in manifest for moment in ("first", "second")]
 
-    header, arrays = read_blocks(path, OPT_FORMAT, (1, OPT_VERSION), expect)
+    header, arrays = read_blocks(path, OPT_FORMAT, (1, CHECKPOINT_VERSION), expect)
     first, second = arrays[0::2], arrays[1::2]
     if header["version"] == 1:
         first, second = convert_v1(model.cfg, first), convert_v1(model.cfg, second)
@@ -251,7 +250,6 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     warmup = max(1, round(tcfg.warmup_frac * total_steps))
     if optimizer is None:
         optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
-    step = optimizer.step_count
     zero_grads(optimizer.params)
     records = []
 
@@ -267,6 +265,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
             chunk = order[lo:lo + tcfg.batch_size]
             if chunk.size < 2:
                 continue
+            step = optimizer.step_count  # steps taken before this one
             art = _batch_forward(model, by_id, [train_ids[i] for i in chunk],
                                  [_derived_seed(seed, _KEY_MASKS, step, j) for j in range(chunk.size)])
             breakdown = loss_total(model, art, loss)
@@ -281,8 +280,7 @@ def train(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
             lr = cosine_lr(step, total_steps, tcfg.lr, warmup)
             optimizer.step(lr=lr)
             zero_grads(optimizer.params)
-            step = optimizer.step_count
-            emit({"step": step, **terms})
+            emit({"step": optimizer.step_count, **terms})
         if len(val_ids) >= 2:
             art = _batch_forward(model, by_id, val_ids,
                                  [_derived_seed(seed, _KEY_VAL_MASKS, epoch, j) for j in range(len(val_ids))])

@@ -244,7 +244,7 @@ def test_criterion_10_tokenizer():
         rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         channels = int(rng.integers(1, 4))
         img = rng.standard_normal((channels, rows * patch, cols * patch))
-        if not np.array_equal(unpatchify(patchify(img, patch)), img):
+        if not np.array_equal(unpatchify(patchify(img, patch), patch, (rows, cols)), img):
             roundtrip_ok = False
             break
     from csmoe.tokenizer import split_tile

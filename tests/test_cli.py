@@ -675,6 +675,12 @@ def test_pretrain_resume_bit_exact(tmp_path):
           "--checkpoint", str(ckpt_resumed), "--log", str(tmp_path / "resumed.jsonl"),
           "--resume", str(ckpt_half), "--seed", "0"])
     assert ckpt_resumed.read_bytes() == ckpt_full.read_bytes()
+    # --checkpoint may name the resumed checkpoint: training continues in place
+    assert main(["pretrain-toy", "--config", str(resumed_cfg), "--data-dir", str(data),
+                 "--checkpoint", str(ckpt_half), "--log", str(tmp_path / "half.jsonl"),
+                 "--resume", str(ckpt_half), "--seed", "0"]) == 0
+    assert ckpt_half.read_bytes() == ckpt_full.read_bytes()
+    assert Path(f"{ckpt_half}.opt").read_bytes() == Path(f"{ckpt_full}.opt").read_bytes()
 
 
 def test_resume_cuts_the_loss_log_back_to_the_checkpoint(tmp_path):
@@ -1177,7 +1183,9 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "sample_out_is_a_directory", "sample_report_is_a_directory",
                                   "sample_out_is_the_report", "pretrain_checkpoint_is_a_directory",
                                   "pretrain_log_is_the_optimizer_state", "grad_check_out_is_a_directory",
-                                  "flops_out_is_a_directory", "eval_retrieval_out_is_a_directory"])
+                                  "flops_out_is_a_directory", "eval_retrieval_out_is_a_directory",
+                                  "pretrain_log_is_the_resumed_checkpoint",
+                                  "pretrain_log_is_the_resumed_optimizer_state", "split_tiles_output_is_a_file"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -1227,6 +1235,11 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     huge_model = tmp_path / "huge_model.json"
     taken = tmp_path / "taken"  # a directory where an output file should go
     taken.mkdir()
+    resumed = tmp_path / "a.ckpt"  # not a checkpoint: reading it would fail first
+    resumed.write_bytes(b"junk\n")
+    Path(f"{resumed}.opt").write_bytes(b"junk\n")
+    resume_argv = ["pretrain-toy", "--config", cfg, "--data-dir", str(tmp_path / "out"),
+                   "--resume", str(resumed), "--checkpoint", str(tmp_path / "m.ckpt")]
     huge_model.write_text(json.dumps({"model": {**json.loads(Path(cfg).read_text())["model"],
                                                 "enc_dim": 2**40}}))
     if case == "eval_retrieval_zero_projection":  # every projected CLS row is zero: NaN once normalized
@@ -1374,12 +1387,26 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
                                                "--labels", str(good_labels), "--task", "S1>S1",
                                                "--out", str(taken)], 2,
                                               f"csmoe: error: --out {taken} is a directory"),
+        # a log that names what the resume reads would be cut back to that file's first line
+        "pretrain_log_is_the_resumed_checkpoint": (resume_argv + ["--log", str(resumed)], 2,
+                                                   f"csmoe: error: --log {resumed} names the same file "
+                                                   f"as --resume {resumed}"),
+        "pretrain_log_is_the_resumed_optimizer_state": (resume_argv + ["--log", f"{resumed}.opt"], 2,
+                                                        f"csmoe: error: --log {resumed}.opt names the same file "
+                                                        f"as --resume {resumed}.opt"),
+        # refused before the (bad) tile is read
+        "split_tiles_output_is_a_file": (["split-tiles", "--input", str(bad_magic.parent), "--output", str(labels)],
+                                         2, f"csmoe: error: --output {labels} is not a directory"),
     }[case]
-    before = sorted(tmp_path.rglob("*"))
+
+    def tree():
+        return {path: path.is_file() and path.read_bytes() for path in sorted(tmp_path.rglob("*"))}
+
+    before = tree()
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "csmoe.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
     assert message in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "out").exists()
-    assert sorted(tmp_path.rglob("*")) == before  # no file written, nor any left behind
+    assert tree() == before  # no file written or changed, nor any left behind

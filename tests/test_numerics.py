@@ -931,8 +931,8 @@ def test_import_cli_leaves_scipy_special_unloaded():
 
 
 def test_import_fileio_and_sampler_leaves_numerics_unloaded():
-    # the file formats and the sampler need no autodiff core
-    code = "import sys, csmoe.fileio, csmoe.sampler; print('csmoe.numerics' in sys.modules)"
+    # the file formats, the sampler and the tokenizer need no autodiff core
+    code = "import sys, csmoe.fileio, csmoe.sampler, csmoe.tokenizer; print('csmoe.numerics' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
