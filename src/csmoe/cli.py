@@ -244,8 +244,10 @@ def _cmd_split_tiles(args) -> int:
     in_dir, out_dir = Path(args.input), Path(args.output)
     if not in_dir.is_dir():
         raise DataError(f"--input {in_dir} is not a directory")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise DataError(f"--output {out_dir} is not a directory")
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())  # "." or "/" at the latest
+    if not existing.is_dir():
+        raise DataError(f"--output {out_dir} is not a directory" if existing == out_dir
+                        else f"--output {out_dir}: {existing} is not a directory")
     tiles = sorted(in_dir.glob("*.tnsr"))
     if not tiles:
         raise DataError(f"no *.tnsr tiles under {in_dir}")

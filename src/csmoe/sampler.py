@@ -9,10 +9,10 @@ every stratum larger than the target count, runs a genetic algorithm over
 binary selection masks whose fitness rewards spatially dispersed picks:
 the entropy of the pairwise great-circle distance distribution plus the
 log of the mean pairwise distance. Entries become unit vectors once per
-stratum; fitness gathers the selected vectors, then each selected pair, for
-one chord and one arcsin per pair, never an n x n distance matrix, so a
-stratum of n entries costs O(n) memory. The
-population, one [P, n] bool matrix, evolves by tournament(2) selection,
+stratum; fitness and the report's mean distance gather the selected vectors,
+then each selected pair, for one chord and one arcsin per pair, never an n x n
+matrix, so a stratum of n entries costs O(n) memory. The population, one
+[P, n] bool matrix, evolves by tournament(2) selection,
 uniform crossover, bit-flip mutation, elitism of one, and random
 prune/augment repair to the 90-110% size band. Each stratum draws from its
 own random stream, so on Linux the strata to evolve run at once in forked
@@ -120,26 +120,37 @@ def haversine(p, q) -> float:
     return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))))
 
 
-def pair_distances(lons, lats) -> np.ndarray:
-    """Great-circle km of every pair i < j, in ``np.triu_indices(n, 1)`` order."""
-    lam = np.radians(np.asarray(lons, dtype=np.float64))
-    phi = np.radians(np.asarray(lats, dtype=np.float64))
-    k = np.arange(phi.size)
-    upper = k[:, None] < k  # row-major over the strict upper triangle
-    cos_phi = np.cos(phi)
-    s = (
-        np.sin(0.5 * (phi[:, None] - phi)[upper]) ** 2
-        + (cos_phi[:, None] * cos_phi)[upper] * np.sin(0.5 * (lam[:, None] - lam)[upper]) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
-
-
 def unit_vectors(lons, lats) -> np.ndarray:
     """[3, n] rows x, y, z: each (lon, lat) point as a vector on the unit sphere."""
     lam = np.radians(np.asarray(lons, dtype=np.float64))
     phi = np.radians(np.asarray(lats, dtype=np.float64))
     cos_phi = np.cos(phi)
     return np.stack([cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)])
+
+
+@functools.lru_cache(maxsize=4)  # 4 m^2 bytes each; repair caps most selections at one m
+def _pairs(m: int) -> tuple:
+    """Read-only (runs, j) of the pairs i < j in ``np.triu_indices(m, 1)``
+    order: point i heads a run of runs[i] = m - 1 - i pairs."""
+    runs, j = np.arange(m - 1, -1, -1), np.triu_indices(m, 1)[1]
+    runs.flags.writeable = j.flags.writeable = False  # every caller shares them
+    return runs, j
+
+
+def pair_km(u: np.ndarray) -> np.ndarray:
+    """Great-circle km of every pair i < j of the [3, m] unit vectors ``u``, in
+    ``np.triu_indices(m, 1)`` order: 2R asin(c/2) for the chord c, with c^2
+    summed from coordinate differences (2 - 2 cos would cancel for nearby points)."""
+    runs, j = _pairs(u.shape[1])
+    diff = np.repeat(u, runs, axis=1)  # u[:, i], in half the time of a take
+    diff -= u.take(j, axis=1)  # take, not u[:, j]: advanced indexing gathers about 4x slower
+    diff *= diff
+    chord2 = diff[0] + diff[1]
+    chord2 += diff[2]
+    d = 0.5 * np.sqrt(chord2)
+    np.arcsin(np.minimum(d, 1.0, out=d), out=d)
+    d *= 2.0 * EARTH_RADIUS_KM
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -172,38 +183,18 @@ def mutation_rate(target_size: int, stratum_size: int) -> float:
     return target_size / (stratum_size * 25.0)
 
 
-@functools.lru_cache(maxsize=4)  # 4 m^2 bytes each; repair caps most selections at one m
-def _pairs(m: int) -> tuple:
-    """Read-only (runs, j) of the pairs i < j, row-major as ``pair_distances``
-    orders them: point i heads a run of runs[i] = m - 1 - i pairs."""
-    runs, j = np.arange(m - 1, -1, -1), np.triu_indices(m, 1)[1]
-    runs.flags.writeable = j.flags.writeable = False  # every caller shares them
-    return runs, j
-
-
 def selection_fitness(unit: np.ndarray, selected: np.ndarray) -> float:
     """Entropy of the selected points' normalized pairwise-distance distribution
     plus the log of their mean pairwise distance; -inf for degenerate selections.
 
-    ``unit`` holds the stratum's ``unit_vectors``. The selected vectors are
-    gathered once, then each of their N pairs; the pair is d = 2R asin(c/2) km
-    apart, c^2 summed from coordinate differences (2 - 2 cos would cancel for
-    nearby points). With T = sum d, S = sum_{d>0} d log d, fitness is
-    2 log T - S/T - log N: one arcsin and one log per pair.
+    ``unit`` holds the stratum's ``unit_vectors``; ``pair_km`` measures the N
+    pairs of the selected ones. With T = sum d, S = sum_{d>0} d log d, fitness
+    is 2 log T - S/T - log N: one arcsin and one log per pair.
     """
     idx = np.flatnonzero(selected) if selected.dtype == bool else np.asarray(selected)
     if idx.size < 2:
         return float("-inf")
-    runs, j = _pairs(idx.size)
-    u = unit.take(idx, axis=1)
-    diff = np.repeat(u, runs, axis=1)  # u[:, i], in half the time of a take
-    diff -= u.take(j, axis=1)  # take, not u[:, j]: advanced indexing gathers about 4x slower
-    diff *= diff
-    chord2 = diff[0] + diff[1]
-    chord2 += diff[2]
-    d = 0.5 * np.sqrt(chord2)
-    np.arcsin(np.minimum(d, 1.0, out=d), out=d)
-    d *= 2.0 * EARTH_RADIUS_KM
+    d = pair_km(unit.take(idx, axis=1))
     total = d.sum()
     if total <= 0.0:
         return float("-inf")
@@ -292,12 +283,11 @@ class SamplingReport(GaConfig):
 
 
 def _mean_pairwise(centers: np.ndarray) -> float:
-    return float(pair_distances(*centers.T).mean()) if len(centers) >= 2 else 0.0
+    return float(pair_km(unit_vectors(*centers.T)).mean()) if len(centers) >= 2 else 0.0
 
 
 def _stratum_rng(seed: int, key, salt: int = 0) -> np.random.Generator:
-    u, v = key
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(u, v, salt)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, salt)))
 
 
 def _evolve_one(key, centers: np.ndarray, cfg: GaConfig, baseline: bool):

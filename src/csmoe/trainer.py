@@ -111,7 +111,20 @@ class AdamW:
 # ---------------------------------------------------------------------------
 
 
+def _params_sha256(model: CsmoeModel) -> str:
+    """sha256 of the parameters' little-endian float64 bytes in manifest
+    order: the bytes of the checkpoint's blocks."""
+    import hashlib  # imported here, so no command's start-up pays for it
+
+    digest = hashlib.sha256()
+    for name, _ in manifest_header(model.cfg):
+        digest.update(np.ascontiguousarray(model.params[name].data, dtype="<f8"))
+    return digest.hexdigest()
+
+
 def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
+    """Write the moments, step and epoch, and the hash of the parameters they
+    were saved with, so a resume refuses a sidecar from another save."""
     names = [name for name, _ in manifest_header(model.cfg)]
     header = {
         "format": OPT_FORMAT,
@@ -119,13 +132,16 @@ def save_optimizer_state(path, optimizer: AdamW, epoch: int, model: CsmoeModel):
         "step": optimizer.step_count,
         "epoch": epoch,
         "names": names,
+        "params_sha256": _params_sha256(model),
     }
     write_blocks(path, header, [moments[name] for name in names for moments in (optimizer.m, optimizer.v)])
 
 
 def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
     """Restore moments and step count; returns the epoch to resume from.
-    Version 1 moments are converted to the v2 layout."""
+    Version 1 moments are converted to the v2 layout. A file that records
+    ``params_sha256`` must have been saved with ``model``'s parameters; older
+    files, which do not record it, load unchecked."""
     def expect(header):
         step, epoch = header.get("step"), header.get("epoch")
         if type(step) is not int or type(epoch) is not int or min(step, epoch) < 0:
@@ -133,6 +149,9 @@ def load_optimizer_state(path, optimizer: AdamW, model: CsmoeModel) -> int:
         manifest = manifest_header(model.cfg, header["version"])
         if header.get("names") != [name for name, _ in manifest]:
             raise FormatError(f"{path}: optimizer state does not match the model config")
+        if "params_sha256" in header and header["params_sha256"] != _params_sha256(model):
+            raise FormatError(f"{path}: optimizer state was saved with other parameters than "
+                              f"the ones it is loaded into")
         return [(f"{moment} moment of {name}", shape)
                 for name, shape in manifest for moment in ("first", "second")]
 
@@ -317,7 +336,10 @@ def run_pretraining(model: CsmoeModel, pairs, tcfg: TrainerConfig, seed: int,
     optimizer = AdamW(model.params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     start_epoch = 0
     if resume_from is not None:
-        start_epoch = load_optimizer_state(str(resume_from) + ".opt", optimizer, model)
+        try:
+            start_epoch = load_optimizer_state(str(resume_from) + ".opt", optimizer, model)
+        except FormatError as exc:
+            raise FormatError(f"{exc}; cannot resume {resume_from}") from exc
         kept = _log_through(log_path, optimizer.step_count, start_epoch)
         with atomic_write(log_path, "w") as fh:
             fh.write(kept)

@@ -22,13 +22,14 @@ from csmoe.sampler import (
     evolve_stratum,
     haversine,
     mutation_rate,
-    pair_distances,
+    pair_km,
     repair,
+    unit_vectors,
 )
 from csmoe.softmoe import moe_forward, route
 from csmoe.tokenizer import patchify, sample_masks, unpatchify
 
-from util import mini_config, moe_block
+from util import dense_distance_oracle, mini_config, moe_block
 
 
 def report(number, ok, detail):
@@ -187,9 +188,9 @@ def test_criterion_07_ga_sampling():
         cfg = GaConfig(target_size=100, generations=500, population_size=10,
                        crossover_rate=0.5, seed=seed)
         idx, _, _ = evolve_stratum(np.column_stack([lons, lats]), cfg)
-        ga_mean = pair_distances(lons[idx], lats[idx]).mean()
+        ga_mean = dense_distance_oracle(lons[idx], lats[idx]).mean()
         pick = np.random.default_rng(9000 + seed).choice(500, size=idx.size, replace=False)
-        rnd_mean = pair_distances(lons[pick], lats[pick]).mean()
+        rnd_mean = dense_distance_oracle(lons[pick], lats[pick]).mean()
         wins += ga_mean > rnd_mean
     # (d) full retention of small strata
     small = np.column_stack([np.arange(80.0), np.zeros(80)])
@@ -204,7 +205,11 @@ def test_criterion_07_ga_sampling():
 def test_criterion_08_haversine():
     anti = haversine((0.0, 0.0), (180.0, 0.0))
     ok = abs(anti - 20015.09) <= 0.01 and haversine((12.0, -7.0), (12.0, -7.0)) == 0.0
-    report(8, ok, f"antipodal equatorial distance {anti:.2f} km, coincident points 0 km")
+    # the kernel the sampler runs: pairs (0, 1) antipodal, (0, 2) coincident, (0, 3) a quarter circle
+    km = pair_km(unit_vectors(np.array([0.0, 180.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 90.0])))
+    ok = ok and abs(km[0] - 20015.09) <= 0.01 and km[1] == 0.0 and abs(km[2] - 10007.54) <= 0.01
+    report(8, ok, f"antipodal equatorial distance {anti:.2f} km (sampler {km[0]:.2f} km), "
+                  f"coincident points {km[1]:g} km, quarter circle {km[2]:.2f} km")
 
 
 def test_criterion_09_compute_accounting():

@@ -683,6 +683,30 @@ def test_pretrain_resume_bit_exact(tmp_path):
     assert Path(f"{ckpt_half}.opt").read_bytes() == Path(f"{ckpt_full}.opt").read_bytes()
 
 
+def test_resume_refuses_optimizer_state_from_another_save(tmp_path, capsys):
+    ckpt, log = tmp_path / "a.ckpt", tmp_path / "log.jsonl"
+    opt = Path(f"{ckpt}.opt")
+
+    def run(epochs, *extra):
+        return main(["pretrain-toy", "--config", str(DATA / "tiny.json"), "--data-dir", str(tmp_path / "data"),
+                     "--checkpoint", str(ckpt), "--log", str(log), "--epochs", str(epochs),
+                     "--seed", "0", *extra])
+
+    assert run(1, "--synthesize", "4") == 0
+    first_opt = opt.read_bytes()
+    assert run(2, "--resume", str(ckpt)) == 0
+    opt.write_bytes(first_opt)  # the epoch-1 sidecar next to the epoch-2 checkpoint
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run(3, "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert f"{opt}: optimizer state was saved with other parameters" in err and f"cannot resume {ckpt}\n" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    # a sidecar that records no hash, as older versions wrote, loads unchecked
+    _edit_checkpoint_header(opt, opt, lambda header: {k: v for k, v in header.items() if k != "params_sha256"})
+    assert run(3, "--resume", str(ckpt)) == 0
+
+
 def test_resume_cuts_the_loss_log_back_to_the_checkpoint(tmp_path):
     tiny = json.loads((DATA / "tiny.json").read_text())
 
@@ -855,9 +879,14 @@ def test_pretrain_resume_stops_at_non_finite_loss_term(tmp_path, capsys, name, t
     assert main(["pretrain-toy", "--config", str(cfg), "--data-dir", str(data),
                  "--checkpoint", str(ckpt), "--log", str(tmp_path / "l.jsonl"),
                  "--synthesize", "4", "--seed", "0"]) == 0
+    from csmoe.trainer import AdamW, load_optimizer_state, save_optimizer_state
+
     model = load_checkpoint(ckpt)
+    optimizer = AdamW(model.params)
+    epoch = load_optimizer_state(f"{ckpt}.opt", optimizer, model)
     model.params[name].data[0] = np.nan
     save_checkpoint(model, ckpt)
+    save_optimizer_state(f"{ckpt}.opt", optimizer, epoch, model)  # the sidecar of the edited parameters
     more = write_mini_run_config(tmp_path / "more.json", epochs=2, val_fraction=0.0)
     out, log = tmp_path / "r.ckpt", tmp_path / "r.jsonl"
     code = main(["pretrain-toy", "--config", str(more), "--data-dir", str(data),
@@ -1185,7 +1214,8 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
                                   "pretrain_log_is_the_optimizer_state", "grad_check_out_is_a_directory",
                                   "flops_out_is_a_directory", "eval_retrieval_out_is_a_directory",
                                   "pretrain_log_is_the_resumed_checkpoint",
-                                  "pretrain_log_is_the_resumed_optimizer_state", "split_tiles_output_is_a_file"])
+                                  "pretrain_log_is_the_resumed_optimizer_state", "split_tiles_output_is_a_file",
+                                  "split_tiles_output_under_a_file"])
 def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
     emb = tmp_path / "emb"
     write_embedding_dir(emb, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
@@ -1397,6 +1427,9 @@ def test_malformed_input_exits_with_a_message_not_a_traceback(tmp_path, case):
         # refused before the (bad) tile is read
         "split_tiles_output_is_a_file": (["split-tiles", "--input", str(bad_magic.parent), "--output", str(labels)],
                                          2, f"csmoe: error: --output {labels} is not a directory"),
+        "split_tiles_output_under_a_file": (["split-tiles", "--input", str(bad_magic.parent),
+                                             "--output", str(labels / "sub")], 2,
+                                            f"csmoe: error: --output {labels / 'sub'}: {labels} is not a directory"),
     }[case]
 
     def tree():

@@ -18,7 +18,7 @@ from csmoe.sampler import (
     load_grid,
     lookup,
     mutation_rate,
-    pair_distances,
+    pair_km,
     repair,
     sample_archive,
     save_grid,
@@ -28,7 +28,7 @@ from csmoe.sampler import (
     write_selection,
 )
 
-from util import rel_err
+from util import dense_distance_oracle, rel_err
 
 
 def tiny_raster(codes, lat_max=10.0, lon_min=0.0, dlat=5.0, dlon=5.0, nodata=0):
@@ -51,7 +51,7 @@ def clustered_stratum(seed, clustered=450, dispersed=50):
 
 
 def mean_pairwise_km(centers):
-    return pair_distances(*centers.T).mean()
+    return dense_distance_oracle(*centers.T).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +192,15 @@ def test_pairwise_matches_scalar():
     rng = np.random.default_rng(1)
     lons = rng.uniform(-180, 180, 6)
     lats = rng.uniform(-85, 85, 6)
-    d = pair_distances(lons, lats)
+    d = pair_km(unit_vectors(lons, lats))
     pairs = list(zip(*np.triu_indices(6, 1)))
     assert d.shape == (len(pairs),) == (15,)
     for k, (i, j) in enumerate(pairs):
         assert abs(d[k] - haversine((lons[i], lats[i]), (lons[j], lats[j]))) < 1e-6
 
 
-def dense_distance_oracle(lons, lats):
-    """The dense [n, n] great-circle matrix, evaluated with broadcasting:
-    the reference whose upper triangle ``pair_distances`` must reproduce."""
-    lam, phi = np.radians(lons), np.radians(lats)
-    s = (
-        np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
-        + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(0.5 * (lam[:, None] - lam[None, :])) ** 2
-    )
-    return 2.0 * 6371.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
-
-
 @pytest.mark.parametrize("n", [2, 7, 150])
-def test_pair_distances_bit_identical_to_dense_upper_triangle(n):
+def test_pair_km_matches_dense_upper_triangle(n):
     rng = np.random.default_rng(n)
     lons = rng.uniform(-180, 180, n)
     lats = rng.uniform(-90, 90, n)
@@ -219,9 +208,10 @@ def test_pair_distances_bit_identical_to_dense_upper_triangle(n):
     lons[-1], lats[-1] = lons[0], lats[0]
     if n > 2:
         lons[1], lats[1] = lons[0] - 180.0 if lons[0] > 0 else lons[0] + 180.0, -lats[0]
-    expected = dense_distance_oracle(lons, lats)[np.triu_indices(n, 1)]
-    got = pair_distances(lons, lats)
-    assert np.array_equal(got, expected)
+    expected = dense_distance_oracle(lons, lats)
+    got = pair_km(unit_vectors(lons, lats))
+    # the chord and haversine formulas round differently
+    assert got.shape == expected.shape and rel_err(got, expected) < 1e-12
     assert got[n - 2] == 0.0  # pair (0, n - 1) coincides
     if n > 2:
         assert abs(got[0] - 20015.09) <= 0.01  # pair (0, 1) is antipodal
@@ -234,8 +224,8 @@ def test_pair_distances_bit_identical_to_dense_upper_triangle(n):
 
 def fitness_oracle(lons, lats):
     """Entropy of the normalized pair distances plus the log of their mean,
-    from ``pair_distances``: the formula ``selection_fitness`` rearranges."""
-    d = pair_distances(lons, lats)
+    from ``dense_distance_oracle``: the formula ``selection_fitness`` rearranges."""
+    d = dense_distance_oracle(lons, lats)
     p = d / d.sum()
     nz = p > 0
     return float(-(p[nz] * np.log(p[nz])).sum()) + float(np.log(d.mean()))

@@ -36,6 +36,18 @@ def weighted_sum(out, w):
     return linear(reshape(out, (1, -1)), reshape(w, (-1, 1)))
 
 
+def dense_distance_oracle(lons, lats):
+    """Great-circle km of every pair i < j in ``np.triu_indices(n, 1)``
+    order: the strict upper triangle of the dense [n, n] haversine matrix,
+    evaluated with broadcasting. The reference for ``sampler.pair_km``."""
+    lam, phi = np.radians(lons), np.radians(lats)
+    s = (
+        np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
+        + np.cos(phi)[:, None] * np.cos(phi)[None, :] * np.sin(0.5 * (lam[:, None] - lam[None, :])) ** 2
+    )
+    return (2.0 * 6371.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))))[np.triu_indices(len(lons), 1)]
+
+
 def rel_err(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
